@@ -1,5 +1,4 @@
-"""MICRO — hot-path kernels: batched allocation, shared-heap SPF,
-incremental protocol core.
+"""MICRO — hot-path kernels: shared-heap SPF, incremental protocol core.
 
 Not a paper figure; pins the optimized kernels against their scalar /
 reference counterparts so a regression in either speed or exactness
@@ -11,13 +10,11 @@ fixture diff three PRs later.
 
 from __future__ import annotations
 
-import random
 import time
 
 import pytest
 
 from benchmarks.conftest import run_once
-from repro.core.allocation import ah, ah_batch, ih, ih_batch
 from repro.core.driver import ProtocolDriver
 from repro.core.mpda import MPDARouter
 from repro.graph.generators import waxman
@@ -25,65 +22,6 @@ from repro.graph.shortest_paths import (
     bellman_ford,
     multi_destination_distances,
 )
-
-#: (rows, max successor-set width) for the allocation kernels — sized
-#: like one n=300 allocation sweep (every router x destination pair).
-ALLOC_SHAPE = (3000, 6)
-
-
-def _allocation_rows(seed: int) -> list[dict[int, float]]:
-    """Random marginal-distance rows shaped like a protocol sweep."""
-    rng = random.Random(seed)
-    n_rows, max_width = ALLOC_SHAPE
-    rows = []
-    for _ in range(n_rows):
-        width = rng.randint(1, max_width)
-        succ = rng.sample(range(50), width)
-        rows.append({k: rng.uniform(0.01, 5.0) for k in succ})
-    return rows
-
-
-def test_ih_batch_vs_scalar(benchmark, record_figure):
-    rows = _allocation_rows(seed=7)
-    ih_batch(rows[:4])  # pull the numpy import out of the timed region
-
-    t0 = time.perf_counter()
-    scalar = [ih(row) for row in rows]
-    scalar_s = time.perf_counter() - t0
-
-    batched = run_once(benchmark, ih_batch, rows)
-
-    assert batched == scalar  # bit-for-bit, including key order
-    assert all(list(b) == list(s) for b, s in zip(batched, scalar))
-    batch_s = benchmark.stats.stats.mean
-    record_figure(
-        "micro_ih_batch",
-        f"IH batch over {len(rows)} rows: scalar {scalar_s * 1e3:.1f} ms, "
-        f"batched {batch_s * 1e3:.1f} ms "
-        f"({scalar_s / batch_s:.1f}x)",
-    )
-
-
-def test_ah_batch_vs_scalar(benchmark, record_figure):
-    rows = _allocation_rows(seed=11)
-    phis = [ih(row) for row in rows]
-    ah_batch(phis[:4], rows[:4])  # warm the numpy import
-
-    t0 = time.perf_counter()
-    scalar = [ah(phi, row) for phi, row in zip(phis, rows)]
-    scalar_s = time.perf_counter() - t0
-
-    batched = run_once(benchmark, ah_batch, phis, rows)
-
-    assert batched == scalar
-    assert all(list(b) == list(s) for b, s in zip(batched, scalar))
-    batch_s = benchmark.stats.stats.mean
-    record_figure(
-        "micro_ah_batch",
-        f"AH batch over {len(rows)} rows: scalar {scalar_s * 1e3:.1f} ms, "
-        f"batched {batch_s * 1e3:.1f} ms "
-        f"({scalar_s / batch_s:.1f}x)",
-    )
 
 
 def test_multi_destination_spf(benchmark, record_figure):

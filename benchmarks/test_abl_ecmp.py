@@ -9,7 +9,7 @@ shows where each stands between SP and OPT.
 
 from benchmarks.conftest import run_once
 from repro.bench.reporting import render_flow_table
-from repro.sim.runner import QuasiStaticConfig, run_quasi_static
+from repro.sim.control import QuasiStaticConfig, run
 from repro.sim.scenario import cairn_scenario
 from repro.units import ms
 
@@ -20,20 +20,20 @@ def run_experiment():
     scenario = cairn_scenario(load=1.2)
     cfg = dict(tl=10.0, ts=2.0, duration=200.0, warmup=60.0)
     runs = {
-        "SP": run_quasi_static(
-            scenario, QuasiStaticConfig(successor_limit=1, **cfg)
+        "SP": run(
+            scenario, QuasiStaticConfig(policy="sp", **cfg)
         ),
         # ECMP over the measured delay costs: continuous costs never
         # tie, so this *provably* degenerates to SP — the finding is
         # that OSPF's same-length rule is vacuous with delay metrics.
-        "ECMP": run_quasi_static(
-            scenario, QuasiStaticConfig(path_rule="ecmp", damping=0.5, **cfg)
+        "ECMP": run(
+            scenario, QuasiStaticConfig(policy="ecmp", damping=0.5, **cfg)
         ),
         # Realistic OSPF: hop-count routing, even split, congestion-blind.
-        "ECMP-HOP": run_quasi_static(
-            scenario, QuasiStaticConfig(path_rule="ecmp-hop", **cfg)
+        "ECMP-HOP": run(
+            scenario, QuasiStaticConfig(policy="ecmp-hop", **cfg)
         ),
-        "MP": run_quasi_static(
+        "MP": run(
             scenario, QuasiStaticConfig(damping=0.5, **cfg)
         ),
     }

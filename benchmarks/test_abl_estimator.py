@@ -10,7 +10,7 @@ delivered delays land in the same regime.
 """
 
 from benchmarks.conftest import run_once
-from repro.sim.packet_runner import PacketRunConfig, run_packet_level
+from repro.sim.control import PacketRunConfig, run
 from repro.sim.scenario import net1_scenario
 
 
@@ -20,7 +20,7 @@ def test_abl_estimator(benchmark, record_figure):
     def run_both():
         out = {}
         for estimator in ("mm1", "online"):
-            result = run_packet_level(
+            result = run(
                 scenario,
                 PacketRunConfig(
                     tl=10,

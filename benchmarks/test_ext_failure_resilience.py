@@ -8,7 +8,7 @@ well-used NET1 link fails for 100 s in the middle of the run.
 
 from benchmarks.conftest import run_once
 from repro.bench.reporting import render_series
-from repro.sim.runner import QuasiStaticConfig, run_quasi_static
+from repro.sim.control import QuasiStaticConfig, run
 from repro.sim.scenario import net1_scenario, with_failures
 from repro.units import ms
 
@@ -19,8 +19,8 @@ def run_experiment():
         {(0, 5): [(100.0, 200.0)]},  # a central link, out for 100 s
     )
     cfg = dict(tl=10.0, ts=2.0, duration=300.0, warmup=40.0)
-    mp = run_quasi_static(scenario, QuasiStaticConfig(damping=0.5, **cfg))
-    sp = run_quasi_static(scenario, QuasiStaticConfig(successor_limit=1, **cfg))
+    mp = run(scenario, QuasiStaticConfig(damping=0.5, **cfg))
+    sp = run(scenario, QuasiStaticConfig(policy="sp", **cfg))
 
     def phase_means(run):
         out = {}

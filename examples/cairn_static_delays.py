@@ -10,7 +10,7 @@ Run:  python examples/cairn_static_delays.py [load]
 
 import sys
 
-from repro import QuasiStaticConfig, cairn_scenario, run_opt, run_quasi_static
+from repro import QuasiStaticConfig, cairn_scenario, run, run_opt
 from repro.bench.reporting import render_flow_table
 
 
@@ -21,24 +21,24 @@ def main(load: float = 1.2) -> None:
 
     common = dict(duration=200.0, warmup=60.0)
     runs = [
-        run_quasi_static(
+        run(
             scenario,
             QuasiStaticConfig(tl=10, ts=2, damping=0.5, **common),
         ),
-        run_quasi_static(
+        run(
             scenario,
             QuasiStaticConfig(tl=10, ts=10, damping=0.5, **common),
         ),
-        run_quasi_static(
+        run(
             scenario,
-            QuasiStaticConfig(tl=10, ts=2, successor_limit=1, **common),
+            QuasiStaticConfig(tl=10, ts=2, policy="sp", **common),
         ),
     ]
     opt, gallager = run_opt(scenario, max_iterations=2500)
 
     series = {"OPT": opt.mean_flow_delays_ms()}
-    for run in runs:
-        series[run.label] = run.mean_flow_delays_ms()
+    for result in runs:
+        series[result.label] = result.mean_flow_delays_ms()
 
     print(render_flow_table("CAIRN per-flow delays", series))
     print()

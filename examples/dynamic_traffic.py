@@ -19,8 +19,7 @@ from repro import (
     QuasiStaticConfig,
     bursty_scenario,
     net1_scenario,
-    run_packet_level,
-    run_quasi_static,
+    run,
 )
 from repro.units import ms
 
@@ -34,33 +33,33 @@ def main() -> None:
 
     print("Fluid (quasi-static) engine, 300 s:")
     fluid = {}
-    for label, limit in (("MP", None), ("SP", 1)):
-        run = run_quasi_static(
+    for label, policy in (("MP", "mp-oracle"), ("SP", "sp")):
+        result = run(
             scenario,
             QuasiStaticConfig(
                 tl=10, ts=2, duration=300.0, warmup=60.0,
-                successor_limit=limit,
-                damping=0.5 if limit is None else 1.0,
+                policy=policy,
+                damping=0.5 if label == "MP" else 1.0,
             ),
         )
-        fluid[label] = ms(run.mean_average_delay())
+        fluid[label] = ms(result.mean_average_delay())
         print(f"  {label}: {fluid[label]:7.2f} ms network mean delay")
     print(f"  SP/MP ratio: {fluid['SP'] / fluid['MP']:.2f}x")
     print()
 
     print("Packet-level engine, 60 s (every packet simulated):")
     packet = {}
-    for label, limit in (("MP", None), ("SP", 1)):
-        run = run_packet_level(
+    for label, policy in (("MP", "mp-oracle"), ("SP", "sp")):
+        result = run(
             scenario,
             PacketRunConfig(
                 tl=10, ts=2, duration=60.0,
-                successor_limit=limit,
-                damping=0.5 if limit is None else 1.0,
+                policy=policy,
+                damping=0.5 if label == "MP" else 1.0,
                 seed=11,
             ),
         )
-        packet[label] = ms(run.records[0].average_delay)
+        packet[label] = ms(result.records[0].average_delay)
         print(f"  {label}: {packet[label]:7.2f} ms mean delivered delay")
     print(f"  SP/MP ratio: {packet['SP'] / packet['MP']:.2f}x")
     print()

@@ -15,7 +15,7 @@ from repro import (
     QuasiStaticConfig,
     bursty_scenario,
     net1_scenario,
-    run_quasi_static,
+    run,
 )
 from repro.bench.reporting import render_series
 from repro.units import ms
@@ -27,11 +27,11 @@ def sweep(scenario, tl_values, duration):
         common = dict(
             tl=tl, ts=2.0, duration=duration, warmup=60.0, queue_limit=750.0
         )
-        mp = run_quasi_static(
+        mp = run(
             scenario, QuasiStaticConfig(damping=0.5, **common)
         )
-        sp = run_quasi_static(
-            scenario, QuasiStaticConfig(successor_limit=1, **common)
+        sp = run(
+            scenario, QuasiStaticConfig(policy="sp", **common)
         )
         mp_points.append((tl, ms(mp.mean_average_delay())))
         sp_points.append((tl, ms(sp.mean_average_delay())))
@@ -65,13 +65,13 @@ def main() -> None:
     print()
     print("Ts tuning (stationary load 1.35):")
     for ts in (2.0, 5.0, 10.0):
-        run = run_quasi_static(
+        result = run(
             scenario,
             QuasiStaticConfig(
                 tl=10.0, ts=ts, duration=200.0, warmup=60.0, damping=0.5
             ),
         )
-        print(f"  {run.label:>18}: {ms(run.mean_average_delay()):7.3f} ms")
+        print(f"  {result.label:>18}: {ms(result.mean_average_delay()):7.3f} ms")
 
 
 if __name__ == "__main__":

@@ -19,8 +19,8 @@ from repro import (
     Scenario,
     Topology,
     TrafficMatrix,
+    run,
     run_opt,
-    run_quasi_static,
 )
 
 
@@ -39,14 +39,13 @@ def main() -> None:
     traffic = TrafficMatrix([Flow("s", "t", 700.0, name="hot")])
     scenario = Scenario("quickstart", topo, traffic)
 
-    mp = run_quasi_static(
+    mp = run(
         scenario,
         QuasiStaticConfig(tl=10, ts=2, duration=120, warmup=30, damping=0.5),
     )
-    sp = run_quasi_static(
+    sp = run(
         scenario,
-        QuasiStaticConfig(tl=10, ts=2, duration=120, warmup=30,
-                          successor_limit=1),
+        QuasiStaticConfig(tl=10, ts=2, duration=120, warmup=30, policy="sp"),
     )
     opt, gallager = run_opt(scenario, eta=0.3, max_iterations=3000)
 

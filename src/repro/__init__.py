@@ -20,13 +20,11 @@ on:
 
 Quick start::
 
-    from repro import net1_scenario, run_quasi_static, run_opt, QuasiStaticConfig
+    from repro import QuasiStaticConfig, net1_scenario, run, run_opt
 
     scenario = net1_scenario(load=1.5)
-    mp = run_quasi_static(scenario, QuasiStaticConfig(tl=10, ts=2))
-    sp = run_quasi_static(
-        scenario, QuasiStaticConfig(tl=10, ts=2, successor_limit=1)
-    )
+    mp = run(scenario, QuasiStaticConfig(tl=10, ts=2))
+    sp = run(scenario, QuasiStaticConfig(tl=10, ts=2, policy="sp"))
     opt, _ = run_opt(scenario)
     print(mp.mean_flow_delays_ms())
 """
@@ -80,9 +78,8 @@ from repro.sim import (
     bursty_scenario,
     cairn_scenario,
     net1_scenario,
+    run,
     run_opt,
-    run_packet_level,
-    run_quasi_static,
     with_failures,
 )
 from repro.units import mbps, ms, to_mbps
@@ -127,10 +124,9 @@ __all__ = [
     "TwoTimescaleController",
     "FluidPlane",
     "PacketPlane",
-    "run_quasi_static",
+    "run",
     "run_opt",
     "RunResult",
-    "run_packet_level",
     # observability
     "Observation",
     "observe",

@@ -72,9 +72,7 @@ def _mp_config(**overrides) -> QuasiStaticConfig:
 
 
 def _sp_config(**overrides) -> QuasiStaticConfig:
-    base = dict(
-        tl=10.0, ts=2.0, duration=DURATION, warmup=WARMUP, successor_limit=1
-    )
+    base = dict(tl=10.0, ts=2.0, duration=DURATION, warmup=WARMUP, policy="sp")
     base.update(overrides)
     return QuasiStaticConfig(**base)
 
@@ -309,8 +307,12 @@ def abl_successors() -> FigureResult:
         figure="ABL2 (successor-set size)",
         claim="delay falls as more loop-free successors become usable",
     )
-    for limit, label in ((1, "limit1(SP)"), (2, "limit2"), (None, "all(MP)")):
-        config = _mp_config(successor_limit=limit)
+    for label, policy, params in (
+        ("limit1(SP)", "sp", {}),
+        ("limit2", "mp-oracle", {"successor_limit": 2}),
+        ("all(MP)", "mp-oracle", {}),
+    ):
+        config = _mp_config(policy=policy, policy_params=params)
         outcome = run(scenario, config)
         result.flow_series[label] = outcome.mean_flow_delays_ms()
         result.metrics[f"{label}_avg_ms"] = ms(outcome.mean_average_delay())

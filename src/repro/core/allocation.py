@@ -159,145 +159,6 @@ def ah(
     return adjusted
 
 
-def ih_batch(
-    rows: list[Mapping[NodeId, float]],
-) -> list[dict[NodeId, float]]:
-    """Vectorized :func:`ih` over many (router, destination) rows.
-
-    Bit-for-bit equal to calling :func:`ih` on each row: the per-row
-    total is accumulated column by column (the same left-to-right
-    addition order as the scalar ``sum``), and the result dicts keep
-    each row's key order.  Rows are grouped by successor-set width so
-    every numpy operation works on a dense matrix.
-    """
-    import numpy as np
-
-    results: list[dict[NodeId, float] | None] = [None] * len(rows)
-    by_width: dict[int, list[int]] = {}
-    for i, row in enumerate(rows):
-        if not row:
-            raise AllocationError("IH needs a non-empty successor set")
-        n = len(row)
-        if n == 1:
-            (only,) = row
-            d = row[only]
-            if d < 0 or d != d:
-                raise AllocationError(
-                    f"invalid marginal distance via {only!r}: {d!r}"
-                )
-            results[i] = {only: 1.0}
-        else:
-            by_width.setdefault(n, []).append(i)
-    for n, idxs in by_width.items():
-        keys = [list(rows[i]) for i in idxs]
-        mat = np.array([list(rows[i].values()) for i in idxs], dtype=float)
-        if np.isnan(mat).any() or (mat < 0).any():
-            for i in idxs:  # re-run scalar for the exact error message
-                ih(rows[i])
-        total = mat[:, 0].copy()
-        for col in range(1, n):
-            total += mat[:, col]
-        uniform = total <= 0.0
-        safe_total = np.where(uniform, 1.0, total)
-        phi = (1.0 - mat / safe_total[:, None]) / (n - 1)
-        phi[uniform] = 1.0 / n
-        for out_row, i, row_keys in zip(phi, idxs, keys):
-            results[i] = dict(zip(row_keys, out_row.tolist()))
-    return results  # type: ignore[return-value]
-
-
-def ah_batch(
-    phis: list[Mapping[NodeId, float]],
-    rows: list[Mapping[NodeId, float]],
-    *,
-    damping: float = 1.0,
-) -> list[dict[NodeId, float]]:
-    """Vectorized :func:`ah` over many (router, destination) rows.
-
-    ``phis[i]`` and ``rows[i]`` are one scalar-``ah`` call.  Exactness
-    notes: the moved-traffic total is folded column by column in each
-    row's phi order with the best successor contributing an exact 0.0
-    (adding +0.0 to a non-negative partial sum is exact), so every
-    float matches the scalar loop; result dicts list the non-best
-    successors in phi order and the best successor last, as the scalar
-    code does.
-    """
-    import numpy as np
-
-    if len(phis) != len(rows):
-        raise AllocationError("phis and rows must have equal length")
-    if not 0.0 < damping <= 1.0:
-        raise AllocationError(f"damping must be in (0, 1]: {damping!r}")
-    results: list[dict[NodeId, float] | None] = [None] * len(phis)
-    by_width: dict[int, list[int]] = {}
-    for i, (phi, row) in enumerate(zip(phis, rows)):
-        if set(phi) != set(row):
-            raise AllocationError(
-                f"phi keys {sorted(map(repr, phi))} do not match distance "
-                f"keys {sorted(map(repr, row))}"
-            )
-        if not phi:
-            raise AllocationError("AH needs a non-empty successor set")
-        if len(phi) == 1:
-            (only,) = phi
-            results[i] = {only: 1.0}
-        else:
-            by_width.setdefault(len(phi), []).append(i)
-    for n, idxs in by_width.items():
-        keys = [list(phis[i]) for i in idxs]
-        phi_mat = np.array(
-            [list(phis[i].values()) for i in idxs], dtype=float
-        )
-        dist_mat = np.array(
-            [[rows[i][k] for k in row_keys] for i, row_keys in zip(idxs, keys)],
-            dtype=float,
-        )
-        d_min = dist_mat.min(axis=1)
-        best_col = np.fromiter(
-            (
-                row_keys.index(_best_successor(rows[i], dm))
-                for i, row_keys, dm in zip(idxs, keys, d_min.tolist())
-            ),
-            dtype=int,
-            count=len(idxs),
-        )
-        excess = np.maximum(dist_mat - d_min[:, None], 0.0)
-        cols = np.arange(n)
-        is_best = cols[None, :] == best_col[:, None]
-        movable = (
-            ~is_best & (excess > DISTANCE_EPSILON) & (phi_mat > 0.0)
-        )
-        # Non-movable cells may divide by zero or overflow to inf;
-        # the where() mask discards them all.
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            ratios = np.where(movable, phi_mat / excess, np.inf)
-        fixed_point = ~movable.any(axis=1)
-        eta = damping * np.where(fixed_point, 0.0, ratios.min(axis=1))
-        delta = np.minimum(eta[:, None] * excess, phi_mat)
-        remaining = phi_mat - delta
-        snap = remaining < PHI_EPSILON
-        delta = np.where(snap, phi_mat, delta)
-        remaining = np.where(snap, 0.0, remaining)
-        delta = np.where(is_best, 0.0, delta)
-        moved = delta[:, 0].copy()
-        for col in range(1, n):
-            moved += delta[:, col]
-        for r, i in enumerate(idxs):
-            if fixed_point[r]:
-                results[i] = dict(phis[i])
-                continue
-            row_keys = keys[r]
-            b = best_col[r]
-            out = {
-                k: remaining[r, c].item()
-                for c, k in enumerate(row_keys)
-                if c != b
-            }
-            out[row_keys[b]] = (phi_mat[r, b] + moved[r]).item()
-            results[i] = out
-    return results  # type: ignore[return-value]
-
-
 def validate_property1(
     phi: Mapping[NodeId, float],
     successors: Iterable[NodeId],
@@ -367,59 +228,6 @@ class AllocationTable:
         self._phi[destination] = phi
         self._successors[destination] = successors
         return dict(phi)
-
-    def update_many(
-        self,
-        updates: list[tuple[NodeId, Mapping[NodeId, float]]],
-    ) -> None:
-        """Batched :meth:`update` over many destinations.
-
-        Partitions the updates into IH rows (successor set changed) and
-        AH rows (set unchanged) and runs each group through the
-        vectorized heuristics.  State after the call is identical to
-        calling :meth:`update` once per pair in order: the partition
-        only depends on per-destination state, and destinations are
-        unique within one routing pass.
-        """
-        ih_rows: list[tuple[NodeId, Mapping[NodeId, float]]] = []
-        ah_rows: list[tuple[NodeId, Mapping[NodeId, float]]] = []
-        for destination, distance_via in updates:
-            if not distance_via:
-                self._phi.pop(destination, None)
-                self._successors.pop(destination, None)
-            elif self._successors.get(destination) != frozenset(distance_via):
-                ih_rows.append((destination, distance_via))
-            else:
-                ah_rows.append((destination, distance_via))
-        new_phi: dict[NodeId, dict[NodeId, float]] = {}
-        if ih_rows:
-            new_phi.update(
-                zip(
-                    (dest for dest, _ in ih_rows),
-                    ih_batch([row for _, row in ih_rows]),
-                )
-            )
-        if ah_rows:
-            new_phi.update(
-                zip(
-                    (dest for dest, _ in ah_rows),
-                    ah_batch(
-                        [self._phi[dest] for dest, _ in ah_rows],
-                        [row for _, row in ah_rows],
-                        damping=self.damping,
-                    ),
-                )
-            )
-        # Install in the caller's order so _phi's insertion order — and
-        # with it every downstream iteration — matches the scalar loop.
-        for destination, distance_via in updates:
-            phi = new_phi.get(destination)
-            if phi is None:
-                continue
-            successors = frozenset(distance_via)
-            validate_property1(phi, successors)
-            self._phi[destination] = phi
-            self._successors[destination] = successors
 
     def reset(
         self, destination: NodeId, distance_via: Mapping[NodeId, float]

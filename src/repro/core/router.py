@@ -65,16 +65,7 @@ class MPRouting:
         transport: control-plane channel for protocol mode (None = the
             default :class:`~repro.core.transport.PerfectChannel`); lets
             experiments run the exchange over a lossy wire.
-        batch: "always" runs the vectorized IH/AH kernels, "never" the
-            scalar ones, "auto" (default) switches to the vectorized
-            path once the network has at least
-            :data:`BATCH_AUTO_THRESHOLD` (node, destination) pairs.
-            Both paths compute bit-identical parameters; the scalar one
-            doubles as the differential-test oracle.
     """
-
-    #: nodes x destinations above which batch="auto" vectorizes.
-    BATCH_AUTO_THRESHOLD = 1024
 
     def __init__(
         self,
@@ -87,12 +78,9 @@ class MPRouting:
         damping: float = 1.0,
         seed: int = 0,
         transport=None,
-        batch: str = "auto",
     ) -> None:
         if mode not in ("oracle", "protocol"):
             raise RoutingError(f"unknown routing mode {mode!r}")
-        if batch not in ("auto", "always", "never"):
-            raise RoutingError(f"unknown batch mode {batch!r}")
         if path_rule not in ("lfi", "ecmp", "ecmp-hop"):
             raise RoutingError(f"unknown path rule {path_rule!r}")
         if path_rule != "lfi" and mode != "oracle":
@@ -101,7 +89,6 @@ class MPRouting:
                 "use mode='oracle'"
             )
         self.path_rule = path_rule
-        self.batch = batch
         self.topo = topo
         self.destinations = list(destinations)
         self.successor_limit = successor_limit
@@ -216,22 +203,8 @@ class MPRouting:
             )
 
     def _apply_allocation(self, local_costs: CostMap) -> None:
-        batched = self.batch == "always" or (
-            self.batch == "auto"
-            and len(self.topo.nodes) * len(self.destinations)
-            >= self.BATCH_AUTO_THRESHOLD
-        )
         for node in self.topo.nodes:
             table = self.allocations[node]
-            if batched:
-                table.update_many(
-                    [
-                        (dest, self._distance_via(node, dest, local_costs))
-                        for dest in self.destinations
-                        if node != dest
-                    ]
-                )
-                continue
             for dest in self.destinations:
                 if node == dest:
                     continue

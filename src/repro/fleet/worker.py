@@ -15,9 +15,9 @@ record instead of stalling the shard; the orchestrator's watchdog backs
 this up for cells stuck outside the interpreter.
 
 Before every cell the worker resets the process-wide state a cell could
-leak into the next — the LSU sequence counter and the deprecation
-warn-once registry — so any cell reproduces standalone and two
-sequential in-process cells behave like two fresh processes.
+leak into the next — the LSU sequence counter — so any cell reproduces
+standalone and two sequential in-process cells behave like two fresh
+processes.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ import os
 import signal
 import time
 
-from repro import deprecation
 from repro.core.linkstate import reset_lsu_sequence
 from repro.fleet.plan import Cell, FleetPlan
 from repro.testing.fuzz import (
@@ -65,13 +64,10 @@ def _deadline(seconds: float | None):
 def reset_cell_state() -> None:
     """Scrub process-wide state so the next cell runs as if standalone.
 
-    Two known leaks, both regression-tested: the LSU sequence counter
-    (causal tags key on it — a fresh cell must see a fresh sequence)
-    and the deprecation warn-once registry (a cell must warn exactly as
-    a standalone process would).
+    The known leak, regression-tested: the LSU sequence counter (causal
+    tags key on it — a fresh cell must see a fresh sequence).
     """
     reset_lsu_sequence()
-    deprecation.reset()
 
 
 # ----------------------------------------------------------------------

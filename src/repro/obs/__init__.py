@@ -24,7 +24,7 @@ speed when nobody is watching.
 Typical use::
 
     with obs.observe(trace_path="run.jsonl") as ob:
-        result = run_quasi_static(scenario, config)
+        result = run(scenario, config)
     export.write_metrics("metrics.json", ob)
 
 When an observation is active, quasi-static and packet runs upgrade

@@ -21,7 +21,6 @@ from repro.policy.registry import (
     available_policies,
     create_policy,
     policy_class,
-    policy_name_for_config,
     register,
 )
 
@@ -38,6 +37,5 @@ __all__ = [
     "available_policies",
     "create_policy",
     "policy_class",
-    "policy_name_for_config",
     "register",
 ]

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import abc
 from collections.abc import Mapping
-from typing import Any
 
 from repro.graph.shortest_paths import CostMap
 from repro.graph.topology import NodeId, Topology
@@ -165,14 +164,3 @@ class RoutingPolicy(abc.ABC):
         for dest, successors in self.routing().items():
             assert_loop_free(successors, dest)
             self.audit_checks += 1
-
-    # -- config hooks ---------------------------------------------------
-    @classmethod
-    def normalize_config(cls, config: Any) -> None:
-        """Reconcile legacy config fields with this policy.
-
-        Called by ``RunConfig`` validation when the policy is selected
-        by name, so label conventions and engine parameters derived from
-        legacy fields (``mode``, ``successor_limit``, ``path_rule``)
-        stay consistent.  Default: nothing to reconcile.
-        """

@@ -31,7 +31,12 @@ from repro.policy.registry import register
 
 
 class MPFamilyPolicy(RoutingPolicy):
-    """Shared adapter: lifecycle calls forwarded to :class:`MPRouting`."""
+    """Shared adapter: lifecycle calls forwarded to :class:`MPRouting`.
+
+    ``successor_limit`` keeps only that many best successors per set
+    (``policy_params={"successor_limit": 2}`` is the successor-count
+    ablation); None keeps every loop-free successor.
+    """
 
     #: "oracle" or "protocol" — the MPRouting backend this name selects.
     mode = "oracle"
@@ -61,11 +66,6 @@ class MPFamilyPolicy(RoutingPolicy):
     def initialize(self, scenario, config) -> None:
         self.topo = scenario.topo
         self.destinations = scenario.mean_traffic().destinations()
-        limit = (
-            self._successor_limit
-            if self._successor_limit is not None
-            else config.successor_limit
-        )
         mode = self._effective_mode()
         transport = None
         if self._loss > 0.0:
@@ -81,7 +81,7 @@ class MPFamilyPolicy(RoutingPolicy):
         self._mpr = MPRouting(
             scenario.topo,
             self.destinations,
-            successor_limit=limit,
+            successor_limit=self._successor_limit,
             mode=mode,
             path_rule=self.path_rule,
             damping=config.damping,
@@ -166,10 +166,6 @@ class MPProtocolPolicy(MPFamilyPolicy):
     )
     mode = "protocol"
 
-    @classmethod
-    def normalize_config(cls, config) -> None:
-        config.mode = "protocol"
-
 
 @register
 class MPOraclePolicy(MPFamilyPolicy):
@@ -179,10 +175,6 @@ class MPOraclePolicy(MPFamilyPolicy):
         "sets computed directly"
     )
     mode = "oracle"
-
-    @classmethod
-    def normalize_config(cls, config) -> None:
-        config.mode = "oracle"
 
 
 @register
@@ -197,16 +189,6 @@ class SPPolicy(MPFamilyPolicy):
     def __init__(self) -> None:
         super().__init__(successor_limit=1)
 
-    @classmethod
-    def normalize_config(cls, config) -> None:
-        if config.successor_limit not in (None, 1):
-            raise ConfigError(
-                "policy 'sp' is the successor_limit=1 baseline; got "
-                f"successor_limit={config.successor_limit!r}"
-            )
-        config.mode = "oracle"
-        config.successor_limit = 1
-
 
 @register
 class ECMPPolicy(MPFamilyPolicy):
@@ -217,17 +199,6 @@ class ECMPPolicy(MPFamilyPolicy):
     )
     mode = "oracle"
     path_rule = "ecmp"
-
-    @classmethod
-    def normalize_config(cls, config) -> None:
-        config.mode = "oracle"
-        if hasattr(config, "path_rule"):
-            config.path_rule = cls.path_rule
-        elif cls.path_rule != "lfi":
-            raise ConfigError(
-                f"policy {cls.name!r} needs a fluid-plane config "
-                "(QuasiStaticConfig) carrying path_rule"
-            )
 
 
 @register

@@ -60,34 +60,3 @@ def create_policy(name: str, **params) -> RoutingPolicy:
             f"bad parameters for policy {name!r}: {exc}"
         ) from None
 
-
-def policy_name_for_config(config) -> str:
-    """Derive the registry name a legacy config selects.
-
-    The pre-registry encoding: ``mode`` picked the MPDA backend,
-    ``successor_limit=1`` was the SP ablation, and ``path_rule`` chose
-    the ECMP baselines.  Unknown ``mode`` strings used to be accepted
-    here and rejected (or worse, ignored) deep inside the run; now they
-    raise :class:`ConfigError` up front.
-    """
-    mode = getattr(config, "mode", "oracle")
-    if mode not in ("oracle", "protocol"):
-        known = ", ".join(sorted(_REGISTRY))
-        raise ConfigError(
-            f"unknown routing mode {mode!r} (expected 'oracle' or "
-            f"'protocol'); to select an algorithm use policy=<name> "
-            f"with one of: {known}"
-        )
-    path_rule = getattr(config, "path_rule", "lfi")
-    if path_rule in ("ecmp", "ecmp-hop"):
-        return path_rule
-    if path_rule != "lfi":
-        known = ", ".join(sorted(_REGISTRY))
-        raise ConfigError(
-            f"unknown path rule {path_rule!r}; known policies: {known}"
-        )
-    if mode == "protocol":
-        return "mp"
-    if config.successor_limit == 1:
-        return "sp"
-    return "mp-oracle"

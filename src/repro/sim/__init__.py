@@ -5,10 +5,7 @@
 - :mod:`repro.sim.control` — the unified two-timescale controller
   driving a pluggable data plane (fluid or packet) through the paper's
   ``Tl`` / ``Ts`` update discipline;
-- :mod:`repro.sim.runner` — the legacy fluid entry point (a thin shim)
-  plus the OPT evaluation;
-- :mod:`repro.sim.packet_runner` — the legacy packet entry point (a
-  thin shim);
+- :mod:`repro.sim.runner` — the OPT evaluation;
 - :mod:`repro.sim.results` — epoch records and run summaries.
 """
 
@@ -22,9 +19,8 @@ from repro.sim.control import (
     TwoTimescaleController,
     run,
 )
-from repro.sim.packet_runner import run_packet_level
 from repro.sim.results import EpochRecord, RunResult
-from repro.sim.runner import run_opt, run_quasi_static
+from repro.sim.runner import run_opt
 from repro.sim.scenario import (
     Scenario,
     bursty_scenario,
@@ -47,8 +43,6 @@ __all__ = [
     "PacketPlane",
     "TwoTimescaleController",
     "run",
-    "run_quasi_static",
-    "run_packet_level",
     "run_opt",
     "EpochRecord",
     "RunResult",

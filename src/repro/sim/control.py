@@ -14,10 +14,9 @@ The paper's whole system is *one* control discipline:
 invocation, warmup accounting, scenario dynamics (link outages, bursty
 on/off traffic) and epoch-record emission.  *Which* routing algorithm
 fills the successor sets is no longer the controller's business: it
-resolves a :class:`~repro.policy.RoutingPolicy` from the registry
-(``config.policy``, or the legacy ``mode``/``successor_limit``/
-``path_rule`` encoding) and drives its uniform lifecycle.  The policy
-in turn feeds a :class:`DataPlane`:
+resolves the :class:`~repro.policy.RoutingPolicy` named by
+``config.policy`` from the registry and drives its uniform lifecycle.
+The policy in turn feeds a :class:`DataPlane`:
 
 - :class:`FluidPlane` evaluates the network analytically each epoch
   with the same M/M/1 law the paper's cost function assumes, plus fluid
@@ -36,9 +35,7 @@ traffic reroutes over the surviving successor sets) and emits
 :func:`~repro.sim.scenario.bursty_scenario` replays the *same*
 precomputed on/off schedule through either plane.
 
-:func:`run` is the unified entry point; the legacy
-``run_quasi_static`` / ``run_packet_level`` wrappers are thin shims
-over it.
+:func:`run` is the single entry point.
 """
 
 from __future__ import annotations
@@ -53,18 +50,18 @@ from repro.fluid.evaluator import flow_delays, link_flows
 from repro.fluid.queues import FluidQueues
 from repro.graph.topology import LinkId
 from repro.netsim.network import PacketNetwork
-from repro.policy import (
-    RoutingPolicy,
-    create_policy,
-    policy_class,
-    policy_name_for_config,
-)
+from repro.policy import RoutingPolicy, create_policy, policy_class
 from repro.sim.results import EpochRecord, RunResult
 from repro.sim.scenario import BurstyScenario, Scenario
 
 #: Estimators can momentarily report ~0 on idle links before any
 #: traffic; routing requires positive costs.
 MIN_COST = 1e-9
+
+#: Weight of the newest Tl window in the long-term cost EWMA.  Smoothing
+#: the costs across windows damps route flapping the way a real
+#: router's long-interval averaging does.
+LONG_COST_WEIGHT = 0.5
 
 
 # ----------------------------------------------------------------------
@@ -79,36 +76,27 @@ class RunConfig:
         ts: short-term (allocation) update interval, seconds.
         duration: simulated time.
         warmup: epochs before this time are excluded from averages.
-        successor_limit: None = MP, 1 = SP, other = ablation.
-        mode: "oracle" (converged MPDA sets) or "protocol" (real MPDA).
         damping: AH step damping.
         seed: protocol-mode delivery interleaving (and packet-plane
             service/arrival) seed.
         policy: registry name of the routing policy to run (see
-            ``repro policies``).  ``None`` derives it from the legacy
-            ``mode`` / ``successor_limit`` / ``path_rule`` fields, and
-            either spelling raises :class:`~repro.exceptions.ConfigError`
-            — listing the registered names — when it matches nothing.
+            ``repro policies``); a name that matches nothing raises
+            :class:`~repro.exceptions.ConfigError` listing the
+            registered ones.
         policy_params: extra constructor knobs for the policy
-            (``{"k": 4}`` for ``ecmp-k``, ``{"eta": 0.05}`` for
-            ``opt``, ...).
+            (``{"successor_limit": 2}`` for the MP successor-count
+            ablation, ``{"k": 4}`` for ``ecmp-k``, ``{"eta": 0.05}``
+            for ``opt``, ...).
     """
 
     tl: float = 10.0
     ts: float = 2.0
     duration: float = 200.0
     warmup: float = 40.0
-    successor_limit: int | None = None
-    mode: str = "oracle"
     damping: float = 1.0
     seed: int = 0
-    policy: str | None = None
+    policy: str = "mp-oracle"
     policy_params: dict = field(default_factory=dict)
-    #: Weight of the newest Tl window in the long-term cost EWMA.  1.0
-    #: uses the raw window measurement; smaller values smooth the costs
-    #: across windows, damping route flapping the way a real router's
-    #: long-interval averaging does.
-    cost_smoothing: float = 0.5
 
     #: Appended to the plot key (the packet plane tags ``(pkt)``).
     label_suffix = ""
@@ -129,59 +117,44 @@ class RunConfig:
             )
         if self.duration <= self.warmup:
             raise SimulationError("duration must exceed warmup")
-        if self.policy is None:
-            # Legacy spelling: derive (and validate) the registry name
-            # from mode / successor_limit / path_rule.
-            self.policy = policy_name_for_config(self)
-        else:
-            # Registry spelling: validate the name, then let the policy
-            # back-fill the legacy fields so labels and downstream
-            # consumers keep working.
-            policy_class(self.policy).normalize_config(self)
+        policy_class(self.policy)
 
     @property
     def epochs_per_tl(self) -> int:
         return round(self.tl / self.ts)
 
-    #: Policies whose labels follow the paper's plot-key conventions
-    #: below; anything else gets a generic ``NAME-TL-x`` key.
-    _PAPER_LABELS = ("mp", "mp-oracle", "sp", "ecmp", "ecmp-hop")
+    #: Plot keys of the paper's policies (``{limit}`` is the MP
+    #: successor-count ablation); any other policy is keyed ``NAME-TL-x``.
+    _PAPER_LABELS = {
+        "mp": "MP{limit}-TL-{tl}-TS-{ts}",
+        "mp-oracle": "MP{limit}-TL-{tl}-TS-{ts}",
+        "sp": "SP-TL-{tl}",
+        "ecmp": "ECMP-TL-{tl}-TS-{ts}",
+        "ecmp-hop": "ECMP-HOP",
+    }
 
     @property
     def label(self) -> str:
         """The paper's plot-key convention (MP-TL-x-TS-y / SP-TL-x)."""
-        if self.policy is not None and self.policy not in self._PAPER_LABELS:
-            name = self.policy.upper()
-            return f"{name}-TL-{self.tl:g}{self.label_suffix}"
-        if self.successor_limit == 1:
-            return f"SP-TL-{self.tl:g}{self.label_suffix}"
-        prefix = (
-            "MP"
-            if self.successor_limit is None
-            else f"MP{self.successor_limit}"
+        template = self._PAPER_LABELS.get(
+            self.policy, self.policy.upper() + "-TL-{tl}"
         )
-        return f"{prefix}-TL-{self.tl:g}-TS-{self.ts:g}{self.label_suffix}"
+        limit = self.policy_params.get("successor_limit")
+        key = template.format(
+            limit="" if limit is None else limit,
+            tl=f"{self.tl:g}",
+            ts=f"{self.ts:g}",
+        )
+        return key + self.label_suffix
 
 
 @dataclass
 class QuasiStaticConfig(RunConfig):
     """A :class:`RunConfig` plus the fluid plane's extras."""
 
-    #: "lfi" (the paper's unequal-cost multipath) or "ecmp" (OSPF's
-    #: equal-cost-only baseline).
-    path_rule: str = "lfi"
     #: Per-link output buffer, packets; caps what a packet can
     #: experience during overload epochs (None = infinite).
     queue_limit: float | None = 100.0
-
-    @property
-    def label(self) -> str:
-        if self.successor_limit != 1:
-            if self.path_rule == "ecmp":
-                return f"ECMP-TL-{self.tl:g}-TS-{self.ts:g}"
-            if self.path_rule == "ecmp-hop":
-                return "ECMP-HOP"
-        return RunConfig.label.fget(self)
 
 
 @dataclass
@@ -195,7 +168,6 @@ class PacketRunConfig(RunConfig):
 
     duration: float = 60.0
     warmup: float = 0.0
-    service: str = "exponential"
     estimator: str = "mm1"
     #: Per-link output buffer in packets (None = the paper's lossless
     #: model); overflow drops are counted by the flow monitor.
@@ -325,7 +297,6 @@ class PacketPlane:
             self.scenario.topo,
             routing,
             seed=config.seed,
-            service=config.service,
             estimator=config.estimator,
             queue_capacity=config.queue_capacity,
         )
@@ -421,11 +392,10 @@ class PacketPlane:
 class TwoTimescaleController:
     """Drives the paper's Ts/Tl discipline over a pluggable data plane.
 
-    The controller owns everything the two legacy runners duplicated:
-    boot from idle marginal costs, the window-averaged + EWMA-smoothed
-    long-term costs, the Tl route recomputation (IH reseeding) vs. Ts
-    allocation adjustment (AH) split, warmup bookkeeping, epoch trace
-    events, and scenario dynamics — outages are detected at the epoch
+    The controller owns the whole discipline: boot from idle marginal
+    costs, the window-averaged + EWMA-smoothed long-term costs, the Tl
+    route recomputation (IH reseeding) vs. Ts allocation adjustment
+    (AH) split, warmup bookkeeping, epoch trace events, and scenario dynamics — outages are detected at the epoch
     where they start/end (failure detection is immediate in MPDA, an
     adjacent-link event, not a Tl timer) and applied to both the data
     plane and the routing plane, with ``link_down`` / ``link_up`` trace
@@ -516,16 +486,12 @@ class TwoTimescaleController:
                     link_id: total / window_epochs
                     for link_id, total in window_costs.items()
                 }
-                alpha = config.cost_smoothing
-                if alpha >= 1.0:
-                    long_costs = measured
-                else:
-                    long_costs = {
-                        link_id: alpha * measured[link_id]
-                        + (1.0 - alpha)
-                        * long_costs.get(link_id, measured[link_id])
-                        for link_id in measured
-                    }
+                long_costs = {
+                    link_id: LONG_COST_WEIGHT * measured[link_id]
+                    + (1.0 - LONG_COST_WEIGHT)
+                    * long_costs.get(link_id, measured[link_id])
+                    for link_id in measured
+                }
                 with obs.phase(ob, "control.tl_update"):
                     routing.on_costs(_without(long_costs, links_down))
                 window_costs = {}

@@ -1,55 +1,20 @@
-"""The quasi-static (fluid) runner — now a thin plane adapter.
+"""Gallager's OPT as a run result.
 
-The two-timescale discipline itself lives in
-:mod:`repro.sim.control`; this module keeps the historical entry point
-:func:`run_quasi_static` (a deprecated shim over
-:func:`repro.sim.control.run` with the fluid plane) and the OPT
-evaluation :func:`run_opt`, which is not a two-timescale run at all —
-Gallager's optimum is computed once on the stationary traffic.
+:func:`run_opt` is not a two-timescale run at all — the optimum is
+computed once on the stationary traffic — so it lives beside, not
+inside, :mod:`repro.sim.control`.
 """
 
 from __future__ import annotations
 
 from repro import obs
-from repro.deprecation import warn_once
 from repro.fluid.delay import DelayModel
 from repro.fluid.evaluator import evaluate
 from repro.gallager.opt import GallagerResult, optimize
-from repro.sim.control import QuasiStaticConfig, run
 from repro.sim.results import EpochRecord, RunResult
 from repro.sim.scenario import Scenario
 
-__all__ = ["QuasiStaticConfig", "run_quasi_static", "run_opt"]
-
-# Deprecation is announced once per process, not once per call — sweeps
-# invoke the shim hundreds of times and the warning would drown output.
-# The pid-keyed registry in repro.deprecation keeps forked fleet workers
-# honest (a fresh process warns again) and resettable per fleet cell.
-def _warn_once() -> None:
-    warn_once(
-        "sim.runner.run_quasi_static",
-        "run_quasi_static is deprecated; call repro.sim.control.run "
-        "(the data plane follows the config type, the algorithm the "
-        "config's policy name)",
-        stacklevel=4,
-    )
-
-
-def run_quasi_static(
-    scenario: Scenario, config: QuasiStaticConfig
-) -> RunResult:
-    """Run MP (or SP) through the two-timescale discipline (fluid plane).
-
-    Deprecated shim: new code should call :func:`repro.sim.control.run`,
-    which resolves the routing policy from the registry and selects the
-    data plane from the config type.
-
-    Returns:
-        A :class:`RunResult` whose per-flow means reproduce one curve of
-        the paper's figures.
-    """
-    _warn_once()
-    return run(scenario, config)
+__all__ = ["run_opt"]
 
 
 def run_opt(

@@ -35,7 +35,7 @@ from repro.bench.convergence import converge_experiment
 from repro.obs.convergence import read_trace
 from repro.obs.export import write_metrics
 from repro.obs.report import build_report, write_report
-from repro.sim.packet_runner import PacketRunConfig, run_packet_level
+from repro.sim.control import PacketRunConfig, run
 from repro.sim.scenario import net1_scenario
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -78,7 +78,7 @@ def regen_packet_net1() -> None:
     metrics = _path("packet_net1.metrics.json")
     observation = obs.start(trace_path=trace, audit=True, audit_sample=25)
     try:
-        run_packet_level(
+        run(
             net1_scenario(load=1.0),
             PacketRunConfig(tl=10, ts=2, duration=20.0, seed=0),
         )

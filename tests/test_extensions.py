@@ -7,7 +7,7 @@ from repro.core.spf import ecmp_successors
 from repro.exceptions import RoutingError, SimulationError
 from repro.fluid.flows import Flow, TrafficMatrix
 from repro.graph.validation import is_loop_free
-from repro.sim.runner import QuasiStaticConfig, run_quasi_static
+from repro.sim.control import QuasiStaticConfig, run
 from repro.sim.scenario import Scenario, net1_scenario, with_failures
 
 
@@ -61,14 +61,14 @@ class TestEcmpRouting:
         traffic = TrafficMatrix([Flow("s", "t", 700.0, name="hot")])
         scenario = Scenario("asym", topo, traffic)
         cfg = dict(tl=10.0, ts=2.0, duration=80.0, warmup=20.0)
-        mp = run_quasi_static(
+        mp = run(
             scenario, QuasiStaticConfig(damping=0.5, **cfg)
         )
-        ecmp = run_quasi_static(
-            scenario, QuasiStaticConfig(path_rule="ecmp", **cfg)
+        ecmp = run(
+            scenario, QuasiStaticConfig(policy="ecmp", **cfg)
         )
-        sp = run_quasi_static(
-            scenario, QuasiStaticConfig(successor_limit=1, **cfg)
+        sp = run(
+            scenario, QuasiStaticConfig(policy="sp", **cfg)
         )
         assert ecmp.label.startswith("ECMP")
         # The b path has unequal cost: ECMP cannot use it, MP can.
@@ -100,7 +100,7 @@ class TestFailureScenario:
             "d", diamond, TrafficMatrix([Flow("s", "t", 300.0, name="x")])
         )
         scenario = with_failures(base, {("s", "a"): [(20.0, 40.0)]})
-        result = run_quasi_static(
+        result = run(
             scenario,
             QuasiStaticConfig(
                 tl=10, ts=2, duration=80, warmup=0, damping=0.5
@@ -119,11 +119,11 @@ class TestFailureScenario:
         )
         scenario = with_failures(base, {("a", "t"): [(30.0, 60.0)]})
         cfg = dict(tl=10.0, ts=2.0, duration=100.0, warmup=10.0)
-        mp = run_quasi_static(
+        mp = run(
             scenario, QuasiStaticConfig(damping=0.5, **cfg)
         )
-        sp = run_quasi_static(
-            scenario, QuasiStaticConfig(successor_limit=1, **cfg)
+        sp = run(
+            scenario, QuasiStaticConfig(policy="sp", **cfg)
         )
         assert mp.mean_average_delay() <= sp.mean_average_delay() * 1.001
 
@@ -131,11 +131,11 @@ class TestFailureScenario:
         base = Scenario(
             "d", diamond, TrafficMatrix([Flow("a", "t", 100.0, name="x")])
         )
-        stable = run_quasi_static(
+        stable = run(
             base,
             QuasiStaticConfig(tl=10, ts=2, duration=60, warmup=10),
         )
-        failed = run_quasi_static(
+        failed = run(
             with_failures(base, {("s", "b"): [(20.0, 40.0)]}),
             QuasiStaticConfig(tl=10, ts=2, duration=60, warmup=10),
         )

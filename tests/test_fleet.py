@@ -2,11 +2,9 @@
 
 import json
 import random
-import warnings
 
 import pytest
 
-from repro import deprecation
 from repro.cli import build_parser, main
 from repro.fleet import (
     FUZZ_POLICIES,
@@ -276,20 +274,6 @@ class TestStateIsolation:
         assert baseline["status"] == "violation"
         execute_cell(dirtying)  # advances the process-wide LSU sequence
         assert execute_cell(failing) == baseline
-
-    def test_sequential_cells_do_not_leak_warn_once(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            deprecation.reset()
-            assert deprecation.warn_once("fleet-test", "gone soon")
-            assert not deprecation.warn_once("fleet-test", "gone soon")
-            # A new cell resets the registry: it warns exactly as a
-            # standalone process would.
-            execute_cell(
-                Cell(index=0, kind="diag", params={"action": "pass"})
-            )
-            assert deprecation.warn_once("fleet-test", "gone soon")
-        deprecation.reset()
 
     def test_run_shard_resets_between_cells(self, tmp_path):
         """Same property through the journal path: a shard running the

@@ -1,19 +1,16 @@
 """Differential tests: optimized hot paths vs reference semantics.
 
-PR 7 made the protocol core incremental (dirty-destination MTU state,
-snapshot flooding, patched neighbor distances) and vectorized the
-allocation heuristics.  Every shortcut claims *bit-for-bit* equality
-with the straightforward implementation; these tests run both sides —
-``INCREMENTAL = False`` routers and the scalar IH/AH kernels are kept
+The protocol core is incremental (dirty-destination MTU state, snapshot
+flooding, patched neighbor distances).  Every shortcut claims
+*bit-for-bit* equality with the straightforward implementation; these
+tests run both sides — ``INCREMENTAL = False`` routers are kept
 precisely to serve as oracles — over converged states, failover
 windows, and adversarial fuzz schedules, and assert the claim.
 """
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.core.allocation import ah, ah_batch, ih, ih_batch
+from repro.core.allocation import ah
 from repro.core.driver import ProtocolDriver
 from repro.core.linkstate import (
     EntryOp,
@@ -123,53 +120,8 @@ def test_fuzz_schedule_differential(seed):
 
 
 # ----------------------------------------------------------------------
-# allocation kernels
+# allocation
 # ----------------------------------------------------------------------
-@st.composite
-def _allocation_rows(draw):
-    n_rows = draw(st.integers(1, 20))
-    rows = []
-    for _ in range(n_rows):
-        keys = draw(
-            st.lists(
-                st.integers(0, 30), min_size=1, max_size=5, unique=True
-            )
-        )
-        rows.append(
-            {
-                k: draw(
-                    st.floats(
-                        0.0, 50.0, allow_nan=False, allow_infinity=False
-                    )
-                )
-                for k in keys
-            }
-        )
-    return rows
-
-
-@settings(max_examples=60, deadline=None)
-@given(rows=_allocation_rows())
-def test_ih_batch_matches_scalar(rows):
-    scalar = [ih(row) for row in rows]
-    batched = ih_batch(rows)
-    assert batched == scalar
-    # bit-for-bit includes each result dict's key order
-    assert [list(b) for b in batched] == [list(s) for s in scalar]
-
-
-@settings(max_examples=60, deadline=None)
-@given(rows=_allocation_rows(), steps=st.integers(1, 3))
-def test_ah_batch_matches_scalar(rows, steps):
-    phis = [ih(row) for row in rows]
-    for _ in range(steps):
-        scalar = [ah(phi, row) for phi, row in zip(phis, rows)]
-        batched = ah_batch(phis, rows)
-        assert batched == scalar
-        assert [list(b) for b in batched] == [list(s) for s in scalar]
-        phis = batched
-
-
 def test_ah_tie_break_is_natural_order():
     """Regression: equal-distance ties pick the *naturally* smallest
     successor.  A repr-based tie-break would sort node 10 ahead of
@@ -180,7 +132,6 @@ def test_ah_tie_break_is_natural_order():
     assert adjusted[2] == pytest.approx(0.7)
     assert adjusted[10] == pytest.approx(0.3)
     assert adjusted[3] == 0.0
-    assert ah_batch([phi], [distance_via]) == [adjusted]
 
 
 # ----------------------------------------------------------------------

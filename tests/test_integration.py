@@ -14,18 +14,19 @@ guarded by the ordinary test suite:
 import pytest
 
 from repro.graph.validation import is_loop_free
-from repro.sim.runner import QuasiStaticConfig, run_opt, run_quasi_static
+from repro.sim.control import QuasiStaticConfig, run
+from repro.sim.runner import run_opt
 from repro.sim.scenario import bursty_scenario, cairn_scenario, net1_scenario
 
 MP_CFG = dict(tl=10.0, ts=2.0, duration=120.0, warmup=40.0, damping=0.5)
-SP_CFG = dict(tl=10.0, ts=2.0, duration=120.0, warmup=40.0, successor_limit=1)
+SP_CFG = dict(tl=10.0, ts=2.0, duration=120.0, warmup=40.0, policy="sp")
 
 
 @pytest.fixture(scope="module")
 def net1_results():
     scenario = net1_scenario(load=1.5)
-    mp = run_quasi_static(scenario, QuasiStaticConfig(**MP_CFG))
-    sp = run_quasi_static(scenario, QuasiStaticConfig(**SP_CFG))
+    mp = run(scenario, QuasiStaticConfig(**MP_CFG))
+    sp = run(scenario, QuasiStaticConfig(**SP_CFG))
     opt, gallager = run_opt(scenario, max_iterations=1500)
     return scenario, mp, sp, opt, gallager
 
@@ -63,8 +64,8 @@ class TestCairnClaims:
         scenario = cairn_scenario(load=1.5)
         cfg_mp = dict(MP_CFG, duration=200.0, warmup=60.0)
         cfg_sp = dict(SP_CFG, duration=200.0, warmup=60.0)
-        mp = run_quasi_static(scenario, QuasiStaticConfig(**cfg_mp))
-        sp = run_quasi_static(scenario, QuasiStaticConfig(**cfg_sp))
+        mp = run(scenario, QuasiStaticConfig(**cfg_mp))
+        sp = run(scenario, QuasiStaticConfig(**cfg_sp))
         opt, _ = run_opt(scenario, max_iterations=1500)
         assert opt.mean_average_delay() <= mp.mean_average_delay() * 1.02
         assert mp.mean_average_delay() < sp.mean_average_delay()
@@ -86,11 +87,11 @@ class TestTlSensitivity:
             cfg = dict(
                 tl=tl, ts=2.0, duration=280.0, warmup=60.0, queue_limit=750.0
             )
-            mp = run_quasi_static(
+            mp = run(
                 scenario, QuasiStaticConfig(damping=0.5, **cfg)
             )
-            sp = run_quasi_static(
-                scenario, QuasiStaticConfig(successor_limit=1, **cfg)
+            sp = run(
+                scenario, QuasiStaticConfig(policy="sp", **cfg)
             )
             mp_delays.append(mp.mean_average_delay())
             sp_delays.append(sp.mean_average_delay())
@@ -108,9 +109,9 @@ class TestDynamicTraffic:
             net1_scenario(load=0.7), burstiness=3.0, mean_on=8.0, seed=3
         )
         cfg = dict(tl=10.0, ts=2.0, duration=300.0, warmup=60.0)
-        mp = run_quasi_static(scenario, QuasiStaticConfig(damping=0.5, **cfg))
-        sp = run_quasi_static(
-            scenario, QuasiStaticConfig(successor_limit=1, **cfg)
+        mp = run(scenario, QuasiStaticConfig(damping=0.5, **cfg))
+        sp = run(
+            scenario, QuasiStaticConfig(policy="sp", **cfg)
         )
         assert mp.mean_average_delay() < 0.5 * sp.mean_average_delay()
 

@@ -13,8 +13,7 @@ import pytest
 
 from repro import obs
 from repro.fluid.flows import Flow, TrafficMatrix
-from repro.sim.packet_runner import PacketRunConfig, run_packet_level
-from repro.sim.runner import QuasiStaticConfig, run_quasi_static
+from repro.sim.control import PacketRunConfig, QuasiStaticConfig, run
 from repro.sim.scenario import Scenario, net1_scenario
 
 
@@ -28,7 +27,7 @@ class TestFluidRunner:
     def test_metrics_snapshot_attached(self):
         scenario = net1_scenario(load=1.0)
         with obs.observe():
-            result = run_quasi_static(scenario, tiny_config())
+            result = run(scenario, tiny_config())
         assert result.metrics is not None
         gauges = result.metrics["metrics"]["gauges"]
         # per-router LSU counts from the live MPDA exchange
@@ -46,28 +45,28 @@ class TestFluidRunner:
 
     def test_epoch_records_carry_counters(self):
         with obs.observe():
-            result = run_quasi_static(net1_scenario(load=1.0), tiny_config())
+            result = run(net1_scenario(load=1.0), tiny_config())
         assert result.records[-1].metrics["route_updates"] >= 1.0
 
     def test_observed_run_matches_unobserved(self):
         """The oracle->protocol upgrade must not change the figures."""
         scenario = net1_scenario(load=1.0)
-        plain = run_quasi_static(scenario, tiny_config())
+        plain = run(scenario, tiny_config())
         with obs.observe():
-            observed = run_quasi_static(scenario, tiny_config())
+            observed = run(scenario, tiny_config())
         assert observed.mean_average_delay() == pytest.approx(
             plain.mean_average_delay(), rel=1e-6
         )
 
     def test_protocol_upgrade_can_be_declined(self):
         with obs.observe(protocol_control_plane=False) as ob:
-            run_quasi_static(net1_scenario(load=1.0), tiny_config())
+            run(net1_scenario(load=1.0), tiny_config())
             assert ob.metrics.value("protocol.deliveries") is None
 
     def test_trace_is_parseable_and_has_epochs(self, tmp_path):
         path = tmp_path / "run.jsonl"
         with obs.observe(trace_path=str(path)):
-            run_quasi_static(net1_scenario(load=1.0), tiny_config())
+            run(net1_scenario(load=1.0), tiny_config())
         rows = [json.loads(line) for line in path.read_text().splitlines()]
         kinds = {row["kind"] for row in rows}
         assert "epoch" in kinds
@@ -75,7 +74,7 @@ class TestFluidRunner:
         assert "route_update" in kinds
 
     def test_disabled_path_attaches_nothing(self):
-        result = run_quasi_static(net1_scenario(load=1.0), tiny_config())
+        result = run(net1_scenario(load=1.0), tiny_config())
         assert result.metrics is None
         assert result.records[0].metrics is None
 
@@ -92,7 +91,7 @@ class TestPacketRunner:
             queue_capacity=2, seed=1,
         )
         with obs.observe() as ob:
-            run_packet_level(scenario, config)
+            run(scenario, config)
             fm_gauges = ob.metrics
             injected = fm_gauges.value("netsim.packets_injected")
             delivered = fm_gauges.value("netsim.packets_delivered")
@@ -112,7 +111,7 @@ class TestPacketRunner:
         )
         config = PacketRunConfig(tl=4.0, ts=2.0, duration=12.0, warmup=0.0)
         with obs.observe():
-            result = run_packet_level(scenario, config)
+            result = run(scenario, config)
         gauges = result.metrics["metrics"]["gauges"]
         assert gauges["netsim.packets_delivered"][""]["value"] > 0
         assert "netsim.queue_high_water" in gauges

@@ -15,16 +15,13 @@ import pytest
 from repro.bench.convergence import pick_failure_link
 from repro.exceptions import ConfigError
 from repro.graph.validation import assert_loop_free
-from repro.policy import (
-    available_policies,
-    create_policy,
-    policy_class,
-    policy_name_for_config,
-)
+from repro.policy import available_policies, create_policy, policy_class
 from repro.sim.control import (
+    PacketRunConfig,
     QuasiStaticConfig,
     RunConfig,
     TwoTimescaleController,
+    run,
 )
 from repro.sim.scenario import cairn_scenario, with_failures
 
@@ -81,57 +78,72 @@ class TestRegistry:
 
 
 class TestConfigValidation:
-    """Satellite: unknown mode/policy strings fail loudly at config time."""
+    """Unknown policy names fail loudly at config time, and the plot key
+    derives from ``policy`` and ``policy_params`` alone."""
 
     def test_unknown_policy_raises_config_error(self):
         with pytest.raises(ConfigError, match="known policies"):
             QuasiStaticConfig(policy="bogus")
 
-    def test_unknown_mode_raises_config_error(self):
-        with pytest.raises(ConfigError, match="unknown routing mode"):
-            RunConfig(mode="bogus")
+    @pytest.mark.parametrize(
+        "config_cls, policy, params, label",
+        [
+            pytest.param(
+                QuasiStaticConfig, None, {}, "MP-TL-10-TS-2", id="default"
+            ),
+            pytest.param(QuasiStaticConfig, "mp", {}, "MP-TL-10-TS-2", id="mp"),
+            pytest.param(
+                QuasiStaticConfig, "mp-oracle", {}, "MP-TL-10-TS-2", id="mp-oracle"
+            ),
+            pytest.param(
+                QuasiStaticConfig,
+                "mp-oracle",
+                {"successor_limit": 2},
+                "MP2-TL-10-TS-2",
+                id="mp-oracle-limit2",
+            ),
+            pytest.param(QuasiStaticConfig, "sp", {}, "SP-TL-10", id="sp"),
+            pytest.param(
+                QuasiStaticConfig, "ecmp", {}, "ECMP-TL-10-TS-2", id="ecmp"
+            ),
+            pytest.param(QuasiStaticConfig, "ecmp-hop", {}, "ECMP-HOP", id="ecmp-hop"),
+            pytest.param(
+                QuasiStaticConfig, "ecmp-k", {"k": 3}, "ECMP-K-TL-10", id="ecmp-k"
+            ),
+            pytest.param(
+                RunConfig,
+                "backpressure-lr",
+                {},
+                "BACKPRESSURE-LR-TL-10",
+                id="backpressure-lr",
+            ),
+            pytest.param(
+                PacketRunConfig, "mp", {}, "MP-TL-10-TS-2(pkt)", id="pkt-mp"
+            ),
+            pytest.param(PacketRunConfig, "sp", {}, "SP-TL-10(pkt)", id="pkt-sp"),
+            pytest.param(
+                PacketRunConfig,
+                "ecmp",
+                {},
+                "ECMP-TL-10-TS-2(pkt)",
+                id="pkt-ecmp",
+            ),
+        ],
+    )
+    def test_label(self, config_cls, policy, params, label):
+        named = {} if policy is None else {"policy": policy}
+        config = config_cls(tl=10.0, ts=2.0, policy_params=params, **named)
+        assert config.policy == (policy or "mp-oracle")
+        assert config.label == label
 
-    def test_unknown_path_rule_raises_config_error(self):
-        with pytest.raises(ConfigError, match="unknown path rule"):
-            QuasiStaticConfig(path_rule="bogus")
-
-    def test_legacy_fields_derive_the_policy(self):
-        assert QuasiStaticConfig().policy == "mp-oracle"
-        assert QuasiStaticConfig(successor_limit=1).policy == "sp"
-        assert QuasiStaticConfig(mode="protocol").policy == "mp"
-        assert QuasiStaticConfig(path_rule="ecmp").policy == "ecmp"
-        assert QuasiStaticConfig(path_rule="ecmp-hop").policy == "ecmp-hop"
-
-    def test_policy_names_backfill_legacy_fields(self):
-        sp = QuasiStaticConfig(policy="sp")
-        assert sp.successor_limit == 1 and sp.mode == "oracle"
-        assert sp.label.startswith("SP-TL-")
-        mp = QuasiStaticConfig(policy="mp")
-        assert mp.mode == "protocol"
-        assert mp.label.startswith("MP-TL-")
-        ecmp = QuasiStaticConfig(policy="ecmp")
-        assert ecmp.path_rule == "ecmp"
-
-    def test_sp_rejects_contradictory_successor_limit(self):
-        with pytest.raises(ConfigError, match="successor_limit=1"):
-            QuasiStaticConfig(policy="sp", successor_limit=3)
-
-    def test_non_paper_policies_get_generic_labels(self):
-        assert (
-            QuasiStaticConfig(policy="ecmp-k").label == "ECMP-K-TL-10"
+    def test_ecmp_runs_on_the_packet_plane(self, cairn):
+        result = run(
+            cairn,
+            PacketRunConfig(tl=10.0, ts=2.0, duration=4.0, policy="ecmp"),
         )
-        assert (
-            QuasiStaticConfig(policy="backpressure-lr", tl=20.0, ts=4.0).label
-            == "BACKPRESSURE-LR-TL-20"
-        )
-
-    def test_derivation_function_rejects_unknown_mode(self):
-        class Legacy:
-            mode = "chaotic"
-            successor_limit = None
-
-        with pytest.raises(ConfigError, match="unknown routing mode"):
-            policy_name_for_config(Legacy())
+        assert result.plane == "packet"
+        assert result.label == "ECMP-TL-10-TS-2(pkt)"
+        assert result.mean_flow_delays()
 
 
 # ----------------------------------------------------------------------

@@ -91,11 +91,10 @@ class TestSharedValidation:
         assert QuasiStaticConfig(tl=10, ts=2).label == "MP-TL-10-TS-2"
         assert PacketRunConfig(tl=10, ts=2).label == "MP-TL-10-TS-2(pkt)"
         assert (
-            PacketRunConfig(tl=10, ts=2, successor_limit=1).label
-            == "SP-TL-10(pkt)"
+            PacketRunConfig(tl=10, ts=2, policy="sp").label == "SP-TL-10(pkt)"
         )
         assert (
-            QuasiStaticConfig(tl=10, ts=2, path_rule="ecmp").label
+            QuasiStaticConfig(tl=10, ts=2, policy="ecmp").label
             == "ECMP-TL-10-TS-2"
         )
 

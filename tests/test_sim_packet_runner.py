@@ -4,8 +4,7 @@ import pytest
 
 from repro.exceptions import SimulationError
 from repro.fluid.flows import Flow, TrafficMatrix
-from repro.sim.packet_runner import PacketRunConfig, run_packet_level
-from repro.sim.runner import QuasiStaticConfig, run_quasi_static
+from repro.sim.control import PacketRunConfig, QuasiStaticConfig, run
 from repro.sim.scenario import Scenario, bursty_scenario
 
 
@@ -24,12 +23,12 @@ class TestConfig:
 
     def test_labels(self):
         assert "pkt" in PacketRunConfig().label
-        assert PacketRunConfig(successor_limit=1).label.startswith("SP")
+        assert PacketRunConfig(policy="sp").label.startswith("SP")
 
 
 class TestRuns:
     def test_packets_flow_and_split(self, diamond_scenario):
-        result = run_packet_level(
+        result = run(
             diamond_scenario,
             PacketRunConfig(tl=10, ts=2, duration=20.0, damping=0.5),
         )
@@ -40,11 +39,11 @@ class TestRuns:
 
     def test_agrees_with_fluid_model(self, diamond_scenario):
         """The two simulators must tell the same story (within noise)."""
-        pkt = run_packet_level(
+        pkt = run(
             diamond_scenario,
             PacketRunConfig(tl=10, ts=2, duration=30.0, damping=0.5),
         )
-        fluid = run_quasi_static(
+        fluid = run(
             diamond_scenario,
             QuasiStaticConfig(
                 tl=10, ts=2, duration=100.0, warmup=20.0, damping=0.5
@@ -57,16 +56,16 @@ class TestRuns:
     def test_sp_restriction_applies(self, diamond_scenario):
         # keep the run inside the first Tl window so SP stays on its
         # initial path (later it legitimately flaps between arms)
-        sp = run_packet_level(
+        sp = run(
             diamond_scenario,
-            PacketRunConfig(tl=10, ts=2, duration=8.0, successor_limit=1),
+            PacketRunConfig(tl=10, ts=2, duration=8.0, policy="sp"),
         )
         # single path: all 500 pkt/s ride one 1000 pkt/s arm
         utils = sp.records[0].max_utilization
         assert utils > 0.4
 
     def test_online_estimator_end_to_end(self, diamond_scenario):
-        result = run_packet_level(
+        result = run(
             diamond_scenario,
             PacketRunConfig(
                 tl=10, ts=2, duration=20.0, estimator="online", damping=0.5
@@ -78,7 +77,7 @@ class TestRuns:
         bursty = bursty_scenario(
             diamond_scenario, burstiness=3.0, mean_on=2.0, seed=1
         )
-        result = run_packet_level(
+        result = run(
             bursty, PacketRunConfig(tl=10, ts=2, duration=20.0)
         )
         assert result.mean_flow_delays().get("hot", 0.0) > 0.0

@@ -4,7 +4,8 @@ import pytest
 
 from repro.exceptions import SimulationError
 from repro.fluid.flows import Flow, TrafficMatrix
-from repro.sim.runner import QuasiStaticConfig, run_opt, run_quasi_static
+from repro.sim.control import QuasiStaticConfig, run
+from repro.sim.runner import run_opt
 from repro.sim.scenario import Scenario
 
 
@@ -23,11 +24,11 @@ class TestConfig:
     def test_label_conventions(self):
         assert QuasiStaticConfig(tl=10, ts=2).label == "MP-TL-10-TS-2"
         assert (
-            QuasiStaticConfig(tl=20, ts=2, successor_limit=1).label
+            QuasiStaticConfig(tl=20, ts=2, policy="sp").label
             == "SP-TL-20"
         )
         assert (
-            QuasiStaticConfig(tl=10, ts=2, successor_limit=2).label
+            QuasiStaticConfig(tl=10, ts=2, policy_params={"successor_limit": 2}).label
             == "MP2-TL-10-TS-2"
         )
 
@@ -47,35 +48,35 @@ class TestConfig:
 
 class TestRun:
     def test_epoch_count(self, diamond_scenario):
-        result = run_quasi_static(diamond_scenario, QuasiStaticConfig(**FAST))
+        result = run(diamond_scenario, QuasiStaticConfig(**FAST))
         assert len(result.records) == 30  # duration / ts
 
     def test_mp_splits_hot_flow(self, diamond_scenario):
-        result = run_quasi_static(diamond_scenario, QuasiStaticConfig(**FAST))
+        result = run(diamond_scenario, QuasiStaticConfig(**FAST))
         assert result.peak_utilization() < 0.45  # 600 split over two paths
 
     def test_sp_concentrates(self, diamond_scenario):
-        result = run_quasi_static(
+        result = run(
             diamond_scenario,
-            QuasiStaticConfig(successor_limit=1, **FAST),
+            QuasiStaticConfig(policy="sp", **FAST),
         )
         assert result.peak_utilization() > 0.55
 
     def test_mp_beats_sp(self, diamond_scenario):
-        mp = run_quasi_static(diamond_scenario, QuasiStaticConfig(**FAST))
-        sp = run_quasi_static(
-            diamond_scenario, QuasiStaticConfig(successor_limit=1, **FAST)
+        mp = run(diamond_scenario, QuasiStaticConfig(**FAST))
+        sp = run(
+            diamond_scenario, QuasiStaticConfig(policy="sp", **FAST)
         )
         assert (
             mp.mean_flow_delays()["hot"] < sp.mean_flow_delays()["hot"]
         )
 
     def test_protocol_mode_matches_oracle(self, diamond_scenario):
-        oracle = run_quasi_static(
-            diamond_scenario, QuasiStaticConfig(mode="oracle", **FAST)
+        oracle = run(
+            diamond_scenario, QuasiStaticConfig(policy="mp-oracle", **FAST)
         )
-        protocol = run_quasi_static(
-            diamond_scenario, QuasiStaticConfig(mode="protocol", **FAST)
+        protocol = run(
+            diamond_scenario, QuasiStaticConfig(policy="mp", **FAST)
         )
         for name, delay in oracle.mean_flow_delays().items():
             assert protocol.mean_flow_delays()[name] == pytest.approx(
@@ -84,8 +85,8 @@ class TestRun:
         assert protocol.protocol_stats["delivered"] > 0
 
     def test_deterministic(self, diamond_scenario):
-        a = run_quasi_static(diamond_scenario, QuasiStaticConfig(**FAST))
-        b = run_quasi_static(diamond_scenario, QuasiStaticConfig(**FAST))
+        a = run(diamond_scenario, QuasiStaticConfig(**FAST))
+        b = run(diamond_scenario, QuasiStaticConfig(**FAST))
         assert a.mean_flow_delays() == b.mean_flow_delays()
 
 
@@ -95,7 +96,7 @@ class TestRunOpt:
         opt, gallager = run_opt(
             diamond_scenario, eta=0.3, max_iterations=3000
         )
-        mp = run_quasi_static(diamond_scenario, QuasiStaticConfig(**FAST))
+        mp = run(diamond_scenario, QuasiStaticConfig(**FAST))
         assert opt.mean_average_delay() <= mp.mean_average_delay() * 1.01
         assert gallager.phi["s"]["t"]["a"] == pytest.approx(0.5, abs=0.05)
 

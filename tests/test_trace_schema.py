@@ -22,8 +22,7 @@ from repro.fluid.flows import Flow, TrafficMatrix
 from repro.gallager.opt import optimize
 from repro.graph.topologies import net1
 from repro.obs.trace import EVENT_SCHEMAS, OPTIONAL_FIELDS
-from repro.sim.packet_runner import PacketRunConfig, run_packet_level
-from repro.sim.runner import QuasiStaticConfig, run_quasi_static
+from repro.sim.control import PacketRunConfig, QuasiStaticConfig, run
 from repro.sim.scenario import Scenario
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -71,7 +70,7 @@ class TestLiveTraces:
     def test_fluid_run_events_round_trip(self, tmp_path, diamond_scenario):
         trace = tmp_path / "t.jsonl"
         with obs.observe(trace_path=str(trace)):
-            run_quasi_static(
+            run(
                 diamond_scenario,
                 QuasiStaticConfig(
                     tl=4, ts=2, duration=12.0, warmup=4.0, damping=0.5
@@ -88,7 +87,7 @@ class TestLiveTraces:
         trace = tmp_path / "t.jsonl"
         with obs.observe(trace_path=str(trace), audit=True,
                          audit_sample=10):
-            run_packet_level(
+            run(
                 diamond_scenario,
                 PacketRunConfig(tl=4, ts=2, duration=8.0, damping=0.5),
             )
