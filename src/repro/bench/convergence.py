@@ -16,8 +16,17 @@ the first duplex link, in sorted order, whose removal keeps the
 topology connected — so a failure never partitions the network and
 every destination keeps a finite distance.
 
-Run it via ``python -m repro converge``; post-process the trace with
-``python -m repro report``.
+The paper also *assumes* reliable, in-order delivery and never prices
+that assumption.  Given wire loss rates, the same workload runs over
+:class:`~repro.core.transport.ReliableTransport` wrapped around a seeded
+lossy :class:`~repro.core.transport.FaultyChannel`, and each result
+counts what enforcing the delivery model costs in wire frames
+(retransmissions, timeouts, ACKs) while the protocol above still
+converges to the Dijkstra oracle with a clean online audit.  The loss=0
+row is the price of reliability itself (pure ACK overhead).
+
+Run it via ``python -m repro converge [--loss P ...]``; post-process
+the trace with ``python -m repro report``.
 
 :func:`packet_failover_experiment` is the packet-granularity companion:
 the same fail/restore workload, but through the full two-timescale
@@ -25,7 +34,7 @@ system (:mod:`repro.sim.control`) with every packet simulated — the
 outage drops the packets queued on the dying link, MPDA reconverges,
 and traffic reroutes over the surviving successor sets while the
 online auditor keeps checking loop freedom.  Run it via
-``python -m repro packet-converge``.
+``python -m repro converge --plane packet``.
 """
 
 from __future__ import annotations
@@ -43,7 +52,17 @@ from repro.graph.topologies import cairn, net1
 from repro.graph.topology import NodeId, Topology
 from repro.sim.control import PacketRunConfig, run
 from repro.sim.scenario import cairn_scenario, net1_scenario, with_failures
+from repro.testing.fuzz import FaultProfile
 from repro.units import ms
+
+#: The evaluation topologies: CLI key -> (factory, table label).
+TOPOLOGIES = {"cairn": (cairn, "CAIRN"), "net1": (net1, "NET1")}
+
+#: Channel seed of the lossy runs (the EXPERIMENTS.md LOSS table).
+LOSS_CHANNEL_SEED = 7
+
+#: Traffic load factor of the packet-plane failover.
+PACKET_LOAD = 0.9
 
 
 def pick_failure_link(topo: Topology) -> tuple[NodeId, NodeId]:
@@ -85,13 +104,33 @@ class FailoverResult:
     nodes: int
     links: int  # directed links
     failed_link: tuple[NodeId, NodeId]
+    #: The channel faults of the run; None is the paper's PerfectChannel.
+    profile: FaultProfile | None = None
+    #: LSU/ACK payloads delivered to routers per convergence window.
     cold_messages: int = 0
     fail_messages: int = 0
     restore_messages: int = 0
+    #: Transport + wire counters (see ``Transport.stats``).
+    transport: dict[str, int] = field(default_factory=dict)
     audit: dict = field(default_factory=dict)
 
+    @property
+    def wire_frames(self) -> int:
+        """Wire frames offered to the channel (incl. the ones it lost)."""
+        return (
+            self.transport.get("wire_sent", 0)
+            + self.transport.get("wire_drops", 0)
+            + self.transport.get("wire_partition_drops", 0)
+        )
+
+    @property
+    def overhead(self) -> float:
+        """Wire frames offered per protocol message the driver sent."""
+        data = self.transport.get("data_sent", 0)
+        return self.wire_frames / data if data else 0.0
+
     def as_dict(self) -> dict:
-        return {
+        doc = {
             "topology": self.topology,
             "nodes": self.nodes,
             "links": self.links,
@@ -99,29 +138,43 @@ class FailoverResult:
             "cold_messages": self.cold_messages,
             "fail_messages": self.fail_messages,
             "restore_messages": self.restore_messages,
+            "transport": dict(self.transport),
             "audit": dict(self.audit),
         }
+        if self.profile is not None:
+            doc["profile"] = self.profile.as_dict()
+            doc["wire_frames"] = self.wire_frames
+            doc["overhead"] = round(self.overhead, 4)
+        return doc
 
 
 def failover_experiment(
-    topo: Topology, name: str, *, seed: int = 0
+    topo: Topology,
+    name: str,
+    *,
+    seed: int = 0,
+    profile: FaultProfile | None = None,
 ) -> FailoverResult:
     """Cold start, fail one safe link, requiesce, restore, requiesce.
 
     Runs under whatever observation is current: with tracing + audit
     enabled (``repro converge`` does both) the trace carries three
     disturbance→quiescence windows and the auditor checks LFI safety
-    after every delivery.  Convergence to the true shortest paths is
-    verified against the Dijkstra oracle after each window.
+    after every delivery — even while retransmissions reorder the
+    interleaving of a lossy ``profile``.  Convergence to the true
+    shortest paths is verified against the Dijkstra oracle after each
+    window.
     """
     costs = topo.idle_marginal_costs()
-    driver = ProtocolDriver(topo, MPDARouter, seed=seed)
+    transport = None if profile is None else profile.build_transport()
+    driver = ProtocolDriver(topo, MPDARouter, seed=seed, transport=transport)
     a, b = pick_failure_link(topo)
     result = FailoverResult(
         topology=name,
         nodes=topo.num_nodes,
         links=topo.num_links,
         failed_link=(a, b),
+        profile=profile,
     )
 
     driver.start(costs)
@@ -136,6 +189,7 @@ def failover_experiment(
     result.restore_messages = driver.run()
     driver.verify_converged()
 
+    result.transport = driver.transport.stats()
     ob = obs.current()
     if ob is not None and ob.auditor is not None:
         result.audit = ob.auditor.summary()
@@ -143,14 +197,31 @@ def failover_experiment(
 
 
 def converge_experiment(
-    *, seed: int = 0, topologies: tuple[str, ...] = ("cairn", "net1")
+    *,
+    seed: int = 0,
+    topologies: tuple[str, ...] = ("cairn", "net1"),
+    losses: tuple[float, ...] | None = None,
 ) -> list[FailoverResult]:
-    """The paper's two evaluation topologies through the failover workload."""
-    factories = {"cairn": (cairn, "CAIRN"), "net1": (net1, "NET1")}
+    """The paper's two evaluation topologies through the failover workload.
+
+    ``losses`` reruns the workload once per wire loss rate over the
+    reliable shim (channel seed :data:`LOSS_CHANNEL_SEED`); None keeps
+    the paper's PerfectChannel.
+    """
+    profiles = (
+        [None]
+        if losses is None
+        else [FaultProfile(loss=p, seed=LOSS_CHANNEL_SEED) for p in losses]
+    )
     results = []
     for key in topologies:
-        factory, label = factories[key]
-        results.append(failover_experiment(factory(), label, seed=seed))
+        factory, label = TOPOLOGIES[key]
+        for profile in profiles:
+            results.append(
+                failover_experiment(
+                    factory(), label, seed=seed, profile=profile
+                )
+            )
     return results
 
 
@@ -223,7 +294,6 @@ PHASES = ("before", "during", "after")
 def packet_failover_experiment(
     topo_key: str,
     *,
-    load: float = 0.9,
     seed: int = 0,
     tl: float = 4.0,
     ts: float = 2.0,
@@ -232,8 +302,8 @@ def packet_failover_experiment(
 ) -> PacketFailoverResult:
     """Fail the busiest safe link mid-run, at packet granularity.
 
-    Runs under whatever observation is current (``repro
-    packet-converge`` adds tracing + the online auditor, in which case
+    Runs under whatever observation is current (``repro converge
+    --plane packet`` adds tracing + the online auditor, in which case
     the run upgrades to the live MPDA control plane and the outage
     flows through the driver's link_down/link_up path).  The returned
     per-phase delivery counts quantify rerouting: packets keep arriving
@@ -245,7 +315,7 @@ def packet_failover_experiment(
         "net1": (net1_scenario, "NET1"),
     }
     factory, label = factories[topo_key]
-    base = factory(load=load)
+    base = factory(load=PACKET_LOAD)
     failed = pick_loaded_failure_link(base.topo, base.traffic)
     scenario = with_failures(base, {failed: [outage]})
     config = PacketRunConfig(
@@ -295,14 +365,10 @@ def packet_failover_experiment(
 def packet_converge_experiment(
     *,
     seed: int = 0,
-    load: float = 0.9,
     topologies: tuple[str, ...] = ("cairn", "net1"),
 ) -> list[PacketFailoverResult]:
     """The packet-plane failover workload on the evaluation topologies."""
-    return [
-        packet_failover_experiment(key, load=load, seed=seed)
-        for key in topologies
-    ]
+    return [packet_failover_experiment(key, seed=seed) for key in topologies]
 
 
 def render_packet_failover_table(
@@ -383,5 +449,51 @@ def render_failover_table(results: list[FailoverResult]) -> str:
     lines.append(
         "(counts are LSU+ACK deliveries with a fixed interleaving seed; "
         "audit = online LFI/loop check verdict)"
+    )
+    return "\n".join(lines)
+
+
+def render_loss_table(results: list[FailoverResult]) -> str:
+    """Plain-text table of failover runs over lossy wires."""
+    header = (
+        "topology".ljust(10)
+        + "loss".rjust(6)
+        + "cold".rjust(7)
+        + "fail".rjust(7)
+        + "restore".rjust(9)
+        + "retx".rjust(7)
+        + "t/outs".rjust(8)
+        + "wire".rjust(8)
+        + "overhd".rjust(8)
+        + "audit".rjust(7)
+    )
+    lines = [
+        "convergence and overhead vs. wire loss "
+        "(reliable transport over a lossy channel, audited)",
+        "=" * len(header),
+        header,
+        "-" * len(header),
+    ]
+    previous = None
+    for result in results:
+        verdict = result.audit.get("verdict", "n/a")
+        lines.append(
+            (result.topology if result.topology != previous else "").ljust(10)
+            + f"{result.profile.loss:.0%}".rjust(6)
+            + f"{result.cold_messages}".rjust(7)
+            + f"{result.fail_messages}".rjust(7)
+            + f"{result.restore_messages}".rjust(9)
+            + f"{result.transport.get('retransmits', 0)}".rjust(7)
+            + f"{result.transport.get('timeouts', 0)}".rjust(8)
+            + f"{result.wire_frames}".rjust(8)
+            + f"{result.overhead:.2f}x".rjust(8)
+            + verdict.rjust(7)
+        )
+        previous = result.topology
+    lines.append("-" * len(header))
+    lines.append(
+        "(messages are payloads delivered per convergence window; overhead "
+        "= wire frames offered / LSUs sent, so the loss=0 row is the pure "
+        "ACK cost of reliability)"
     )
     return "\n".join(lines)

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.policy import available_policies
 from repro.sim.control import QuasiStaticConfig, run
 from repro.sim.runner import run_opt
 from repro.sim.scenario import (
@@ -332,7 +331,8 @@ ZOO_POLICY_PARAMS: dict[str, dict] = {
 _DAMPED_POLICIES = ("mp", "mp-oracle")
 
 
-def _zoo_scenario(network: str) -> Scenario:
+def operating_point(network: str) -> Scenario:
+    """The figs. 9-12 scenario of one evaluation network."""
     if network == "cairn":
         return cairn_scenario(load=CAIRN_LOAD)
     if network == "net1":
@@ -354,46 +354,6 @@ def _zoo_config(policy: str, **overrides) -> QuasiStaticConfig:
     return QuasiStaticConfig(**base)
 
 
-def policy_zoo(
-    network: str = "cairn",
-    *,
-    policies: tuple[str, ...] | None = None,
-    duration: float = DURATION,
-    warmup: float = WARMUP,
-) -> FigureResult:
-    """Every registered routing policy on one evaluation topology.
-
-    The fig09–fig14 harness compares the paper's protagonists; this is
-    the same operating point (Figs. 9/11 for CAIRN, 10/12 for NET1)
-    opened to the whole registry — MPDA, its single-path and ECMP
-    ablations, Gallager's optimum, and the non-paper rivals (``ecmp-k``,
-    ``backpressure-lr``).  Rows are keyed by *policy name* (labels
-    collide: ``mp`` and ``mp-oracle`` share the paper's MP plot key).
-    """
-    scenario = _zoo_scenario(network)
-    names = (
-        tuple(policies)
-        if policies is not None
-        else tuple(available_policies())
-    )
-    result = FigureResult(
-        figure=f"ZOO ({network}: all registered policies)",
-        claim=(
-            "MPDA tracks OPT; single-path and equal-cost baselines "
-            "congest; DAG-frozen backpressure sits between"
-        ),
-    )
-    for name in names:
-        outcome = run(
-            scenario,
-            _zoo_config(name, duration=duration, warmup=warmup),
-        )
-        result.flow_series[name] = outcome.mean_flow_delays_ms()
-        result.metrics[f"{name}_avg_ms"] = ms(outcome.mean_average_delay())
-        result.metrics[f"{name}_max_util"] = outcome.peak_utilization()
-    return result
-
-
 def policy_zoo_cell(
     policy: str,
     network: str = "cairn",
@@ -401,14 +361,17 @@ def policy_zoo_cell(
     duration: float = DURATION,
     warmup: float = WARMUP,
 ) -> dict:
-    """One (policy, network) cell of :func:`policy_zoo`, as plain data.
+    """One (policy, network) cell of the policy zoo, as plain data.
 
-    The fleet's zoo campaign runs the same operating point one pair per
-    worker; returning a flat JSON-serializable dict (instead of a
-    :class:`FigureResult`) lets shard results merge without pickling
-    figure objects.
+    The fig09–fig14 harness compares the paper's protagonists; the zoo
+    opens the same operating point (Figs. 9/11 for CAIRN, 10/12 for
+    NET1) to the whole registry — MPDA, its single-path and ECMP
+    ablations, Gallager's optimum, and the non-paper rivals (``ecmp-k``,
+    ``backpressure-lr``).  The fleet's zoo campaign runs one pair per
+    cell; returning a flat JSON-serializable dict lets shard results
+    merge without pickling figure objects.
     """
-    scenario = _zoo_scenario(network)
+    scenario = operating_point(network)
     outcome = run(
         scenario, _zoo_config(policy, duration=duration, warmup=warmup)
     )
@@ -419,51 +382,3 @@ def policy_zoo_cell(
         "max_util": outcome.peak_utilization(),
         "flow_delays_ms": outcome.mean_flow_delays_ms(),
     }
-
-
-def render_policy_delay_table(
-    results: dict[str, FigureResult]
-) -> str:
-    """The per-policy delay table (markdown) for EXPERIMENTS.md.
-
-    ``results`` maps network name -> :func:`policy_zoo` result.  One row
-    per policy, one average-delay column per network, plus the policy's
-    loop-freedom contract.
-    """
-    networks = list(results)
-    registry = available_policies()
-    names = sorted(
-        {
-            name
-            for res in results.values()
-            for name in res.flow_series
-        }
-    )
-    header = (
-        "| policy | loop-free | "
-        + " | ".join(f"{net} avg (ms)" for net in networks)
-        + " | "
-        + " | ".join(f"{net} max util" for net in networks)
-        + " |"
-    )
-    rule = "|---" * (1 + 1 + 2 * len(networks)) + "|"
-    lines = [header, rule]
-    for name in names:
-        cls = registry.get(name)
-        loop_free = "yes" if (cls is not None and cls.loop_free) else "no"
-        delays = [
-            f"{results[net].metrics.get(f'{name}_avg_ms', float('nan')):.2f}"
-            for net in networks
-        ]
-        utils = [
-            f"{results[net].metrics.get(f'{name}_max_util', float('nan')):.2f}"
-            for net in networks
-        ]
-        lines.append(
-            f"| `{name}` | {loop_free} | "
-            + " | ".join(delays)
-            + " | "
-            + " | ".join(utils)
-            + " |"
-        )
-    return "\n".join(lines)

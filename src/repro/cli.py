@@ -4,22 +4,21 @@ Usage::
 
     python -m repro list
     python -m repro policies
-    python -m repro compare --topo cairn --policy mp --policy ecmp-k
     python -m repro run fig09 [--out results.txt]
     python -m repro run fig09 --trace t.jsonl --metrics-out m.json --timing
     python -m repro run all
     python -m repro overhead
     python -m repro converge --trace t.jsonl --metrics-out m.json
     python -m repro converge --causal --trace t.jsonl
+    python -m repro converge --loss 0 0.05 0.1 0.2
+    python -m repro converge --plane packet --trace t.jsonl --json r.json
     python -m repro explain mit anl --topo cairn
-    python -m repro packet-converge --trace t.jsonl --json results.json
     python -m repro report t.jsonl --metrics m.json --json report.json
-    python -m repro loss-sweep --rates 0 0.05 0.1 0.2
-    python -m repro fuzz -n 100 --seed 0 --out-dir fuzz-artifacts
-    python -m repro replay fuzz-artifacts/fuzz-case-17.json
     python -m repro fleet fuzz --cases 1000 --workers 4 --out fleet-out
+    python -m repro fleet fuzz --cases 100 --policies mp --raw --inline
+    python -m repro replay fleet-out/artifacts/fuzz-case-17.json
     python -m repro fleet sweep --workers 4 --md sweep.md
-    python -m repro fleet zoo --workers 4 --topo all
+    python -m repro fleet zoo --workers 4 --topo all --md zoo.md
 
 Equivalent to the ``benchmarks/`` suite but without pytest — handy for
 one-off runs and for piping tables elsewhere.
@@ -32,9 +31,11 @@ live MPDA control plane so protocol metrics exist (see
 :func:`repro.obs.start`).
 
 ``converge`` runs the audited single-link-failure experiment (the
-online LFI auditor checks every delivery) and ``report`` post-processes
-any trace + metrics pair into a structured run report — both are how
-the EXPERIMENTS.md convergence tables are produced.
+online LFI auditor checks every delivery) — on the paper's perfect
+channel, over lossy wires (``--loss``), or at packet granularity
+(``--plane packet``) — and ``report`` post-processes any trace +
+metrics pair into a structured run report; together they produce the
+EXPERIMENTS.md convergence tables.
 """
 
 from __future__ import annotations
@@ -50,10 +51,10 @@ from repro.bench.convergence import (
     converge_experiment,
     packet_converge_experiment,
     render_failover_table,
+    render_loss_table,
     render_packet_failover_table,
 )
 from repro.bench.figures import FigureResult
-from repro.bench.loss import DEFAULT_RATES, loss_sweep, render_loss_table
 from repro.bench.overhead import overhead_experiment, render_overhead_table
 from repro.bench.reporting import render_flow_table, render_series
 from repro.obs.convergence import read_trace
@@ -154,57 +155,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="list the registered routing policies (--policy names)",
     )
 
-    compare = sub.add_parser(
-        "compare",
-        help=(
-            "run registered routing policies side by side on the "
-            "evaluation topologies; emits the per-policy delay table"
-        ),
-    )
-    compare.add_argument(
-        "--topo",
-        choices=["cairn", "net1", "all"],
-        default="all",
-        help="which evaluation topology to run (default all)",
-    )
-    compare.add_argument(
-        "--policy",
-        action="append",
-        default=None,
-        metavar="NAME",
-        help=(
-            "policy to include (repeatable; default: every registered "
-            "policy — see 'repro policies')"
-        ),
-    )
-    compare.add_argument(
-        "--duration",
-        type=float,
-        default=None,
-        metavar="S",
-        help="simulated seconds per run (default: the figures' 200)",
-    )
-    compare.add_argument(
-        "--warmup",
-        type=float,
-        default=None,
-        metavar="S",
-        help="warmup cut-off (default: the figures' 60)",
-    )
-    compare.add_argument(
-        "--json",
-        dest="json_out",
-        metavar="PATH",
-        default=None,
-        help="write per-policy results as JSON to this file",
-    )
-    compare.add_argument(
-        "--out",
-        metavar="PATH",
-        default=None,
-        help="also write the markdown delay table to this file",
-    )
-
     run = sub.add_parser("run", help="run one experiment (or 'all')")
     run.add_argument(
         "experiment",
@@ -268,6 +218,28 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     converge.add_argument(
+        "--plane",
+        choices=["control", "packet"],
+        default="control",
+        help=(
+            "control: message counts to quiescence per event (default); "
+            "packet: the busiest safe link fails mid-run under full "
+            "packet simulation, per-phase delivery table"
+        ),
+    )
+    converge.add_argument(
+        "--loss",
+        type=float,
+        nargs="+",
+        default=None,
+        metavar="P",
+        help=(
+            "control plane: rerun per wire loss rate over the reliable "
+            "transport and report its overhead (EXPERIMENTS.md LOSS: "
+            "0 0.05 0.1 0.2)"
+        ),
+    )
+    converge.add_argument(
         "--topo",
         choices=["cairn", "net1", "all"],
         default="all",
@@ -278,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=0,
         metavar="S",
-        help="delivery-interleaving seed (default 0)",
+        help="interleaving (and packet) seed (default 0)",
     )
     converge.add_argument(
         "--audit-sample",
@@ -291,9 +263,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--causal",
         action="store_true",
         help=(
-            "enable causal tracing and audit its invariants: one update "
-            "wave per injected event, nonempty critical paths, zero "
-            "orphan messages (nonzero exit on violation)"
+            "control plane: enable causal tracing and audit its "
+            "invariants: one update wave per injected event, nonempty "
+            "critical paths, zero orphan messages (nonzero exit on "
+            "violation)"
         ),
     )
     converge.add_argument(
@@ -309,151 +282,17 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the metrics/timings snapshot as JSON to this file",
     )
     converge.add_argument(
-        "--out",
-        metavar="PATH",
-        default=None,
-        help="also write the rendered table to this file",
-    )
-
-    packet = sub.add_parser(
-        "packet-converge",
-        help=(
-            "audited packet-granularity link failure/restore: the "
-            "busiest safe link goes down mid-run, traffic reroutes"
-        ),
-    )
-    packet.add_argument(
-        "--topo",
-        choices=["cairn", "net1", "all"],
-        default="all",
-        help="which evaluation topology to run (default all)",
-    )
-    packet.add_argument(
-        "--load",
-        type=float,
-        default=0.9,
-        metavar="X",
-        help="traffic load factor (default 0.9)",
-    )
-    packet.add_argument(
-        "--seed",
-        type=int,
-        default=0,
-        metavar="S",
-        help="packet arrival/service and interleaving seed (default 0)",
-    )
-    packet.add_argument(
-        "--audit-sample",
-        type=int,
-        default=1,
-        metavar="N",
-        help="audit every N-th router event (default 1 = every event)",
-    )
-    packet.add_argument(
-        "--trace",
-        metavar="PATH",
-        default=None,
-        help="write the structured JSONL event trace to this file",
-    )
-    packet.add_argument(
-        "--metrics-out",
-        metavar="PATH",
-        default=None,
-        help="write the metrics/timings snapshot as JSON to this file",
-    )
-    packet.add_argument(
         "--json",
         dest="json_out",
         metavar="PATH",
         default=None,
-        help="write the per-phase results as JSON to this file",
+        help="write the per-run results as JSON to this file",
     )
-    packet.add_argument(
+    converge.add_argument(
         "--out",
         metavar="PATH",
         default=None,
         help="also write the rendered table to this file",
-    )
-
-    loss = sub.add_parser(
-        "loss-sweep",
-        help=(
-            "overhead + convergence vs. wire loss rate (reliable "
-            "transport over a lossy channel, audited)"
-        ),
-    )
-    loss.add_argument(
-        "--topo",
-        choices=["cairn", "net1", "all"],
-        default="all",
-        help="which evaluation topology to run (default all)",
-    )
-    loss.add_argument(
-        "--rates",
-        type=float,
-        nargs="+",
-        default=list(DEFAULT_RATES),
-        metavar="P",
-        help="loss rates to sweep (default 0 0.05 0.1 0.2)",
-    )
-    loss.add_argument(
-        "--seed",
-        type=int,
-        default=0,
-        metavar="S",
-        help="delivery-interleaving seed (default 0)",
-    )
-    loss.add_argument(
-        "--json",
-        dest="json_out",
-        metavar="PATH",
-        default=None,
-        help="write the per-rate results as JSON to this file",
-    )
-    loss.add_argument(
-        "--out",
-        metavar="PATH",
-        default=None,
-        help="also write the rendered table to this file",
-    )
-
-    fuzz = sub.add_parser(
-        "fuzz",
-        help=(
-            "schedule fuzzing: random topologies + fault schedules, "
-            "Theorem 3 audited on every delivery"
-        ),
-    )
-    fuzz.add_argument(
-        "-n",
-        "--iterations",
-        type=int,
-        default=50,
-        metavar="N",
-        help="number of fuzz cases to run (default 50)",
-    )
-    fuzz.add_argument(
-        "--seed",
-        type=int,
-        default=0,
-        metavar="S",
-        help="seed of the first case; case i uses seed S+i (default 0)",
-    )
-    fuzz.add_argument(
-        "--raw",
-        action="store_true",
-        help=(
-            "drop the reliable-transport shim and run MPDA over the raw "
-            "faulty channel (failures are then expected: the paper "
-            "assumes reliable delivery)"
-        ),
-    )
-    fuzz.add_argument(
-        "--out-dir",
-        metavar="DIR",
-        default="fuzz-artifacts",
-        help="directory for failure replay artifacts "
-        "(default fuzz-artifacts)",
     )
 
     fleet = sub.add_parser(
@@ -617,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     replay.add_argument(
         "artifact",
         metavar="ARTIFACT",
-        help="JSON artifact written by 'repro fuzz'",
+        help="JSON artifact written by 'repro fleet fuzz'",
     )
 
     explain = sub.add_parser(
@@ -851,28 +690,44 @@ def _run_converge(args: argparse.Namespace) -> int:
     topologies = (
         ("cairn", "net1") if args.topo == "all" else (args.topo,)
     )
-    causal = getattr(args, "causal", False)
+    packet = args.plane == "packet"
     observation = obs.start(
         trace_path=args.trace,
         audit=True,
         audit_sample=args.audit_sample,
-        causal=causal,
+        causal=args.causal,
     )
     try:
-        results = converge_experiment(
-            seed=args.seed, topologies=topologies
-        )
+        if packet:
+            results = packet_converge_experiment(
+                seed=args.seed, topologies=topologies
+            )
+        else:
+            results = converge_experiment(
+                seed=args.seed, topologies=topologies, losses=args.loss
+            )
         if args.metrics_out:
             write_metrics(args.metrics_out, observation)
         tracker = observation.causal
     finally:
         obs.stop()
-    text = render_failover_table(results)
+    if packet:
+        text = render_packet_failover_table(results)
+    elif args.loss:
+        text = render_loss_table(results)
+    else:
+        text = render_failover_table(results)
     print(text)
+    if args.json_out:
+        with open(args.json_out, "w") as fh:
+            json.dump(
+                [result.as_dict() for result in results], fh, indent=2
+            )
+            fh.write("\n")
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
-    if causal:
+    if args.causal:
         return _causal_audit(tracker)
     return 0
 
@@ -944,35 +799,6 @@ def _run_explain(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_packet_converge(args: argparse.Namespace) -> int:
-    topologies = (
-        ("cairn", "net1") if args.topo == "all" else (args.topo,)
-    )
-    observation = obs.start(
-        trace_path=args.trace, audit=True, audit_sample=args.audit_sample
-    )
-    try:
-        results = packet_converge_experiment(
-            seed=args.seed, load=args.load, topologies=topologies
-        )
-        if args.metrics_out:
-            write_metrics(args.metrics_out, observation)
-    finally:
-        obs.stop()
-    text = render_packet_failover_table(results)
-    print(text)
-    if args.json_out:
-        with open(args.json_out, "w") as fh:
-            json.dump(
-                [result.as_dict() for result in results], fh, indent=2
-            )
-            fh.write("\n")
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    return 0
-
-
 def _run_report(args: argparse.Namespace) -> int:
     events = read_trace(args.trace)
     metrics_doc = None
@@ -992,44 +818,6 @@ def _run_report(args: argparse.Namespace) -> int:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
     return 0
-
-
-def _run_loss_sweep(args: argparse.Namespace) -> int:
-    topologies = (
-        ("cairn", "net1") if args.topo == "all" else (args.topo,)
-    )
-    obs.start(audit=True)
-    try:
-        results = loss_sweep(
-            rates=tuple(args.rates), seed=args.seed, topologies=topologies
-        )
-    finally:
-        obs.stop()
-    text = render_loss_table(results)
-    print(text)
-    if args.json_out:
-        with open(args.json_out, "w") as fh:
-            json.dump(
-                [result.as_dict() for result in results], fh, indent=2
-            )
-            fh.write("\n")
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    return 0
-
-
-def _run_fuzz(args: argparse.Namespace) -> int:
-    from repro.testing import fuzz as run_fuzz
-
-    report = run_fuzz(
-        args.iterations,
-        seed=args.seed,
-        reliable=not args.raw,
-        out_dir=args.out_dir,
-    )
-    print(report.render())
-    return 0 if report.clean else 1
 
 
 def _run_fleet(args: argparse.Namespace) -> int:
@@ -1219,40 +1007,6 @@ def _run_policies() -> int:
     return 0
 
 
-def _run_compare(args: argparse.Namespace) -> int:
-    networks = (
-        ("cairn", "net1") if args.topo == "all" else (args.topo,)
-    )
-    policies = tuple(args.policy) if args.policy else None
-    extra = {}
-    if args.duration is not None:
-        extra["duration"] = args.duration
-    if args.warmup is not None:
-        extra["warmup"] = args.warmup
-    results = {
-        network: figures.policy_zoo(network, policies=policies, **extra)
-        for network in networks
-    }
-    table = figures.render_policy_delay_table(results)
-    print(table)
-    if args.json_out:
-        doc = {
-            network: {
-                "figure": result.figure,
-                "metrics": result.metrics,
-                "flow_series": result.flow_series,
-            }
-            for network, result in results.items()
-        }
-        with open(args.json_out, "w") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(table + "\n")
-    return 0
-
-
 def _run_overhead(args: argparse.Namespace) -> int:
     reports = overhead_experiment(epochs=args.epochs, seed=args.seed)
     text = render_overhead_table(reports)
@@ -1264,7 +1018,8 @@ def _run_overhead(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
 
     if args.command == "list":
         for name in sorted(EXPERIMENTS):
@@ -1275,23 +1030,16 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "policies":
         return _run_policies()
 
-    if args.command == "compare":
-        return _run_compare(args)
-
     if args.command == "overhead":
         return _run_overhead(args)
 
     if args.command == "converge":
+        # Flags the packet plane cannot honour are usage errors.
+        if args.plane == "packet":
+            for flag in ("loss", "causal"):
+                if getattr(args, flag):
+                    parser.error(f"--{flag} is not available with --plane packet")
         return _run_converge(args)
-
-    if args.command == "packet-converge":
-        return _run_packet_converge(args)
-
-    if args.command == "loss-sweep":
-        return _run_loss_sweep(args)
-
-    if args.command == "fuzz":
-        return _run_fuzz(args)
 
     if args.command == "fleet":
         return _run_fleet(args)

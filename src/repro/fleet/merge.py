@@ -21,6 +21,7 @@ import os
 
 from repro.fleet.plan import FleetPlan
 from repro.fleet.worker import shard_journal_path
+from repro.policy import available_policies
 
 #: Statuses counted as findings rather than harness interventions.
 FINDING_STATUSES = ("violation",)
@@ -293,21 +294,28 @@ def render_sweep_tables(report: dict) -> str:
 
 
 def render_zoo_table(report: dict) -> str:
-    """Markdown policy-matrix table from a zoo report."""
+    """Markdown policy-matrix table from a zoo report.
+
+    One row per policy: its loop-freedom contract, then the average
+    delay and peak utilization per network (EXPERIMENTS.md ZOO).
+    """
     networks = report.get("summary", {}).get("networks", {})
+    registry = available_policies()
     names = sorted(
         {policy for per_net in networks.values() for policy in per_net}
     )
     nets = sorted(networks)
     header = (
-        "| policy | "
+        "| policy | loop-free | "
         + " | ".join(f"{net} avg (ms)" for net in nets)
         + " | "
         + " | ".join(f"{net} max util" for net in nets)
         + " |"
     )
-    lines = [header, "|---" * (1 + 2 * len(nets)) + "|"]
+    lines = [header, "|---" * (2 + 2 * len(nets)) + "|"]
     for name in names:
+        cls = registry.get(name)
+        loop_free = "yes" if cls is not None and cls.loop_free else "no"
         delays = []
         utils = []
         for net in nets:
@@ -319,7 +327,7 @@ def render_zoo_table(report: dict) -> str:
                 delays.append(f"{entry['avg_ms']:.2f}")
                 utils.append(f"{entry['max_util']:.2f}")
         lines.append(
-            f"| `{name}` | "
+            f"| `{name}` | {loop_free} | "
             + " | ".join(delays)
             + " | "
             + " | ".join(utils)

@@ -27,6 +27,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.policy import available_policies, policy_class
+
 #: Cell kinds the worker knows how to run.  "diag" is test support:
 #: deterministic sleep/crash/fail cells for exercising the timeout and
 #: crash-capture paths without real workloads.
@@ -163,7 +165,11 @@ def fuzz_plan(
     Case seeds interleave across policies (cell order: seed-major), so
     truncating the campaign still covers every policy, and the same
     seed hits every policy with the identical topology and schedule.
+    An unknown policy name raises :class:`~repro.exceptions.ConfigError`
+    here, before any cell runs.
     """
+    for policy in policies:
+        policy_class(policy)
     cells = []
     for number in range(cases):
         case_seed = seed + number // len(policies)
@@ -256,11 +262,12 @@ def zoo_plan(
     An empty ``policies`` means the whole registry at worker time, which
     would make the plan depend on import state; the builder pins the
     registry's names eagerly instead so the plan is self-describing.
+    Unknown names raise :class:`~repro.exceptions.ConfigError` up front.
     """
     if not policies:
-        from repro.policy import available_policies
-
         policies = tuple(available_policies())
+    for policy in policies:
+        policy_class(policy)
     cells = []
     index = 0
     for network in networks:

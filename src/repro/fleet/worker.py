@@ -110,17 +110,6 @@ def _run_fuzz_cell(params: dict, artifacts_dir: str | None) -> dict:
     return out
 
 
-def _sweep_scenario(network: str):
-    # Same operating points as the zoo benchmarks (figs. 9-12).
-    from repro.sim.scenario import cairn_scenario, net1_scenario
-
-    if network == "cairn":
-        return cairn_scenario(load=1.2)
-    if network == "net1":
-        return net1_scenario(load=1.35)
-    raise ValueError(f"unknown network {network!r}")
-
-
 def _transport_gauges(snapshot: dict) -> dict:
     """Control-plane overhead counters out of an obs snapshot.
 
@@ -142,6 +131,7 @@ def _transport_gauges(snapshot: dict) -> dict:
 
 def _run_sweep_cell(params: dict) -> dict:
     from repro import obs
+    from repro.bench.figures import operating_point
     from repro.sim.control import QuasiStaticConfig, run
     from repro.units import ms
 
@@ -157,7 +147,8 @@ def _run_sweep_cell(params: dict) -> dict:
         policy="mp",
         policy_params=policy_params,
     )
-    scenario = _sweep_scenario(params.get("network", "cairn"))
+    # Same operating points as the zoo cells (figs. 9-12).
+    scenario = operating_point(params.get("network", "cairn"))
     with obs.observe() as ob:
         result = run(scenario, config)
         snapshot = ob.snapshot()

@@ -26,7 +26,7 @@ raises :class:`~repro.exceptions.LoopError` the moment that fails.
 
 Policies register themselves by name in :mod:`repro.policy.registry`;
 ``repro policies`` lists them and ``RunConfig(policy=...)`` /
-``repro compare --policy ...`` select them.
+``repro fleet zoo --policy ...`` select them.
 """
 
 from __future__ import annotations

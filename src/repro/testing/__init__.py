@@ -5,17 +5,15 @@
 configurable channel-fault profiles, runs MPDA under them with Theorem 3
 machine-checked after every delivery, and — on failure — emits a replay
 artifact that re-executes the exact run deterministically (the
-``repro fuzz`` / ``repro replay`` CLI).
+``repro fleet fuzz`` / ``repro replay`` CLI).
 """
 
 from repro.testing.fuzz import (
     FaultProfile,
     FuzzCase,
-    FuzzReport,
     ReplayResult,
     check_case,
     examine_case,
-    fuzz,
     generate_case,
     load_artifact,
     minimize_case,
@@ -28,11 +26,9 @@ from repro.testing.fuzz import (
 __all__ = [
     "FaultProfile",
     "FuzzCase",
-    "FuzzReport",
     "ReplayResult",
     "check_case",
     "examine_case",
-    "fuzz",
     "generate_case",
     "load_artifact",
     "minimize_case",

@@ -15,7 +15,9 @@ Everything is derived from integer seeds, so every case is a pure
 function of its seed: a failure is captured as a JSON *replay artifact*
 (topology spec + fault profile + schedule + seeds + the observed error)
 and ``repro replay`` re-executes it deterministically — same schedule,
-same fault draws, same failure.
+same fault draws, same failure.  Campaigns run through the fleet
+(``repro fleet fuzz``), whose worker turns each case into a verdict with
+:func:`examine_case` and minimizes failures with :func:`minimize_case`.
 
 With ``reliable=True`` (the default) the case runs over
 :class:`~repro.core.transport.ReliableTransport`, which *enforces* the
@@ -29,9 +31,8 @@ results really do depend on it.
 from __future__ import annotations
 
 import json
-import os
 import random
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 
 from repro import obs
 from repro.core.driver import ProtocolDriver
@@ -660,75 +661,3 @@ def replay(path: str) -> ReplayResult:
         recorded=recorded,
         observed=observed,
     )
-
-
-# ----------------------------------------------------------------------
-# the fuzz loop
-# ----------------------------------------------------------------------
-@dataclass
-class FuzzReport:
-    """Summary of one fuzzing session."""
-
-    cases: int = 0
-    failures: list[dict] = field(default_factory=list)  # per failing case
-    artifacts: list[str] = field(default_factory=list)
-
-    @property
-    def clean(self) -> bool:
-        return not self.failures
-
-    def render(self) -> str:
-        lines = [
-            f"fuzz: {self.cases} cases, {len(self.failures)} failure(s)"
-        ]
-        for failure, artifact in zip(self.failures, self.artifacts):
-            lines.append(
-                f"  case seed {failure['seed']}: {failure['type']}: "
-                f"{failure['message']}"
-            )
-            lines.append(f"    artifact: {artifact}")
-            lines.append(f"    replay:   repro replay {artifact}")
-        return "\n".join(lines)
-
-
-def fuzz(
-    iterations: int,
-    *,
-    seed: int = 0,
-    reliable: bool = True,
-    policy: str = "mp",
-    out_dir: str = "fuzz-artifacts",
-    mutate=None,
-) -> FuzzReport:
-    """Generate and check ``iterations`` cases; artifact every failure.
-
-    ``mutate`` (a ``FuzzCase -> FuzzCase``) lets callers tamper with
-    generated cases — the test suite uses it to deliberately break the
-    delivery model and assert that artifacts replay deterministically.
-    """
-    report = FuzzReport()
-    for index in range(iterations):
-        case_seed = seed + index
-        case = generate_case(case_seed, reliable=reliable, policy=policy)
-        if mutate is not None:
-            case = mutate(case)
-        failure = check_case(case)
-        report.cases += 1
-        if failure is None:
-            continue
-        os.makedirs(out_dir, exist_ok=True)
-        stem = (
-            f"fuzz-case-{case_seed}"
-            if case.policy == "mp"
-            else f"fuzz-case-{case.policy}-{case_seed}"
-        )
-        artifact = os.path.join(out_dir, f"{stem}.json")
-        write_artifact(artifact, case, failure)
-        report.failures.append({"seed": case_seed, **failure})
-        report.artifacts.append(artifact)
-    return report
-
-
-def unreliable(case: FuzzCase) -> FuzzCase:
-    """Strip the reliable shim from a case (a ``mutate`` helper)."""
-    return replace(case, profile=replace(case.profile, reliable=False))

@@ -346,20 +346,20 @@ class TestPolicyCommands:
         args = build_parser().parse_args(["policies"])
         assert args.command == "policies"
 
-    def test_compare_command_parses(self):
+    def test_zoo_command_parses(self):
         args = build_parser().parse_args(
-            ["compare", "--topo", "cairn", "--policy", "mp",
+            ["fleet", "zoo", "--topo", "cairn", "--policy", "mp",
              "--policy", "ecmp-k", "--duration", "40",
-             "--out", "table.md", "--json", "table.json"]
+             "--md", "table.md", "--out", "zoo-out"]
         )
-        assert args.command == "compare"
+        assert args.fleet_command == "zoo"
         assert args.topo == "cairn"
         assert args.policy == ["mp", "ecmp-k"]
         assert args.duration == 40.0
-        assert args.json_out == "table.json"
+        assert args.md == "table.md"
 
-    def test_compare_defaults_to_every_policy(self):
-        args = build_parser().parse_args(["compare"])
+    def test_zoo_defaults_to_every_policy(self):
+        args = build_parser().parse_args(["fleet", "zoo"])
         assert args.policy is None
         assert args.topo == "all"
 
@@ -372,27 +372,111 @@ class TestPolicyCommands:
             assert name in out
         assert "loop-free" in out
 
-    def test_compare_writes_table_and_json(self, tmp_path, capsys):
+    def test_zoo_writes_table_and_report(self, tmp_path, capsys):
         table = tmp_path / "table.md"
-        doc = tmp_path / "table.json"
+        out = tmp_path / "zoo-out"
         code = main(
-            ["compare", "--topo", "cairn", "--policy", "sp",
+            ["fleet", "zoo", "--topo", "cairn", "--policy", "sp",
              "--policy", "ecmp-k", "--duration", "24", "--warmup", "8",
-             "--out", str(table), "--json", str(doc)]
+             "--md", str(table), "--out", str(out), "--inline"]
         )
         assert code == 0
         text = table.read_text()
-        assert "| policy |" in text
+        assert "| policy | loop-free |" in text
         assert "`ecmp-k`" in text and "`sp`" in text
-        payload = json.loads(doc.read_text())
-        assert "cairn" in payload
-        assert "sp_avg_ms" in payload["cairn"]["metrics"]
-        out = capsys.readouterr().out
-        assert "cairn avg (ms)" in out
+        report = json.loads((out / "report.json").read_text())
+        assert "avg_ms" in report["summary"]["networks"]["cairn"]["sp"]
+        assert "cairn avg (ms)" in capsys.readouterr().out
 
-    def test_compare_rejects_unknown_policy(self):
+    def test_zoo_rejects_unknown_policy(self, tmp_path):
         from repro.exceptions import ConfigError
 
         with pytest.raises(ConfigError, match="known policies"):
-            main(["compare", "--topo", "cairn", "--policy", "nonesuch",
-                  "--duration", "24", "--warmup", "8"])
+            main(["fleet", "zoo", "--topo", "cairn", "--policy", "nonesuch",
+                  "--duration", "24", "--warmup", "8", "--inline",
+                  "--out", str(tmp_path / "zoo-out")])
+        assert not (tmp_path / "zoo-out").exists()
+
+
+#: EXPERIMENTS.md LOSS, row by row: topology, loss, cold, fail, restore,
+#: retransmits, timeouts, wire frames, overhead, audit.
+LOSS_ROWS = [
+    ("CAIRN", 0.0, 1756, 510, 224, 0, 0, 2490, "2.00x", "pass"),
+    ("CAIRN", 0.05, 1625, 454, 260, 108, 78, 2479, "2.13x", "pass"),
+    ("CAIRN", 0.1, 1537, 459, 246, 182, 139, 2493, "2.22x", "pass"),
+    ("CAIRN", 0.2, 1583, 502, 259, 507, 408, 2975, "2.56x", "pass"),
+    ("NET1", 0.0, 584, 180, 176, 0, 0, 940, "2.00x", "pass"),
+    ("NET1", 0.05, 577, 209, 142, 41, 33, 985, "2.12x", "pass"),
+    ("NET1", 0.1, 650, 182, 144, 100, 79, 1092, "2.27x", "pass"),
+    ("NET1", 0.2, 581, 187, 152, 199, 155, 1172, "2.55x", "pass"),
+]
+
+
+class TestConvergePlanes:
+    def test_plane_defaults_to_control(self):
+        args = build_parser().parse_args(["converge"])
+        assert args.plane == "control"
+        assert args.json_out is None
+
+    def test_loss_reproduces_the_loss_table(self, tmp_path, capsys):
+        doc = tmp_path / "loss.json"
+        code = main(
+            ["converge", "--loss", "0", "0.05", "0.1", "0.2",
+             "--json", str(doc)]
+        )
+        assert code == 0
+        rows = [
+            (
+                r["topology"],
+                r["profile"]["loss"],
+                r["cold_messages"],
+                r["fail_messages"],
+                r["restore_messages"],
+                r["transport"]["retransmits"],
+                r["transport"]["timeouts"],
+                r["wire_frames"],
+                f"{r['overhead']:.2f}x",
+                r["audit"]["verdict"],
+            )
+            for r in json.loads(doc.read_text())
+        ]
+        assert rows == LOSS_ROWS
+        assert "wire loss" in capsys.readouterr().out
+
+    def test_packet_plane_pins_net1_phases(self, tmp_path, capsys):
+        doc = tmp_path / "packet.json"
+        code = main(
+            ["converge", "--plane", "packet", "--topo", "net1",
+             "--json", str(doc)]
+        )
+        assert code == 0
+        (result,) = json.loads(doc.read_text())
+        assert result["topology"] == "NET1"
+        assert result["delivered"] == {
+            "before": 28676, "during": 28423, "after": 28423
+        }
+        assert result["dropped"] == {"before": 0, "during": 1, "after": 0}
+        assert result["audit"]["verdict"] == "pass"
+        assert "packet-granularity failover" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "flags, named",
+        [(["--loss", "0.1"], "--loss"), (["--causal"], "--causal")],
+    )
+    def test_packet_plane_rejects_control_only_flags(
+        self, flags, named, capsys
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(["converge", "--plane", "packet", *flags])
+        assert exc.value.code == 2
+        assert f"{named} is not available with --plane packet" in (
+            capsys.readouterr().err
+        )
+
+    @pytest.mark.parametrize(
+        "verb", ["fuzz", "compare", "loss-sweep", "packet-converge"]
+    )
+    def test_folded_verbs_are_unknown(self, verb, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([verb])
+        assert "invalid choice" in capsys.readouterr().err

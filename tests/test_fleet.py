@@ -6,6 +6,7 @@ import random
 import pytest
 
 from repro.cli import build_parser, main
+from repro.exceptions import ConfigError
 from repro.fleet import (
     FUZZ_POLICIES,
     Cell,
@@ -124,6 +125,18 @@ class TestPlan:
         assert plan.meta["policies"]
         assert all(c.params["policy"] for c in plan.cells)
         assert "opt" in plan.meta["policies"]
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: fuzz_plan(2, policies=("mp", "nonesuch")),
+            lambda: zoo_plan(policies=("sp", "nonesuch")),
+        ],
+        ids=["fuzz", "zoo"],
+    )
+    def test_plans_reject_unknown_policies(self, build):
+        with pytest.raises(ConfigError, match="'nonesuch'.*known policies"):
+            build()
 
 
 class TestMerge:
@@ -340,8 +353,9 @@ class TestRenderers:
             }
         }
         text = render_zoo_table(report)
-        assert "| `mp` | 6.50 | 0.90 |" in text
-        assert "| `sp` | - | - |" in text
+        assert text.startswith("| policy | loop-free | cairn avg (ms) |")
+        assert "| `mp` | yes | 6.50 | 0.90 |" in text
+        assert "| `sp` | yes | - | - |" in text
 
 
 class TestFleetCLI:
@@ -437,3 +451,23 @@ class TestFleetCLI:
         )
         assert code == 1
         assert "FAIL" in capsys.readouterr().out
+
+    def test_fleet_fuzz_rejects_unknown_policy_before_running(self, tmp_path):
+        """A typo'd policy fails before the campaign starts instead of
+        being filed as a Theorem-3 violation with a replay artifact."""
+        out = tmp_path / "fleet-out"
+        with pytest.raises(ConfigError, match="nonesuch"):
+            main(
+                [
+                    "fleet",
+                    "fuzz",
+                    "--cases",
+                    "1",
+                    "--policies",
+                    "nonesuch",
+                    "--inline",
+                    "--out",
+                    str(out),
+                ]
+            )
+        assert not out.exists()

@@ -6,7 +6,7 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.exceptions import AllocationError
-from repro.testing import fuzz as run_fuzz
+from repro.fleet import fuzz_plan, render_fuzz_summary, run_fleet
 from repro.testing.fuzz import (
     ARTIFACT_VERSION,
     FaultProfile,
@@ -22,7 +22,6 @@ from repro.testing.fuzz import (
     replay,
     run_case,
     run_policy_case,
-    unreliable,
     write_artifact,
 )
 
@@ -150,24 +149,29 @@ class TestArtifacts:
 
 
 class TestFuzzLoop:
-    def test_reliable_fuzz_is_clean(self, tmp_path):
-        report = run_fuzz(4, seed=0, out_dir=str(tmp_path))
-        assert report.clean and report.cases == 4
-        assert list(tmp_path.iterdir()) == []  # no artifacts on clean runs
-        assert "4 cases, 0 failure(s)" in report.render()
+    """Fuzz campaigns are fleet plans; ``policies=("mp",)`` fuzzes the
+    protocol alone."""
 
-    def test_mutated_fuzz_writes_replayable_artifacts(self, tmp_path):
-        """Break the delivery model on purpose: the loop must catch it,
-        artifact it, and the artifact must replay deterministically."""
-        report = run_fuzz(
-            3, seed=100, out_dir=str(tmp_path), mutate=unreliable
+    def test_reliable_fuzz_is_clean(self, tmp_path):
+        plan = fuzz_plan(4, seed=0, policies=("mp",))
+        report = run_fleet(plan, out_dir=str(tmp_path), inline=True)
+        assert report["statuses"] == {"pass": 4}
+        # No artifacts on clean runs.
+        assert not (tmp_path / "artifacts").exists()
+        assert "mp: 4 cases, 0 violation(s)" in render_fuzz_summary(report)
+
+    def test_raw_fuzz_writes_replayable_artifacts(self, tmp_path):
+        """Break the delivery model on purpose: the campaign must catch
+        it, artifact it, and the artifact must replay deterministically."""
+        plan = fuzz_plan(
+            3, seed=100, policies=("mp",), reliable=False, minimize=False
         )
-        assert not report.clean
-        assert len(report.artifacts) == len(report.failures)
-        for artifact in report.artifacts:
-            assert replay(artifact).reproduced
-        rendered = report.render()
-        assert "repro replay" in rendered
+        report = run_fleet(plan, out_dir=str(tmp_path), inline=True)
+        failures = report["summary"]["failures"]
+        assert failures
+        for failure in failures:
+            assert replay(failure["artifact"]).reproduced
+        assert "repro replay" in render_fuzz_summary(report)
 
 
 class TestPolicyCases:
@@ -309,13 +313,15 @@ class TestProfile:
 class TestCLI:
     def test_fuzz_parser(self):
         args = build_parser().parse_args(
-            ["fuzz", "-n", "7", "--seed", "2", "--raw", "--out-dir", "d"]
+            ["fleet", "fuzz", "--cases", "7", "--seed", "2",
+             "--policies", "mp", "--raw", "--out", "d"]
         )
-        assert args.command == "fuzz"
-        assert args.iterations == 7
+        assert args.fleet_command == "fuzz"
+        assert args.cases == 7
         assert args.seed == 2
+        assert args.policies == ["mp"]
         assert args.raw
-        assert args.out_dir == "d"
+        assert args.out == "d"
 
     def test_replay_parser_requires_artifact(self):
         with pytest.raises(SystemExit):
@@ -323,34 +329,41 @@ class TestCLI:
 
     def test_loss_sweep_parser(self):
         args = build_parser().parse_args(
-            ["loss-sweep", "--topo", "net1", "--rates", "0", "0.1"]
+            ["converge", "--topo", "net1", "--loss", "0", "0.1"]
         )
-        assert args.command == "loss-sweep"
-        assert args.rates == [0.0, 0.1]
+        assert args.command == "converge"
+        assert args.loss == [0.0, 0.1]
+        assert build_parser().parse_args(["converge"]).loss is None
 
     def test_fuzz_clean_exits_zero(self, tmp_path, capsys):
         code = main(
-            ["fuzz", "-n", "2", "--seed", "0", "--out-dir", str(tmp_path)]
+            ["fleet", "fuzz", "--cases", "2", "--seed", "0",
+             "--policies", "mp", "--inline", "--out", str(tmp_path)]
         )
         assert code == 0
-        assert "0 failure(s)" in capsys.readouterr().out
+        assert "mp: 2 cases, 0 violation(s)" in capsys.readouterr().out
 
     def test_raw_fuzz_fails_and_replays(self, tmp_path, capsys):
         code = main(
             [
+                "fleet",
                 "fuzz",
-                "-n",
+                "--cases",
                 "1",
                 "--seed",
                 "100",
+                "--policies",
+                "mp",
                 "--raw",
-                "--out-dir",
+                "--no-minimize",
+                "--inline",
+                "--out",
                 str(tmp_path),
             ]
         )
         assert code == 1
-        artifacts = sorted(tmp_path.iterdir())
-        assert len(artifacts) == 1
+        artifacts = sorted((tmp_path / "artifacts").iterdir())
+        assert [a.name for a in artifacts] == ["fuzz-case-100.json"]
         capsys.readouterr()
         assert main(["replay", str(artifacts[0])]) == 0
         assert "reproduced" in capsys.readouterr().out
