@@ -1,11 +1,11 @@
 """MICRO — hot-path kernels: shared-heap SPF, incremental protocol core.
 
 Not a paper figure; pins the optimized kernels against their scalar /
-reference counterparts so a regression in either speed or exactness
-shows up in CI.  Every benchmark asserts bit-for-bit equality with the
-reference implementation before reporting the speedup — a kernel that
-got fast by drifting from the scalar semantics fails here, not in a
-fixture diff three PRs later.
+naive counterparts so a regression in either speed or exactness shows
+up in CI.  Every benchmark asserts bit-for-bit equality with the naive
+implementation before reporting the speedup — a kernel that got fast by
+drifting from the scalar semantics fails here, not in a fixture diff
+three PRs later.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from repro.graph.shortest_paths import (
     bellman_ford,
     multi_destination_distances,
 )
+from repro.testing.oracle import OracleMPDA
 
 
 def test_multi_destination_spf(benchmark, record_figure):
@@ -48,15 +49,9 @@ def test_multi_destination_spf(benchmark, record_figure):
     )
 
 
-class _ReferenceRouter(MPDARouter):
-    """MPDA with every incremental shortcut disabled."""
-
-    INCREMENTAL = False
-
-
 @pytest.mark.parametrize("n", [50])
 def test_incremental_driver_step_loop(benchmark, record_figure, n):
-    """Cold-start convergence: incremental core vs reference core.
+    """Cold-start convergence: incremental core vs the naive oracle.
 
     The two runs must agree on every protocol-visible count (the
     incremental paths are exact, not approximate); the benchmark then
@@ -69,22 +64,22 @@ def test_incremental_driver_step_loop(benchmark, record_figure, n):
         driver = ProtocolDriver(topo, router_cls, seed=0)
         driver.start(costs)
         driver.run()
-        driver.verify_converged()
         return driver
 
     t0 = time.perf_counter()
-    reference = converge(_ReferenceRouter)
-    reference_s = time.perf_counter() - t0
+    oracle = converge(OracleMPDA)
+    oracle_s = time.perf_counter() - t0
 
     driver = run_once(benchmark, converge, MPDARouter)
+    driver.verify_converged()
 
-    assert driver.message_stats() == reference.message_stats()
+    assert driver.message_stats() == oracle.message_stats()
     for node, router in driver.routers.items():
-        assert router.distances == reference.routers[node].distances
+        assert router.distances == oracle.routers[node].distances
     incremental_s = benchmark.stats.stats.mean
     record_figure(
         f"micro_incremental_n{n}",
-        f"MPDA cold-start, n={n}: reference {reference_s:.2f} s, "
+        f"MPDA cold-start, n={n}: naive oracle {oracle_s:.2f} s, "
         f"incremental {incremental_s:.2f} s "
-        f"({reference_s / incremental_s:.1f}x)",
+        f"({oracle_s / incremental_s:.1f}x)",
     )

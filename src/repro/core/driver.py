@@ -116,6 +116,10 @@ class ProtocolDriver:
         """Inject adjacent-link cost changes (e.g. new marginal delays)."""
         self._require_started()
         for (head, tail), cost in costs.items():
+            if not self.topo.has_link(head, tail):
+                raise TopologyError(
+                    f"no link {head!r}->{tail!r} in {self.topo.name!r}"
+                )
             router = self.routers[head]
             if tail not in router.link_costs:
                 raise TopologyError(f"link {head!r}->{tail!r} is not up")

@@ -270,8 +270,24 @@ class TopologyTable:
                         removed.discard(node)
         if not changed_any:
             return False, set()
-        if self._multi_in or root in self._in_links:
+        in_links = self._in_links
+        if self._multi_in or root in in_links:
             return True, None
+        # In-degree <= 1 still allows a cycle the root cannot reach, and
+        # stale finite distances around one would grow without end in the
+        # walk below.  Nothing outside such a cycle links into it, so the
+        # walk can only enter it from a seed on it: follow each seed's
+        # in-links upward and decline if they come back around.
+        for node in seeds:
+            seen = set()
+            while node not in seen:
+                seen.add(node)
+                incoming = in_links.get(node)
+                if not incoming:
+                    break
+                (node,) = incoming
+            else:
+                return True, None
         changed: set[NodeId] = set()
         for node in removed:
             if node != root and dist.pop(node, None) is not None:
@@ -280,7 +296,6 @@ class TopologyTable:
             if node in refs and node not in dist:
                 dist[node] = INFINITY
                 changed.add(node)
-        in_links = self._in_links
         by_head = self._by_head
         stack = [t for t in seeds if t in refs]
         while stack:
@@ -383,40 +398,6 @@ class TopologyTable:
             return dist
         return dijkstra(self._links, root, nodes=nodes)[0]
 
-    def copy(self) -> "TopologyTable":
-        return TopologyTable(self._links)
-
-    def diff(self, new: "TopologyTable") -> tuple[LinkEntry, ...]:
-        """LSU entries that transform this table into ``new``.
-
-        This is MTU step 8: "Compare oldT with T and note all
-        differences."
-        """
-        return self.diff_links(new._links)
-
-    def diff_links(
-        self, new_links: Mapping[LinkId, float]
-    ) -> tuple[LinkEntry, ...]:
-        """LSU entries that transform this table into a plain link map.
-
-        Same comparison as :meth:`diff` without requiring the target to
-        be wrapped in a table — MTU diffs its freshly computed tree and
-        then :meth:`apply`\\ s the entries to patch the main table in
-        place rather than rebuilding it.
-        """
-        entries: list[LinkEntry] = []
-        links = self._links
-        for link_id, cost in new_links.items():
-            old_cost = links.get(link_id)
-            if old_cost is None:
-                entries.append(LinkEntry(EntryOp.ADD, *link_id, cost))
-            elif old_cost != cost:
-                entries.append(LinkEntry(EntryOp.CHANGE, *link_id, cost))
-        for link_id in links:
-            if link_id not in new_links:
-                entries.append(LinkEntry(EntryOp.DELETE, *link_id))
-        return tuple(entries)
-
     def full_dump(self) -> tuple[LinkEntry, ...]:
         """ADD entries for every link — sent to a newly-up neighbor."""
         return tuple(
@@ -455,9 +436,8 @@ class FrozenTree:
     the swap lands the receiver on the same table content and the same
     distance values the entry replay would produce, by construction, at
     O(1) instead of O(entries + affected region).  Any other receiver
-    state — duplicated or reordered delivery over a raw faulty channel,
-    the ``INCREMENTAL = False`` reference mode — ignores the snapshot
-    and takes the entry path.
+    state (duplicated or reordered delivery over a raw faulty channel)
+    ignores the snapshot and takes the entry path.
 
     Instances are shared across routers and must never be mutated; a
     receiver that needs to edit its copy materializes a mutable
@@ -508,57 +488,6 @@ class FrozenTree:
         self._by_head = by_head
         self._nodes = nodes
         self._n_links = n_links
-
-    @classmethod
-    def from_tree(
-        cls,
-        tree: Mapping[LinkId, float],
-        root: NodeId,
-        dist: Mapping[NodeId, float],
-        *,
-        version: int,
-        prev_version: int | None,
-        applies_to_empty: bool,
-        prev_flood: Mapping[NodeId, float],
-    ) -> "FrozenTree":
-        """Freeze MTU's ``(dist, tree)`` result for flooding.
-
-        ``dist`` may cover the sender's whole node universe; the
-        snapshot keeps only the tree's nodes (all finite) plus the
-        root, matching what :meth:`TopologyTable.distances_from` would
-        return on the receiver.  ``prev_flood`` is the same restricted
-        view of the predecessor state, used to derive ``changed_rows``.
-        """
-        # ``tree`` is a shortest-path tree rooted at ``root``: every node
-        # but the root appears exactly once as a tail, and every head is
-        # the root or some tail — so one fused pass over the links
-        # collects the groups and the restricted distances together, and
-        # the distance map's key set doubles as the node set.
-        by_head: dict[NodeId, dict[LinkId, float]] = {}
-        flood: dict[NodeId, float] = {root: 0.0}
-        group_of = by_head.get
-        for link_id, cost in tree.items():
-            head, tail = link_id
-            group = group_of(head)
-            if group is None:
-                group = by_head[head] = {}
-            group[link_id] = cost
-            flood[tail] = dist[tail]
-        prev_get = prev_flood.get
-        changed = {j for j, v in flood.items() if prev_get(j) != v}
-        for j in prev_flood:
-            if j not in flood:
-                changed.add(j)
-        return cls(
-            version=version,
-            prev_version=prev_version,
-            applies_to_empty=applies_to_empty,
-            dist=flood,
-            changed_rows=changed,
-            by_head=by_head,
-            nodes=flood,
-            n_links=len(tree),
-        )
 
     def as_full(self, root: NodeId) -> "FrozenTree":
         """A full-dump variant of this snapshot (greeting messages).

@@ -52,10 +52,6 @@ class MPDARouter(PDARouter):
     synchronization state with the set of neighbors whose ACK is pending.
     """
 
-    #: MPDA keeps a dirty-destination set, so NTU must report which
-    #: neighbor-table rows an LSU actually moved (see PDARouter).
-    _TRACK_ROWS = True
-
     def __init__(self, node_id: NodeId) -> None:
         super().__init__(node_id)
         self.state = RouterState.PASSIVE
@@ -164,14 +160,11 @@ class MPDARouter(PDARouter):
 
         # Step 4: successor sets from the LFI rule.  The sets feed only
         # the forwarding layer — no protocol message depends on them —
-        # so the incremental mode defers the recomputation until a
-        # reader (the router manager, an auditor, a test) actually looks
-        # at them; recomputing once per accumulated dirty set yields the
-        # same sets as recomputing after every event.
-        if self.INCREMENTAL:
-            self._succ_stale = True
-        else:
-            self._recompute_successors()
+        # so the recomputation waits until a reader (the router manager,
+        # an auditor, a test) actually looks at them; recomputing once
+        # per accumulated dirty set yields the same sets as recomputing
+        # after every event.
+        self._succ_stale = True
 
         # Steps 5-8: flood changes (going ACTIVE) and/or acknowledge.
         if changes and self.link_costs:
@@ -189,7 +182,7 @@ class MPDARouter(PDARouter):
         a no-op until MTU actually recomputes those distances (pure-ACK
         events leave them untouched), so ``_fd_clean`` short-circuits it.
         """
-        if self._fd_clean and self.INCREMENTAL:
+        if self._fd_clean:
             return
         dirty = self._dirty_dests
         me = self.node_id
@@ -260,42 +253,19 @@ class MPDARouter(PDARouter):
         The rule for destination *j* reads only *j*'s feasible distance,
         *j*'s row of each neighbor table, and the adjacent-link set; NTU
         and the FD updates record which of those moved, so only the
-        dirty destinations are recomputed.  The full rebuild below is
-        kept verbatim for the initial pass, link-set changes, and the
-        ``INCREMENTAL = False`` reference mode.
+        dirty destinations are recomputed.  The initial pass and
+        link-set changes mark every known destination dirty.
         """
-        if self._dirty_all or not self.INCREMENTAL:
+        if self._dirty_all:
             self._dirty_all = False
-            self._dirty_dests.clear()
-            destinations: set[NodeId] = set(self.feasible_distance)
+            self._successor_sets = {}
+            dirty = set(self.feasible_distance)
             for dists in self.nbr_distances.values():
-                destinations.update(dists)
-            destinations.discard(self.node_id)
-
-            successors: dict[NodeId, set[NodeId]] = {}
-            feasible = self.feasible_distance
-            all_rows = [
-                (k, self.nbr_distances.get(k)) for k in self.link_costs
-            ]
-            for j in destinations:
-                fd = feasible.get(j, INFINITY)
-                chosen = set()
-                for k, row in all_rows:
-                    if k == j:
-                        if fd > 0.0:
-                            chosen.add(k)
-                    elif row is not None:
-                        dist_kj = row.get(j)
-                        if dist_kj is not None and dist_kj < fd:
-                            chosen.add(k)
-                if chosen:
-                    successors[j] = chosen
-            self._successor_sets = successors
-            return
-
-        dirty = self._dirty_dests
-        if not dirty:
-            return
+                dirty.update(dists)
+        else:
+            dirty = self._dirty_dests
+            if not dirty:
+                return
         self._dirty_dests = set()
         me = self.node_id
         feasible = self.feasible_distance

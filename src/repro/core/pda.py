@@ -66,20 +66,9 @@ class PDARouter:
     ``_tables_dirty``; MTU is deterministic in those inputs and
     idempotent, so while the flag is clear :meth:`_mtu` returns the empty
     diff without recomputing — the dominant case for MPDA's pure-ACK
-    deliveries.  ``INCREMENTAL = False`` (subclass hook) disables every
-    such shortcut; the differential tests run a reference router with it
-    off and assert byte-identical behavior.
+    deliveries.  :mod:`repro.testing.oracle` checks every such shortcut
+    against a naive router that recomputes everything per event.
     """
-
-    #: Master switch for the incremental shortcuts (MTU clean-skip, NTU
-    #: no-op-LSU skip, dirty-destination successor recomputation).  The
-    #: non-incremental path is the semantics oracle for testing.
-    INCREMENTAL = True
-
-    #: Whether `_ntu_apply_lsu` should diff neighbor-table rows and report
-    #: changed destinations via `_note_rows_changed` (MPDA needs this for
-    #: its dirty-destination set; plain PDA skips the diff cost).
-    _TRACK_ROWS = False
 
     def __init__(self, node_id: NodeId) -> None:
         self.node_id = node_id
@@ -167,7 +156,7 @@ class PDARouter:
 
     def _full_snapshot(self) -> FrozenTree | None:
         """The current tree as a full-dump snapshot (greeting messages)."""
-        if not self.INCREMENTAL or self._snap is None:
+        if self._snap is None:
             return None
         return self._snap.as_full(self.node_id)
 
@@ -212,14 +201,18 @@ class PDARouter:
     # NTU / MTU internals
     # ------------------------------------------------------------------
     def _ntu_apply_lsu(self, message: LSUMessage) -> None:
-        """NTU step 1: apply entries and recompute the sender's distances."""
+        """NTU step 1: apply entries and recompute the sender's distances.
+
+        ``link_up`` seeds the sender's table and distances, and
+        ``receive`` drops messages from non-neighbors, so both exist.
+        """
         sender = message.sender
-        table = self.neighbor_tables.get(sender)
+        table = self.neighbor_tables[sender]
         snap = message.snapshot
-        if self.INCREMENTAL and snap is not None:
+        if snap is not None:
             stored = self._nbr_versions.get(sender)
             if (stored is not None and stored == snap.prev_version) or (
-                snap.applies_to_empty and (table is None or len(table) == 0)
+                snap.applies_to_empty and len(table) == 0
             ):
                 # The held table is exactly the state the entries were
                 # diffed against (it *is* the sender's previous
@@ -231,58 +224,40 @@ class PDARouter:
                 self._nbr_versions[sender] = snap.version
                 self._tables_dirty = True
                 self._note_mtu_dirty(sender, snap.changed_rows, message.entries)
-                if self._TRACK_ROWS and snap.changed_rows:
-                    self._note_rows_changed(snap.changed_rows)
+                self._note_rows_changed(snap.changed_rows)
                 return
-        # Entry path: replay the LSU onto a mutable copy.  This is the
-        # reference semantics, also taken on duplicated or reordered
-        # delivery where the snapshot's baseline doesn't match.
-        if table is None:
-            table = self.neighbor_tables[sender] = TopologyTable()
-        elif isinstance(table, FrozenTree):
+        # Entry path: replay the LSU onto a mutable copy — taken on
+        # duplicated or reordered delivery, where the snapshot's
+        # baseline doesn't match.
+        if isinstance(table, FrozenTree):
             table = self.neighbor_tables[sender] = table.thaw()
             self.nbr_distances[sender] = dict(self.nbr_distances[sender])
             self._nbr_versions.pop(sender, None)
-        old = self.nbr_distances.get(sender)
-        if self.INCREMENTAL and old is not None:
-            changed, changed_nodes = table.apply_incremental(
-                message.entries, sender, old
-            )
-            if not changed:
-                # Every entry was a no-op on the table, so the sender's
-                # distances — and MTU's inputs — are exactly as before.
-                return
-            self._tables_dirty = True
-            if changed_nodes is not None:
-                # ``old`` was patched in place and ``changed_nodes``
-                # covers every destination whose row differs.
-                self._note_mtu_dirty(sender, changed_nodes, message.entries)
-                if self._TRACK_ROWS and changed_nodes:
-                    self._note_rows_changed(changed_nodes)
-                return
-            # The post-apply table is transiently not a tree rooted at
-            # the sender; fall through to the full recompute + row diff.
-        else:
-            changed = table.apply(message.entries)
-            if not changed and self.INCREMENTAL:
-                return
-            self._tables_dirty = True
-        # No exact row diff is tracked on this path (first LSU from a
-        # neighbor, non-tree transients, reference mode): rebuild the
-        # carried MTU state from scratch instead.
+        old = self.nbr_distances[sender]
+        changed, changed_nodes = table.apply_incremental(
+            message.entries, sender, old
+        )
+        if not changed:
+            # Every entry was a no-op on the table, so the sender's
+            # distances — and MTU's inputs — are exactly as before.
+            return
+        self._tables_dirty = True
+        if changed_nodes is not None:
+            # ``old`` was patched in place and ``changed_nodes`` covers
+            # every destination whose row differs.
+            self._note_mtu_dirty(sender, changed_nodes, message.entries)
+            self._note_rows_changed(changed_nodes)
+            return
+        # The post-apply table is transiently not a tree rooted at the
+        # sender: recompute its distances, diff the rows, and rebuild
+        # the carried MTU state from scratch.
         self._mtu_full = True
         new = table.distances_from(sender)
         new.setdefault(sender, 0.0)
         self.nbr_distances[sender] = new
-        if self._TRACK_ROWS:
-            if old is None:
-                self._note_rows_changed(new)
-            else:
-                self._note_rows_changed(
-                    j
-                    for j in old.keys() | new.keys()
-                    if old.get(j) != new.get(j)
-                )
+        self._note_rows_changed(
+            j for j in old.keys() | new.keys() if old.get(j) != new.get(j)
+        )
 
     def _note_mtu_dirty(self, sender: NodeId, rows, entries) -> None:
         """Record what an applied LSU invalidates in the carried MTU state.
@@ -359,7 +334,7 @@ class PDARouter:
         advances: a skipped run is still a protocol-level MTU event).
         """
         self.mtu_runs += 1
-        if not self._tables_dirty and self.INCREMENTAL:
+        if not self._tables_dirty:
             return ()
         self._tables_dirty = False
         old = self.main_table
@@ -369,7 +344,7 @@ class PDARouter:
         link_costs = self.link_costs
         up = [n for n in link_costs if link_costs[n] < INFINITY]
 
-        if self._mtu_full or not self.INCREMENTAL:
+        if self._mtu_full:
             self._mtu_rebuild(up, rank)
         else:
             self._mtu_refresh(up, rank)
@@ -414,32 +389,29 @@ class PDARouter:
             # touching distinct links) lands it exactly at the tree, at
             # O(changes) instead of an O(tree) rebuild.
             old.apply(changes)
-            if self.INCREMENTAL:
-                # Freeze the new tree for flooding.  The previous
-                # restricted view had one entry (self) iff the previous
-                # tree was empty, in which case the diff entries also
-                # reconstruct the tree from scratch.
-                prev_flood = self._flood_dist
-                prev_get = prev_flood.get
-                changed_rows = {
-                    j for j, v in flood.items() if prev_get(j) != v
-                }
-                for j in prev_flood:
-                    if j not in flood:
-                        changed_rows.add(j)
-                prev_version = self._table_version
-                self._table_version += 1
-                self._snap = FrozenTree(
-                    version=self._table_version,
-                    prev_version=prev_version,
-                    applies_to_empty=len(prev_flood) == 1,
-                    dist=flood,
-                    changed_rows=changed_rows,
-                    by_head=by_head,
-                    nodes=flood,
-                    n_links=n_links,
-                )
-                self._flood_dist = flood
+            # Freeze the new tree for flooding.  The previous restricted
+            # view had one entry (self) iff the previous tree was empty,
+            # in which case the diff entries also reconstruct the tree
+            # from scratch.
+            prev_flood = self._flood_dist
+            prev_get = prev_flood.get
+            changed_rows = {j for j, v in flood.items() if prev_get(j) != v}
+            for j in prev_flood:
+                if j not in flood:
+                    changed_rows.add(j)
+            prev_version = self._table_version
+            self._table_version += 1
+            self._snap = FrozenTree(
+                version=self._table_version,
+                prev_version=prev_version,
+                applies_to_empty=len(prev_flood) == 1,
+                dist=flood,
+                changed_rows=changed_rows,
+                by_head=by_head,
+                nodes=flood,
+                n_links=n_links,
+            )
+            self._flood_dist = flood
         self.distances = dist
         self._distances_recomputed()
         return changes
@@ -602,7 +574,7 @@ class PDARouter:
         just flooded — ``_broadcast`` is only reached straight after a
         changed MTU, which refreshed ``_snap`` to the post-diff tree.
         """
-        snapshot = self._snap if self.INCREMENTAL else None
+        snapshot = self._snap
         for nbr in self.link_costs:
             self._send(
                 nbr,

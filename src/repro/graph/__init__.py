@@ -17,7 +17,6 @@ from repro.graph.topologies import cairn, net1
 from repro.graph.shortest_paths import (
     bellman_ford,
     dijkstra,
-    dijkstra_tree,
     path_cost,
 )
 from repro.graph.validation import (
@@ -32,7 +31,6 @@ __all__ = [
     "cairn",
     "net1",
     "dijkstra",
-    "dijkstra_tree",
     "bellman_ford",
     "path_cost",
     "is_loop_free",

@@ -157,30 +157,6 @@ def dijkstra(
     return dist, pred
 
 
-def dijkstra_tree(
-    costs: CostMap,
-    source: NodeId,
-    *,
-    nodes: list[NodeId] | None = None,
-    rank: Mapping[NodeId, int] | None = None,
-    adj: Mapping[NodeId, list[tuple[NodeId, float]]] | None = None,
-) -> tuple[dict[NodeId, float], dict[LinkId, float]]:
-    """Shortest-path tree rooted at ``source``.
-
-    Returns ``(dist, tree)`` where ``tree`` maps the tree's links to their
-    costs — exactly what PDA's MTU step retains from the merged topology
-    ("remove those links that are not part of the shortest path tree").
-    """
-    dist, pred = dijkstra(costs, source, nodes=nodes, rank=rank, adj=adj)
-    tree: dict[LinkId, float] = {}
-    cost_of = costs.__getitem__
-    for node, parent in pred.items():
-        if parent is not None:
-            link = (parent, node)
-            tree[link] = cost_of(link)
-    return dist, tree
-
-
 class SharedSPF:
     """Shared-heap multi-destination shortest paths *to* each destination.
 

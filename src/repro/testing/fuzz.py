@@ -260,6 +260,22 @@ def run_case(case: FuzzCase) -> dict:
         check_invariants=case.check_invariants,
         transport=transport,
     )
+    play(case, driver, transport, base_costs)
+    driver.verify_converged()
+    return {
+        "delivered": driver.delivered,
+        "message_stats": driver.message_stats(),
+        "transport": transport.stats(),
+    }
+
+
+def play(case: FuzzCase, driver, transport, base_costs) -> None:
+    """Start ``driver``, apply ``case.schedule``, and run to quiescence.
+
+    ``transport`` is the driver's transport; ``partition`` events go to
+    it directly.  :class:`repro.testing.oracle.Lockstep` passes itself
+    for both, so a lockstep replays exactly the schedule a case runs.
+    """
     driver.start(base_costs)
     driver.run()
     for event in case.schedule:
@@ -289,12 +305,6 @@ def run_case(case: FuzzCase) -> dict:
         else:
             raise ValueError(f"unknown schedule op {op!r}")
     driver.run()
-    driver.verify_converged()
-    return {
-        "delivered": driver.delivered,
-        "message_stats": driver.message_stats(),
-        "transport": transport.stats(),
-    }
 
 
 # ----------------------------------------------------------------------

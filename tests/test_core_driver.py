@@ -9,6 +9,7 @@ from repro.core.driver import ProtocolDriver
 from repro.core.mpda import MPDARouter
 from repro.core.transport import FaultyChannel, PerfectChannel, ReliableTransport
 from repro.exceptions import ConvergenceError, RoutingError, TopologyError
+from repro.graph.topologies import net1
 
 
 class TestLifecycle:
@@ -87,6 +88,14 @@ class TestUnknownLinks:
         driver.run()
         with pytest.raises(TopologyError):
             driver.restore_link("zz", "t", 1.0, 1.0)
+
+    def test_set_cost_on_unknown_link_names_it(self):
+        topo = net1()
+        driver = ProtocolDriver(topo)
+        driver.start(topo.idle_marginal_costs())
+        driver.run()
+        with pytest.raises(TopologyError, match="999->0"):
+            driver.set_costs({(999, 0): 1.0})
 
 
 def _trace_lines(path):

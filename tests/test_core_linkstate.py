@@ -72,27 +72,6 @@ class TestTopologyTable:
         dist = table.distances_from("a")
         assert dist["c"] == pytest.approx(3.0)
 
-    def test_diff_roundtrip(self):
-        """old.apply(old.diff(new)) == new — the LSU flooding invariant."""
-        old = TopologyTable({("a", "b"): 1.0, ("b", "c"): 2.0, ("c", "d"): 3.0})
-        new = TopologyTable({("a", "b"): 9.0, ("c", "d"): 3.0, ("d", "e"): 4.0})
-        entries = old.diff(new)
-        patched = old.copy()
-        patched.apply(entries)
-        assert patched == new
-
-    def test_diff_empty_for_identical(self):
-        table = TopologyTable({("a", "b"): 1.0})
-        assert table.diff(table.copy()) == ()
-
-    def test_diff_op_kinds(self):
-        old = TopologyTable({("a", "b"): 1.0, ("b", "c"): 2.0})
-        new = TopologyTable({("a", "b"): 5.0, ("x", "y"): 1.0})
-        ops = {(e.op, e.head, e.tail) for e in old.diff(new)}
-        assert (EntryOp.CHANGE, "a", "b") in ops
-        assert (EntryOp.ADD, "x", "y") in ops
-        assert (EntryOp.DELETE, "b", "c") in ops
-
     def test_full_dump(self):
         table = TopologyTable({("a", "b"): 1.0, ("b", "c"): 2.0})
         fresh = TopologyTable()

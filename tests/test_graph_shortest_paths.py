@@ -12,7 +12,6 @@ from repro.graph.shortest_paths import (
     all_pairs_distances,
     bellman_ford,
     dijkstra,
-    dijkstra_tree,
     extract_path,
     path_cost,
     topology_costs,
@@ -71,27 +70,6 @@ class TestDijkstra:
     def test_deterministic_across_runs(self):
         costs = _random_costs(5)
         assert dijkstra(costs, 0) == dijkstra(costs, 0)
-
-
-class TestDijkstraTree:
-    def test_tree_links_subset_of_costs(self):
-        costs = _random_costs(2)
-        _, tree = dijkstra_tree(costs, 0)
-        assert set(tree) <= set(costs)
-
-    def test_tree_is_a_tree(self):
-        costs = _random_costs(4)
-        dist, tree = dijkstra_tree(costs, 0)
-        reachable = sum(1 for d in dist.values() if d < INFINITY)
-        assert len(tree) == reachable - 1  # |V| - 1 edges rooted at source
-
-    def test_tree_distances_match(self):
-        costs = _random_costs(6)
-        dist, tree = dijkstra_tree(costs, 0)
-        tree_dist, _ = dijkstra(tree, 0)
-        for node, d in dist.items():
-            if d < INFINITY:
-                assert tree_dist[node] == pytest.approx(d)
 
 
 class TestBellmanFord:

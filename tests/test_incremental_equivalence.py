@@ -1,122 +1,149 @@
-"""Differential tests: optimized hot paths vs reference semantics.
+"""Differential tests: the incremental protocol core vs a naive oracle.
 
-The protocol core is incremental (dirty-destination MTU state, snapshot
-flooding, patched neighbor distances).  Every shortcut claims
-*bit-for-bit* equality with the straightforward implementation; these
-tests run both sides — ``INCREMENTAL = False`` routers are kept
-precisely to serve as oracles — over converged states, failover
-windows, and adversarial fuzz schedules, and assert the claim.
+The production core is incremental (dirty-destination MTU state,
+snapshot flooding, patched neighbor distances).  Every shortcut claims
+*bit-for-bit* equality with the procedures of the paper's Figs. 1-4;
+:mod:`repro.testing.oracle` implements those procedures naively and
+these tests run it in lockstep with production PDA and MPDA, comparing
+the receiving router after every delivery, over failover windows,
+seeded fuzz schedules on reliable and raw channels, and the corpus.
 """
+
+import ast
+import json
+import pathlib
+from dataclasses import replace
 
 import pytest
 
 from repro.core.allocation import ah
-from repro.core.driver import ProtocolDriver
-from repro.core.linkstate import (
-    EntryOp,
-    FrozenTree,
-    LinkEntry,
-    LSUMessage,
-    TopologyTable,
-)
+from repro.core.linkstate import EntryOp, LinkEntry, TopologyTable
 from repro.core.mpda import MPDARouter
 from repro.core.pda import PDARouter
 from repro.graph.generators import waxman
 from repro.graph.topologies import cairn, net1
-from repro.testing.fuzz import build_topology, generate_case
+from repro.testing import oracle
+from repro.testing.fuzz import FuzzCase, generate_case
+from repro.testing.oracle import Divergence, Lockstep, lockstep_case
+
+ROUTERS = (PDARouter, MPDARouter)
+CORPUS_DIR = pathlib.Path(__file__).parent / "corpus"
 
 
-class ReferenceRouter(MPDARouter):
-    """MPDA with every incremental shortcut disabled."""
-
-    INCREMENTAL = False
-
-
-def _assert_same_state(optimized: ProtocolDriver, reference: ProtocolDriver):
-    """The two drivers must agree on every protocol-visible quantity."""
-    assert optimized.message_stats() == reference.message_stats()
-    for node, router in optimized.routers.items():
-        ref = reference.routers[node]
-        assert router.distances == ref.distances, node
-        assert router.feasible_distance == ref.feasible_distance, node
-        assert router.successor_sets == ref.successor_sets, node
-        assert router.nbr_distances == ref.nbr_distances, node
+def _raw_mp_case(path: pathlib.Path) -> bool:
+    """Protocol corpus cases over the raw wire.  Over a reliable
+    transport every receiver stays in sync and adopts snapshots, which
+    the failover windows and reliable fuzz seeds already cover; raw
+    cases reach the entry replay, thaw and fallback paths."""
+    case = json.loads(path.read_text())["case"]
+    return case["policy"] == "mp" and not case["profile"]["reliable"]
 
 
-def _pair(topo, seed=0):
-    optimized = ProtocolDriver(topo, MPDARouter, seed=seed)
-    reference = ProtocolDriver(topo, ReferenceRouter, seed=seed)
-    costs = topo.idle_marginal_costs()
-    for driver in (optimized, reference):
-        driver.start(costs)
-        driver.run()
-    return optimized, reference, costs
+RAW_MP_CORPUS = sorted(p.name for p in CORPUS_DIR.glob("*.json") if _raw_mp_case(p))
 
 
 @pytest.mark.parametrize("make_topo", [net1, cairn, lambda: waxman(40, seed=2)])
 def test_failover_window_differential(make_topo):
-    """Cold start, link failure, and restoration: identical throughout."""
+    """Cold start, link failure, restoration and a cost bump."""
     topo = make_topo()
-    optimized, reference, costs = _pair(topo)
-    _assert_same_state(optimized, reference)
-
-    link = next(iter(topo.links())).link_id
-    a, b = link
-    for driver in (optimized, reference):
-        driver.fail_link(a, b)
-        driver.run()
-    _assert_same_state(optimized, reference)
-
-    for driver in (optimized, reference):
-        driver.restore_link(a, b, costs[(a, b)], costs[(b, a)])
-        driver.run()
-    _assert_same_state(optimized, reference)
-
+    costs = topo.idle_marginal_costs()
+    a, b = next(iter(topo.links())).link_id
     bumped = {link_id: cost * 1.7 for link_id, cost in list(costs.items())[:4]}
-    for driver in (optimized, reference):
-        driver.set_costs(bumped)
-        driver.run()
-    _assert_same_state(optimized, reference)
+    for router_cls in ROUTERS:
+        lockstep = Lockstep(topo, router_cls)
+        lockstep.start(costs)
+        lockstep.run()
+        lockstep.fail_link(a, b)
+        lockstep.run()
+        lockstep.restore_link(a, b, costs[(a, b)], costs[(b, a)])
+        lockstep.run()
+        lockstep.set_costs(bumped)
+        lockstep.run()
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_fuzz_schedule_differential(seed):
-    """Adversarial schedules (in-flight events, partial pumping):
-    the optimized core must stay message-for-message identical."""
-    case = generate_case(seed)
-    topo_spec = case.topology
-    base_costs = build_topology(topo_spec).idle_marginal_costs()
+    """Adversarial schedules (in-flight events, partial pumping,
+    partitions) over the reliable transport and the raw faulty wire."""
+    for reliable in (True, False):
+        case = generate_case(seed, reliable=reliable)
+        for router_cls in ROUTERS:
+            lockstep_case(case, router_cls)
 
-    def execute(router_cls):
-        driver = ProtocolDriver(
-            build_topology(topo_spec), router_cls, seed=case.driver_seed
-        )
-        driver.start(base_costs)
-        driver.run()
-        for event in case.schedule:
-            op, *args = event
-            if op == "fail_link":
-                driver.fail_link(args[0], args[1])
-            elif op == "restore_link":
-                a, b = args
-                driver.restore_link(
-                    a, b, base_costs[(a, b)], base_costs[(b, a)]
-                )
-            elif op == "set_cost":
-                head, tail, cost = args
-                if tail in driver.routers[head].link_costs:
-                    driver.set_costs({(head, tail): cost})
-            elif op == "pump":
-                for _ in range(args[0]):
-                    if not driver.step():
-                        break
-            # "partition" needs the faulty transport; irrelevant here —
-            # the schedules still interleave events with in-flight LSUs.
-        driver.run()
-        driver.verify_converged()
-        return driver
 
-    _assert_same_state(execute(MPDARouter), execute(ReferenceRouter))
+def test_raw_seed_1497_differential():
+    """The one raw seed in 0-1499 on which MPDA's neighbor table stops
+    being a tree, so NTU falls back to a full recompute.  Plain PDA
+    there also closes a cycle the sender cannot reach."""
+    case = generate_case(1497, reliable=False)
+    for router_cls in ROUTERS:
+        lockstep_case(case, router_cls)
+
+
+@pytest.mark.parametrize("name", RAW_MP_CORPUS)
+def test_corpus_case_differential(name):
+    doc = json.loads((CORPUS_DIR / name).read_text())
+    case = FuzzCase.from_dict(doc["case"])
+    for router_cls in ROUTERS:
+        lockstep_case(case, router_cls)
+
+
+def test_lockstep_names_the_first_divergence():
+    """A router that ignores DELETE entries keeps links its neighbor
+    dropped; the lockstep must stop at that delivery."""
+
+    class DropsDeletes(PDARouter):
+        def receive(self, message):
+            kept = tuple(e for e in message.entries if e.op is not EntryOp.DELETE)
+            super().receive(replace(message, entries=kept, snapshot=None))
+
+    topo = net1()
+    costs = topo.idle_marginal_costs()
+    lockstep = Lockstep(topo, DropsDeletes)
+    lockstep.start(costs)
+    a, b = next(iter(topo.links())).link_id
+    with pytest.raises(Divergence, match=r"^delivery \d+: router \S+ differs on "):
+        lockstep.run()
+        lockstep.fail_link(a, b)
+        lockstep.run()
+
+
+def _imports(source: str) -> set[str]:
+    """Dotted names ``source`` imports directly: ``import a.b`` gives
+    ``a.b``; ``from a import b`` gives ``a`` and ``a.b``."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names.add(node.module)
+            names.update(f"{node.module}.{alias.name}" for alias in node.names)
+    return names
+
+
+def test_oracle_shares_only_wire_types_and_the_pump():
+    """No import of repro.core.pda, .mpda, .lfi or graph.shortest_paths."""
+    imported = {
+        ".".join(name.split(".")[:3])
+        for name in _imports(pathlib.Path(oracle.__file__).read_text())
+        if name.startswith("repro.")
+    }
+    assert imported == {
+        "repro.core.linkstate",
+        "repro.core.driver",
+        "repro.testing.fuzz",
+    }
+
+
+def test_no_production_module_imports_the_oracle():
+    package = pathlib.Path(oracle.__file__).parents[1]
+    for path in package.rglob("*.py"):
+        source = path.read_text()
+        if path.name == "oracle.py" or "oracle" not in source:
+            continue
+        assert not any(
+            name.startswith("repro.testing.oracle") for name in _imports(source)
+        ), path
 
 
 # ----------------------------------------------------------------------
@@ -137,154 +164,55 @@ def test_ah_tie_break_is_natural_order():
 # ----------------------------------------------------------------------
 # snapshot flooding (FrozenTree)
 # ----------------------------------------------------------------------
-def _snap(tree, root, dist, *, version, prev_version, prev_flood):
-    return FrozenTree.from_tree(
-        tree,
-        root,
-        dist,
-        version=version,
-        prev_version=prev_version,
-        applies_to_empty=prev_version is None,
-        prev_flood=prev_flood,
-    )
+def _floods_to_i():
+    """The three LSUs a real sender "s" floods to its neighbor "i":
+    +(s->i) as version 1, +(s->x) as version 2, ~(s->x:3) as version 3."""
+    sender = PDARouter("s")
+    sender.link_up("i", 1.0)
+    sender.link_up("x", 1.0)
+    sender.link_cost_change("x", 3.0)
+    return [message for nbr, message in sender.outbox if nbr == "i"]
 
 
-def test_frozen_tree_from_tree_shape():
-    tree = {("s", "x"): 1.0, ("x", "y"): 2.0}
-    dist = {"s": 0.0, "x": 1.0, "y": 3.0}
-    snap = _snap(
-        tree, "s", dist, version=1, prev_version=None, prev_flood={"s": 0.0}
-    )
-    assert snap.dist == dist
-    assert snap.changed_rows == {"x", "y"}
-    assert snap.links() == tree
-    assert dict(snap.links_with_head_view("x")) == {("x", "y"): 2.0}
-    assert set(snap.nodes_view()) == {"s", "x", "y"}
-    assert len(snap) == 2
-    assert snap.thaw().links() == tree
+def _receiver():
+    router = PDARouter("i")
+    router.link_up("s", 1.0)
+    return router
 
 
 def test_snapshot_accept_swaps_reference():
     """An in-sync receiver adopts the frozen tree without replaying."""
-    router = PDARouter("i")
-    router.link_up("s", 1.0)
-    tree = {("s", "x"): 1.0}
-    snap1 = _snap(
-        tree,
-        "s",
-        {"s": 0.0, "x": 1.0},
-        version=1,
-        prev_version=None,
-        prev_flood={"s": 0.0},
-    )
-    router.receive(
-        LSUMessage(
-            sender="s",
-            entries=(LinkEntry(EntryOp.ADD, "s", "x", 1.0),),
-            snapshot=snap1,
-        )
-    )
-    assert router.neighbor_tables["s"] is snap1
-    assert router.nbr_distances["s"] is snap1.dist
-    assert router.distances["x"] == 2.0
-
-    snap2 = _snap(
-        {("s", "x"): 3.0},
-        "s",
-        {"s": 0.0, "x": 3.0},
-        version=2,
-        prev_version=1,
-        prev_flood=snap1.dist,
-    )
-    router.receive(
-        LSUMessage(
-            sender="s",
-            entries=(LinkEntry(EntryOp.CHANGE, "s", "x", 3.0),),
-            snapshot=snap2,
-        )
-    )
-    assert router.neighbor_tables["s"] is snap2
-    assert router.distances["x"] == 4.0
+    router = _receiver()
+    for message, via_x in zip(_floods_to_i(), (None, 2.0, 4.0)):
+        router.receive(message)
+        assert router.neighbor_tables["s"] is message.snapshot
+        assert router.nbr_distances["s"] is message.snapshot.dist
+        if via_x is not None:
+            assert router.distances["x"] == via_x
 
 
 def test_snapshot_desync_falls_back_to_entries():
     """Duplicated or reordered delivery: the snapshot's baseline no
     longer matches, so the receiver must thaw and replay the entries —
     same state, different representation."""
-    router = PDARouter("i")
-    router.link_up("s", 1.0)
-    snap1 = _snap(
-        {("s", "x"): 1.0},
-        "s",
-        {"s": 0.0, "x": 1.0},
-        version=1,
-        prev_version=None,
-        prev_flood={"s": 0.0},
-    )
-    message = LSUMessage(
-        sender="s",
-        entries=(LinkEntry(EntryOp.ADD, "s", "x", 1.0),),
-        snapshot=snap1,
-    )
-    router.receive(message)
-    assert router.neighbor_tables["s"] is snap1
+    first, _, third = _floods_to_i()
+    router = _receiver()
+    router.receive(first)
+    assert router.neighbor_tables["s"] is first.snapshot
 
     # Duplicate delivery: version 1 does not follow version 1.
-    router.receive(message)
+    router.receive(first)
     table = router.neighbor_tables["s"]
     assert isinstance(table, TopologyTable)
-    assert table.links() == {("s", "x"): 1.0}
-    assert router.nbr_distances["s"] == {"s": 0.0, "x": 1.0}
-    assert router.distances["x"] == 2.0
+    assert table.links() == {("s", "i"): 1.0}
+    assert router.nbr_distances["s"] == {"s": 0.0, "i": 1.0}
 
-    # A snapshot from the future (version 3 diffed against a version 2
-    # this router never saw): entries still carry the protocol content.
-    snap3 = _snap(
-        {("s", "x"): 5.0},
-        "s",
-        {"s": 0.0, "x": 5.0},
-        version=3,
-        prev_version=2,
-        prev_flood={"s": 0.0, "x": 4.0},
-    )
-    router.receive(
-        LSUMessage(
-            sender="s",
-            entries=(LinkEntry(EntryOp.CHANGE, "s", "x", 5.0),),
-            snapshot=snap3,
-        )
-    )
+    # Version 3 was diffed against a version 2 this router never saw;
+    # its entries alone still carry the protocol content.
+    router.receive(third)
     assert isinstance(router.neighbor_tables["s"], TopologyTable)
-    assert router.nbr_distances["s"] == {"s": 0.0, "x": 5.0}
-    assert router.distances["x"] == 6.0
-
-
-def test_fused_mtu_snapshot_matches_from_tree():
-    """The fused MTU tail builds its FrozenTree inline; it must agree
-    with the documented :meth:`FrozenTree.from_tree` construction and
-    with the router's own main table."""
-    topo = net1()
-    driver = ProtocolDriver(topo, MPDARouter, seed=0)
-    driver.start(topo.idle_marginal_costs())
-    driver.run()
-    for node, router in driver.routers.items():
-        snap = router._snap
-        assert snap is not None
-        tree = router.main_table.links()
-        assert snap.links() == tree
-        assert snap.dist == router._flood_dist
-        rebuilt = FrozenTree.from_tree(
-            tree,
-            node,
-            router.distances,
-            version=snap.version,
-            prev_version=snap.prev_version,
-            applies_to_empty=snap.applies_to_empty,
-            prev_flood={node: 0.0},
-        )
-        assert rebuilt.dist == snap.dist
-        assert rebuilt.links() == snap.links()
-        assert set(rebuilt.nodes_view()) == set(snap.nodes_view())
+    assert router.nbr_distances["s"] == {"s": 0.0, "i": 1.0, "x": 3.0}
+    assert router.distances["x"] == 4.0
 
 
 # ----------------------------------------------------------------------
@@ -355,3 +283,21 @@ def test_apply_incremental_non_tree_transient_returns_none():
     assert changed
     assert changed_nodes is None
     assert dist == before
+
+
+def test_apply_incremental_unreachable_cycle_returns_none():
+    """Regression: cutting the root's link into the cycle a -> c -> d
+    -> a leaves every in-degree at most 1, and the stale distances
+    around the cycle used to grow without end."""
+    table = _tree_table()
+    table.set_link("d", "a", 1.0)
+    dist = table.distances_from("r")
+    before = dict(dist)
+    changed, changed_nodes = table.apply_incremental(
+        [LinkEntry(EntryOp.DELETE, "r", "a")], "r", dist
+    )
+    assert changed
+    assert changed_nodes is None
+    assert dist == before
+    fresh = table.distances_from("r")
+    assert fresh["a"] == fresh["c"] == fresh["d"] == float("inf")

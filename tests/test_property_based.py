@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from repro.core.allocation import AllocationTable, validate_property1
 from repro.core.lfi import lfi_successors, shortest_successor
+from repro.core.mpda import MPDARouter
 from repro.fluid.delay import DelayModel
 from repro.fluid.evaluator import evaluate, link_flows, node_flows
 from repro.fluid.flows import Flow, TrafficMatrix
@@ -21,6 +22,7 @@ from repro.gallager.opt import optimize, shortest_path_phi
 from repro.graph.generators import random_connected
 from repro.graph.validation import is_loop_free
 from repro.testing.fuzz import check_case, generate_case
+from repro.testing.oracle import lockstep_case
 
 
 def _random_traffic(topo, rng, n_flows=4, max_rate=300.0):
@@ -129,6 +131,16 @@ def test_mpda_quiesces_under_fuzzed_fault_schedules(seed):
     ``conftest.py``): small for the dev default, larger under the CI
     fuzz job's ``HYPOTHESIS_PROFILE=ci``."""
     assert check_case(generate_case(seed)) is None
+
+
+@settings(deadline=None)
+@given(seed=st.integers(0, 100_000), reliable=st.booleans())
+def test_mpda_matches_the_oracle_under_fuzzed_schedules(seed, reliable):
+    """Production MPDA equals the naive Figs. 1-4 oracle after every
+    delivery of a generated case, over the reliable transport or the
+    raw faulty wire (``lockstep_case`` raises on any divergence).
+    ``max_examples`` comes from the active hypothesis profile."""
+    lockstep_case(generate_case(seed, reliable=reliable), MPDARouter)
 
 
 @settings(max_examples=10, deadline=None)
