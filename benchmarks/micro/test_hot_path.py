@@ -1,4 +1,4 @@
-"""MICRO — hot-path kernels: shared-heap SPF, incremental protocol core.
+"""MICRO — hot-path kernels: shared-heap SPF, incremental protocol core, OPT.
 
 Not a paper figure; pins the optimized kernels against their scalar /
 naive counterparts so a regression in either speed or exactness shows
@@ -17,11 +17,15 @@ import pytest
 from benchmarks.conftest import run_once
 from repro.core.driver import ProtocolDriver
 from repro.core.mpda import MPDARouter
+from repro.fluid.delay import DelayModel
+from repro.gallager.opt import optimize
 from repro.graph.generators import waxman
 from repro.graph.shortest_paths import (
     bellman_ford,
     multi_destination_distances,
 )
+from repro.sim.scenario import net1_scenario
+from repro.testing.opt_reference import naive_optimize
 from repro.testing.oracle import OracleMPDA
 
 
@@ -82,4 +86,41 @@ def test_incremental_driver_step_loop(benchmark, record_figure, n):
         f"MPDA cold-start, n={n}: naive oracle {oracle_s:.2f} s, "
         f"incremental {incremental_s:.2f} s "
         f"({oracle_s / incremental_s:.1f}x)",
+    )
+
+
+def test_opt_iteration_loop(benchmark, record_figure):
+    """Fig. 10's OPT: one routing DAG per destination vs the naive loop.
+
+    The naive reference re-derives successor sets, orders and fractions
+    from raw phi on every call; both runs must give the same D_T history
+    and the same phi, float for float.
+    """
+    scenario = net1_scenario(load=1.35)
+    topo = scenario.topo
+    traffic = scenario.mean_traffic()
+
+    def solve(fn):
+        return fn(
+            topo,
+            traffic,
+            eta=0.1,
+            max_iterations=2500,
+            delay_model=DelayModel.for_topology(topo),
+        )
+
+    t0 = time.perf_counter()
+    naive = solve(naive_optimize)
+    naive_s = time.perf_counter() - t0
+
+    result = run_once(benchmark, solve, optimize)
+
+    assert result.history == naive.history
+    assert result.phi == naive.phi
+    dag_s = benchmark.stats.stats.mean
+    record_figure(
+        "micro_opt_dag",
+        f"OPT on NET1 at load 1.35 (eta 0.1, {result.iterations} "
+        f"iterations): naive loop {naive_s:.2f} s, one DAG per destination "
+        f"{dag_s:.2f} s ({naive_s / dag_s:.1f}x)",
     )

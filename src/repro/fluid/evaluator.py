@@ -14,6 +14,15 @@ algorithm in this library guarantees), node flows are computed exactly in
 one pass over a topological order; :func:`node_flows_iterative` is the
 fallback for arbitrary (possibly cyclic) parameters, used to study what
 transient loops would do to delays.
+
+Every exact computation walks a :class:`RoutingDAG`: one destination's
+routing graph for one phi snapshot, holding each router's validated,
+normalised fractions and the upstream-first order.  Building it is where
+Property 1 is checked and where a cycle raises
+:class:`~repro.exceptions.LoopError`.  The public functions take
+``phi`` and build the DAGs they need; a caller that walks one snapshot
+several times (:func:`evaluate`, the fluid data plane, Gallager's OPT)
+builds them once and hands them in.
 """
 
 from __future__ import annotations
@@ -49,76 +58,82 @@ def _fractions(
     per_dest = phi.get(node)
     if per_dest is None:
         return {}
-    raw = per_dest.get(destination)
+    return _normalised(per_dest.get(destination), node, destination)
+
+
+def _normalised(
+    raw: Mapping[NodeId, float] | None, node: NodeId, destination: NodeId
+) -> dict[NodeId, float]:
+    """:func:`_fractions` of ``node``'s phi entry ``raw`` toward ``destination``."""
     if not raw:
         return {}
     total = 0.0
     for nbr, fraction in raw.items():
-        if fraction < -NORMALIZATION_TOLERANCE:
-            raise AllocationError(
-                f"phi[{node!r}][{destination!r}][{nbr!r}] = {fraction!r} < 0"
-            )
-        total += max(fraction, 0.0)
+        if fraction <= 0.0:
+            if fraction < -NORMALIZATION_TOLERANCE:
+                raise AllocationError(
+                    f"phi[{node!r}][{destination!r}][{nbr!r}] = {fraction!r} < 0"
+                )
+        else:  # positive, or NaN, which poisons the sum
+            total += fraction
     if total == 0.0:
         return {}
     if abs(total - 1.0) > NORMALIZATION_TOLERANCE:
         raise AllocationError(
             f"phi[{node!r}][{destination!r}] sums to {total!r}, expected 1"
         )
-    return {
-        nbr: max(fraction, 0.0) / total
-        for nbr, fraction in raw.items()
-        if fraction > 0.0
-    }
+    return {nbr: fraction / total for nbr, fraction in raw.items() if fraction > 0.0}
 
 
-class _EvalCache:
-    """Per-evaluation memo of fractions and successor orders.
+class RoutingDAG:
+    """The routing graph of one destination for one phi snapshot.
 
-    One :func:`evaluate` call asks for the same validated fractions from
-    ``link_flows``, ``flow_delays`` and the topological orders several
-    times; ``phi`` does not change within an evaluation, so memoizing
-    these pure lookups returns bit-identical values.
+    Built once from every router's validated, normalised fractions
+    (Property 1 is checked here, for every router in ``phi``), and
+    ordered upstream-first; a cyclic graph raises
+    :class:`~repro.exceptions.LoopError` from the constructor.  Every
+    exact walk over phi in this module and in :mod:`repro.gallager`
+    reads a DAG instead of re-deriving successor sets and orders, so a
+    caller that walks one snapshot several times builds it once.
+
+    The DAG keeps references to the routers' phi entries, so it
+    describes ``phi`` as it was when built: rebuild it after changing
+    the parameters toward ``destination``.
+
+    Attributes:
+        order: routers upstream-first; every router precedes its
+            successors and the destination comes last.
+        fractions: every router of ``phi`` except the destination ->
+            its normalised fractions :math:`\\phi^i_{jk} > 0` (empty
+            when the router routes nothing toward *j*).
+        weights: every router with successors -> its raw phi entry
+            toward *j* (the marginal-distance recursion weights by raw
+            values over their sum).
     """
 
-    __slots__ = ("fractions", "orders")
+    __slots__ = ("order", "fractions", "weights")
 
-    def __init__(self) -> None:
-        self.fractions: dict[tuple[NodeId, NodeId], dict[NodeId, float]] = {}
-        self.orders: dict[NodeId, list[NodeId]] = {}
-
-
-def _cached_fractions(
-    phi: Phi, node: NodeId, destination: NodeId, cache: _EvalCache | None
-) -> dict[NodeId, float]:
-    if cache is None:
-        return _fractions(phi, node, destination)
-    key = (node, destination)
-    try:
-        return cache.fractions[key]
-    except KeyError:
-        out = cache.fractions[key] = _fractions(phi, node, destination)
-        return out
-
-
-def _successor_order(
-    phi: Phi, destination: NodeId, cache: _EvalCache | None
-) -> list[NodeId]:
-    if cache is not None and destination in cache.orders:
-        return cache.orders[destination]
-    successors = destination_successors(phi, destination, _cache=cache)
-    order = successor_graph_order(successors, destination)
-    if cache is not None:
-        cache.orders[destination] = order
-    return order
+    def __init__(self, phi: Phi, destination: NodeId) -> None:
+        fractions: dict[NodeId, dict[NodeId, float]] = {}
+        weights: dict[NodeId, Mapping[NodeId, float]] = {}
+        for node, per_dest in phi.items():
+            if node == destination:
+                continue
+            raw = per_dest.get(destination)
+            fractions[node] = out = _normalised(raw, node, destination)
+            if out:
+                weights[node] = raw
+        self.fractions = fractions
+        self.weights = weights
+        self.order = successor_graph_order(fractions, destination)
 
 
 def destination_successors(
-    phi: Phi, destination: NodeId, *, _cache: _EvalCache | None = None
+    phi: Phi, destination: NodeId
 ) -> dict[NodeId, list[NodeId]]:
     """Successor sets implied by the routing parameters (Eq. 9)."""
     return {
-        node: list(_cached_fractions(phi, node, destination, _cache))
+        node: list(_fractions(phi, node, destination))
         for node in phi
         if node != destination
     }
@@ -129,7 +144,7 @@ def node_flows(
     rates: Mapping[NodeId, float],
     destination: NodeId,
     *,
-    _cache: _EvalCache | None = None,
+    dag: RoutingDAG | None = None,
 ) -> dict[NodeId, float]:
     """Node flows :math:`t^i_j` for one destination (Eq. 1), exact on DAGs.
 
@@ -137,12 +152,17 @@ def node_flows(
         phi: routing parameters.
         rates: input rates :math:`r^i_j` toward ``destination``.
         destination: the destination *j*.
+        dag: ``phi``'s routing DAG toward ``destination``, when the
+            caller already holds it.
 
     Raises:
         LoopError: if the successor graph for ``destination`` is cyclic.
         RoutingError: if traffic reaches a router with no successors.
     """
-    order = _successor_order(phi, destination, _cache)
+    if dag is None:
+        dag = RoutingDAG(phi, destination)
+    order = dag.order
+    fractions_of = dag.fractions
 
     flows: dict[NodeId, float] = {node: 0.0 for node in order}
     for node, rate in rates.items():
@@ -160,14 +180,14 @@ def node_flows(
         t = flows[node]
         if t <= FLOW_EPSILON:
             continue
-        fractions = _cached_fractions(phi, node, destination, _cache)
+        fractions = fractions_of.get(node)
         if not fractions:
             raise RoutingError(
                 f"router {node!r} carries {t:.3g} pkt/s for {destination!r} "
                 "but has no successors (black hole)"
             )
         for nbr, fraction in fractions.items():
-            flows[nbr] = flows.get(nbr, 0.0) + t * fraction
+            flows[nbr] += t * fraction
     return flows
 
 
@@ -226,19 +246,37 @@ def node_flows_iterative(
     )
 
 
+def _dag_for(
+    phi: Phi,
+    destination: NodeId,
+    dags: Mapping[NodeId, RoutingDAG] | None,
+) -> RoutingDAG:
+    """``dags[destination]``, or a DAG built from ``phi`` when not handed one."""
+    dag = dags.get(destination) if dags is not None else None
+    return dag if dag is not None else RoutingDAG(phi, destination)
+
+
 def link_flows(
-    phi: Phi, traffic: TrafficMatrix, *, _cache: _EvalCache | None = None
+    phi: Phi,
+    traffic: TrafficMatrix,
+    *,
+    dags: Mapping[NodeId, RoutingDAG] | None = None,
 ) -> dict[LinkId, float]:
-    """Link flows :math:`f_{ik}` (Eq. 2) summed over all destinations."""
+    """Link flows :math:`f_{ik}` (Eq. 2) summed over all destinations.
+
+    ``dags`` holds ``phi``'s routing DAGs by destination; a destination
+    without one gets it built here.
+    """
     flows: dict[LinkId, float] = {}
     for destination in traffic.destinations():
+        dag = _dag_for(phi, destination, dags)
         rates = traffic.rates_to(destination)
-        node_t = node_flows(phi, rates, destination, _cache=_cache)
+        node_t = node_flows(phi, rates, destination, dag=dag)
+        fractions_of = dag.fractions
         for node, t in node_t.items():
             if node == destination or t <= FLOW_EPSILON:
                 continue
-            fractions = _cached_fractions(phi, node, destination, _cache)
-            for nbr, fraction in fractions.items():
+            for nbr, fraction in fractions_of[node].items():
                 link_id = (node, nbr)
                 flows[link_id] = flows.get(link_id, 0.0) + t * fraction
     return flows
@@ -249,24 +287,45 @@ def flow_delays(
     traffic: TrafficMatrix,
     per_unit_delay: Mapping[LinkId, float],
     *,
-    _cache: _EvalCache | None = None,
+    dags: Mapping[NodeId, RoutingDAG] | None = None,
 ) -> dict[str, float]:
     """Expected end-to-end delay of each flow, in seconds.
 
     For destination *j*, the expected remaining delay from router *i*
     satisfies :math:`W_j(i) = \\sum_k \\phi^i_{jk}\\,(w_{ik} + W_j(k))`
     with :math:`W_j(j) = 0`, where :math:`w_{ik}` is the per-unit link
-    delay.  Evaluated downstream-first on the routing DAG.
+    delay.  Evaluated downstream-first on the routing DAG; ``dags`` is
+    as for :func:`link_flows`.
     """
     delays: dict[str, float] = {}
-    cache: dict[NodeId, dict[NodeId, float]] = {}
+    remaining_to: dict[NodeId, dict[NodeId, float]] = {}
     for flow in traffic.flows:
         destination = flow.destination
-        if destination not in cache:
-            cache[destination] = _remaining_delays(
-                phi, destination, per_unit_delay, _cache=_cache
-            )
-        remaining = cache[destination]
+        remaining = remaining_to.get(destination)
+        if remaining is None:
+            remaining = remaining_to[destination] = {destination: 0.0}
+            dag = _dag_for(phi, destination, dags)
+            fractions_of = dag.fractions
+            for node in reversed(dag.order):
+                fractions = fractions_of.get(node)
+                if not fractions:
+                    continue  # carries no traffic; skip rather than invent a value
+                total = 0.0
+                for nbr, fraction in fractions.items():
+                    try:
+                        w_link = per_unit_delay[(node, nbr)]
+                    except KeyError:
+                        raise RoutingError(
+                            f"no delay for link {node!r}->{nbr!r}"
+                        ) from None
+                    down = remaining.get(nbr)
+                    if down is None:
+                        raise RoutingError(
+                            f"successor {nbr!r} of {node!r} has no route to "
+                            f"{destination!r}"
+                        )
+                    total += fraction * (w_link + down)
+                remaining[node] = total
         if flow.source not in remaining:
             raise RoutingError(
                 f"flow {flow.label()}: no route from {flow.source!r} "
@@ -274,40 +333,6 @@ def flow_delays(
             )
         delays[flow.label()] = remaining[flow.source]
     return delays
-
-
-def _remaining_delays(
-    phi: Phi,
-    destination: NodeId,
-    per_unit_delay: Mapping[LinkId, float],
-    *,
-    _cache: _EvalCache | None = None,
-) -> dict[NodeId, float]:
-    order = _successor_order(phi, destination, _cache)
-    remaining: dict[NodeId, float] = {destination: 0.0}
-    for node in reversed(order):
-        if node == destination:
-            continue
-        fractions = _cached_fractions(phi, node, destination, _cache)
-        if not fractions:
-            continue  # carries no traffic; skip rather than invent a value
-        total = 0.0
-        for nbr, fraction in fractions.items():
-            try:
-                w_link = per_unit_delay[(node, nbr)]
-            except KeyError:
-                raise RoutingError(
-                    f"no delay for link {node!r}->{nbr!r}"
-                ) from None
-            down = remaining.get(nbr)
-            if down is None:
-                raise RoutingError(
-                    f"successor {nbr!r} of {node!r} has no route to "
-                    f"{destination!r}"
-                )
-            total += fraction * (w_link + down)
-        remaining[node] = total
-    return remaining
 
 
 @dataclass
@@ -356,13 +381,13 @@ def evaluate(
     """
     traffic.validate_against(topo)
     model = delay_model or DelayModel.for_topology(topo)
-    cache = _EvalCache()
-    f = link_flows(phi, traffic, _cache=cache)
+    dags = {dest: RoutingDAG(phi, dest) for dest in traffic.destinations()}
+    f = link_flows(phi, traffic, dags=dags)
     total = model.total_delay(f, strict=strict)
     rate = traffic.total_rate()
     average = total / rate if rate > 0 else 0.0
     per_unit = model.per_unit_delays(f, strict=strict)
-    per_flow = flow_delays(phi, traffic, per_unit, _cache=cache)
+    per_flow = flow_delays(phi, traffic, per_unit, dags=dags)
     utilizations = {
         link_id: model[link_id].utilization(value)
         for link_id, value in f.items()

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 
-from repro.fluid.evaluator import Phi, destination_successors
+from repro.fluid.evaluator import Phi, RoutingDAG, destination_successors
 from repro.graph.topology import NodeId
 
 INFINITY = float("inf")
@@ -30,6 +30,7 @@ def blocked_nodes(
     delta: Mapping[NodeId, float],
     *,
     tolerance: float = 0.0,
+    dag: RoutingDAG | None = None,
 ) -> set[NodeId]:
     """The blocked set :math:`B_j` for one destination.
 
@@ -43,32 +44,37 @@ def blocked_nodes(
             positive value treats near-ties as proper, which speeds up
             convergence at a negligible loop-risk cost in a centralized
             computation (kept 0 by default — Gallager's rule).
+        dag: ``phi``'s routing DAG toward ``destination``, when the
+            caller already holds it.
 
     Returns:
         The set of nodes traffic may not be shifted toward.
     """
-    successors = destination_successors(phi, destination)
+    # Only the successor sets matter here, not their order, so without a
+    # DAG a cyclic phi still gets an answer.
+    successors = (
+        dag.fractions
+        if dag is not None
+        else destination_successors(phi, destination)
+    )
 
+    # Successors are exactly the phi > 0 edges.
     improper: set[NodeId] = set()
     for node, succ in successors.items():
-        if node == destination:
-            continue
         own = delta.get(node, INFINITY)
         for k in succ:
-            if phi[node][destination].get(k, 0.0) <= 0.0:
-                continue
-            downstream = delta.get(k, INFINITY)
-            if downstream >= own + tolerance:
+            if delta.get(k, INFINITY) >= own + tolerance:
                 improper.add(node)
                 break
+    if not improper:
+        return improper
 
     # Propagate blockedness upstream through phi > 0 edges: a node that
     # forwards into the blocked region is blocked too.
     upstream: dict[NodeId, set[NodeId]] = {}
     for node, succ in successors.items():
         for k in succ:
-            if phi[node][destination].get(k, 0.0) > 0.0:
-                upstream.setdefault(k, set()).add(node)
+            upstream.setdefault(k, set()).add(node)
 
     blocked = set(improper)
     frontier = list(improper)

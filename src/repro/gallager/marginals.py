@@ -27,13 +27,12 @@ from repro.fluid.delay import DelayModel
 from repro.fluid.evaluator import (
     FLOW_EPSILON,
     Phi,
-    destination_successors,
+    RoutingDAG,
     link_flows,
     node_flows,
 )
 from repro.fluid.flows import TrafficMatrix
 from repro.graph.topology import LinkId, NodeId, Topology
-from repro.graph.validation import successor_graph_order
 
 INFINITY = float("inf")
 
@@ -44,6 +43,7 @@ def marginal_distances(
     link_costs: Mapping[LinkId, float],
     *,
     nodes: list[NodeId] | None = None,
+    dag: RoutingDAG | None = None,
 ) -> dict[NodeId, float]:
     """:math:`\\delta_{ij}` for every router toward one destination.
 
@@ -53,23 +53,25 @@ def marginal_distances(
         link_costs: marginal link delays :math:`D'_{ik}`.
         nodes: optional full node universe; nodes with no successors get
             an infinite marginal distance (no usable route).
+        dag: ``phi``'s routing DAG toward ``destination``, when the
+            caller already holds it.
     """
-    successors = destination_successors(phi, destination)
-    order = successor_graph_order(successors, destination)
+    if dag is None:
+        dag = RoutingDAG(phi, destination)
+    successors = dag.fractions
+    weights = dag.weights
     delta: dict[NodeId, float] = {destination: 0.0}
-    for node in reversed(order):
-        if node == destination:
-            continue
-        succ = successors.get(node, [])
+    for node in reversed(dag.order):
+        succ = successors.get(node)
         if not succ:
             continue
-        per_dest = phi[node][destination]
+        # Weighted by the raw parameters over their sum, not by the
+        # normalised fractions: the two differ in the last bits.
+        per_dest = weights[node]
         total = 0.0
         norm = 0.0
         for k in succ:
             fraction = per_dest[k]
-            if fraction <= 0.0:
-                continue
             try:
                 cost = link_costs[(node, k)]
             except KeyError:
@@ -113,13 +115,14 @@ def optimality_gap(
     :math:`D_T` (Eqs. 6-7); small positive values mean near-optimal.
     """
     model = delay_model or DelayModel.for_topology(topo)
-    flows = link_flows(phi, traffic)
+    dags = {dest: RoutingDAG(phi, dest) for dest in traffic.destinations()}
+    flows = link_flows(phi, traffic, dags=dags)
     costs = model.marginals(flows)
     worst = 0.0
-    for destination in traffic.destinations():
+    for destination, dag in dags.items():
         rates = traffic.rates_to(destination)
-        t = node_flows(phi, rates, destination)
-        delta = marginal_distances(phi, destination, costs)
+        t = node_flows(phi, rates, destination, dag=dag)
+        delta = marginal_distances(phi, destination, costs, dag=dag)
         for node in topo.nodes:
             if node == destination:
                 continue

@@ -15,7 +15,17 @@ The update is Gallager's gradient projection with the global step size
 Routers carrying no traffic for *j* route everything to :math:`k_0`.
 Blocked neighbors (see :mod:`repro.gallager.blocking`) are excluded from
 the :math:`k_0` choice, which keeps the routing graph loop-free at every
-iteration — the library asserts this invariant each step.
+iteration — the library checks this invariant each step.
+
+Each destination's routing graph is held as a
+:class:`~repro.fluid.evaluator.RoutingDAG`, built once per phi
+snapshot: an iteration reads it for the link flows, the node flows, the
+marginal distances and the blocked set, and the destination's update is
+followed at once by a rebuild.  That rebuild is the per-step check — it
+validates every router's fractions (Property 1) and raises
+:class:`~repro.exceptions.LoopError`, naming the destination and the
+cycle, if the update closed a loop — and it is the next iteration's
+input.
 
 Exactly as the paper warns, convergence hinges on the global constant
 :math:`\\eta`: too small is slow, too large diverges.  The benchmarks
@@ -25,6 +35,7 @@ discussion.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from repro import obs
@@ -32,15 +43,15 @@ from repro.exceptions import ConvergenceError, RoutingError
 from repro.fluid.delay import DelayModel
 from repro.fluid.evaluator import (
     FLOW_EPSILON,
+    RoutingDAG,
     link_flows,
     node_flows,
 )
 from repro.fluid.flows import TrafficMatrix
 from repro.gallager.blocking import blocked_nodes
 from repro.gallager.marginals import marginal_distances
-from repro.graph.shortest_paths import CostMap, bellman_ford
+from repro.graph.shortest_paths import CostMap, bellman_ford, rank_nodes
 from repro.graph.topology import NodeId, Topology
-from repro.graph.validation import assert_loop_free
 
 INFINITY = float("inf")
 
@@ -118,7 +129,8 @@ def optimize(
             form: the raw Gallager step is ``eta_raw = eta * t_total``
             so that a given ``eta`` behaves comparably across load
             levels (the un-normalized rule divides by :math:`t_{ij}`).
-        max_iterations: iteration budget.
+            Must be finite and positive: no other value descends.
+        max_iterations: iteration budget, at least 0.
         tolerance: relative :math:`D_T` improvement under which an
             iteration counts as stalled.
         patience: consecutive stalled iterations that declare convergence.
@@ -139,9 +151,20 @@ def optimize(
     Returns:
         A :class:`GallagerResult`; ``history`` holds :math:`D_T` per
         iteration (non-increasing when ``eta`` is small enough).
+
+    Raises:
+        RoutingError: on an unknown ``scaling``, an ``eta`` that is not
+            finite and positive, or a negative ``max_iterations``.
+        LoopError: if an update closes a routing loop.
     """
     if scaling not in ("none", "curvature"):
         raise RoutingError(f"unknown scaling {scaling!r}")
+    if not (math.isfinite(eta) and eta > 0.0):
+        raise RoutingError(f"eta must be finite and > 0, got {eta!r}")
+    if max_iterations < 0:
+        raise RoutingError(
+            f"max_iterations must be >= 0, got {max_iterations!r}"
+        )
     traffic.validate_against(topo)
     model = delay_model or DelayModel.for_topology(topo)
     destinations = traffic.destinations()
@@ -149,16 +172,17 @@ def optimize(
         topo, destinations
     )
     total_input = traffic.total_rate()
+    dags = {dest: RoutingDAG(phi, dest) for dest in destinations}
 
     ob = obs.current()
     history: list[float] = []
     with obs.phase(ob, "gallager.optimize"):
         converged, iterations = _iterate(
-            topo, traffic, model, phi, destinations, total_input,
+            topo, traffic, model, phi, dags, total_input,
             eta, max_iterations, tolerance, patience, scaling, history,
         )
 
-    flows = link_flows(phi, traffic)
+    flows = link_flows(phi, traffic, dags=dags)
     final = model.total_delay(flows)
     if ob is not None:
         ob.metrics.counter("gallager.iterations").inc(iterations)
@@ -188,7 +212,7 @@ def _iterate(
     traffic: TrafficMatrix,
     model: DelayModel,
     phi: MutablePhi,
-    destinations: list[NodeId],
+    dags: dict[NodeId, RoutingDAG],
     total_input: float,
     eta: float,
     max_iterations: int,
@@ -197,12 +221,19 @@ def _iterate(
     scaling: str,
     history: list[float],
 ) -> tuple[bool, int]:
-    """The optimization loop proper; returns (converged, iterations)."""
+    """The optimization loop proper; returns (converged, iterations).
+
+    ``dags`` holds phi's routing DAG per destination and is kept current:
+    a destination's DAG is rebuilt right after its update, which is the
+    per-step loop check and the next iteration's input.
+    """
+    adjacency = {node: topo.neighbors(node) for node in topo.nodes}
+    rank = rank_nodes(topo.nodes)
     stalled = 0
     converged = False
     iterations = 0
     for iterations in range(1, max_iterations + 1):
-        flows = link_flows(phi, traffic)
+        flows = link_flows(phi, traffic, dags=dags)
         d_total = model.total_delay(flows)
         history.append(d_total)
         if len(history) >= 2:
@@ -222,32 +253,25 @@ def _iterate(
                 link_id: law.second(flows.get(link_id, 0.0))
                 for link_id, law in model.functions.items()
             }
-        for dest in destinations:
+        for dest, dag in dags.items():
             rates = traffic.rates_to(dest)
-            t = node_flows(phi, rates, dest)
-            delta = marginal_distances(phi, dest, costs)
-            blocked = blocked_nodes(phi, dest, delta)
+            t = node_flows(phi, rates, dest, dag=dag)
+            delta = marginal_distances(phi, dest, costs, dag=dag)
+            blocked = blocked_nodes(phi, dest, delta, dag=dag)
             _update_destination(
-                topo, phi, dest, t, delta, costs, blocked,
+                adjacency, phi, dest, t, delta, costs, blocked,
                 eta * total_input,
+                rank,
                 curvatures=curvatures,
                 eta=eta,
             )
-            assert_loop_free(
-                {
-                    node: [
-                        k for k, v in phi[node].get(dest, {}).items() if v > 0
-                    ]
-                    for node in phi
-                    if node != dest
-                },
-                dest,
-            )
+            # Raises LoopError if the update closed a cycle.
+            dags[dest] = RoutingDAG(phi, dest)
     return converged, iterations
 
 
 def _update_destination(
-    topo: Topology,
+    adjacency: dict[NodeId, list[NodeId]],
     phi: MutablePhi,
     dest: NodeId,
     t: dict[NodeId, float],
@@ -255,29 +279,39 @@ def _update_destination(
     costs: CostMap,
     blocked: set[NodeId],
     eta_raw: float,
+    rank: dict[NodeId, int],
     *,
     curvatures: dict | None = None,
     eta: float = 1.0,
 ) -> None:
-    """One Gallager update of every router's parameters toward ``dest``."""
-    for node in topo.nodes:
+    """One Gallager update of every router's parameters toward ``dest``.
+
+    ``adjacency`` maps every router to its neighbors; ``rank`` is the
+    :func:`~repro.graph.shortest_paths.rank_nodes` map that breaks ties
+    between equally good neighbors toward the lower address.
+    """
+    for node, neighbors in adjacency.items():
         if node == dest:
             continue
         current = phi[node].get(dest, {})
 
+        # a[k] for every neighbor with a route; best is the unblocked
+        # neighbor with the least a, the lower address winning ties.
         a: dict[NodeId, float] = {}
-        for nbr in topo.neighbors(node):
+        best = best_key = None
+        for nbr in neighbors:
             downstream = delta.get(nbr, INFINITY)
             if downstream == INFINITY:
                 continue
-            a[nbr] = costs[(node, nbr)] + downstream
-
-        candidates = {
-            k: v for k, v in a.items() if k not in blocked and k != node
-        }
-        if not candidates:
+            a[nbr] = value = costs[(node, nbr)] + downstream
+            if nbr in blocked or nbr == node:
+                continue
+            key = (value, rank[nbr])
+            if best_key is None or key < best_key:
+                best, best_key = nbr, key
+        if best_key is None:
             continue  # everything blocked: keep parameters unchanged
-        best = min(candidates, key=lambda k: (candidates[k], repr(k)))
+        best_a = best_key[0]
 
         traffic_here = t.get(node, 0.0)
         if traffic_here <= FLOW_EPSILON:
@@ -297,7 +331,7 @@ def _update_destination(
         for k, fraction in current.items():
             if k == best or fraction <= 0.0:
                 continue
-            gap = a.get(k, INFINITY) - candidates[best]
+            gap = a.get(k, INFINITY) - best_a
             if gap <= 0.0:
                 continue
             if curvatures is not None:

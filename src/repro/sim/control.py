@@ -46,7 +46,7 @@ from typing import Protocol
 from repro import obs
 from repro.exceptions import SimulationError
 from repro.fluid.delay import DelayModel
-from repro.fluid.evaluator import flow_delays, link_flows
+from repro.fluid.evaluator import RoutingDAG, flow_delays, link_flows
 from repro.fluid.queues import FluidQueues
 from repro.graph.topology import LinkId
 from repro.netsim.network import PacketNetwork
@@ -230,11 +230,13 @@ class FluidPlane:
     def advance(self, time, dt, traffic):
         ob = obs.current()
         with obs.phase(ob, "fluid.epoch"):
-            # One phi snapshot for the whole epoch: nothing touches the
-            # allocations between the flow and delay computations, and
-            # building the nested phi dict is itself O(n * dests).
+            # One phi snapshot, and one routing DAG per destination, for
+            # the whole epoch: nothing touches the allocations between the
+            # flow and delay computations, and building the nested phi
+            # dict is itself O(n * dests).
             phi = self.routing.phi()
-            flows = link_flows(phi, traffic)
+            dags = {dest: RoutingDAG(phi, dest) for dest in traffic.destinations()}
+            flows = link_flows(phi, traffic, dags=dags)
             per_unit = self.queues.step(flows, dt)
             total_delay = sum(
                 flow * per_unit[link_id] for link_id, flow in flows.items()
@@ -246,7 +248,7 @@ class FluidPlane:
                 average_delay=(
                     total_delay / total_rate if total_rate > 0 else 0.0
                 ),
-                flow_delays=flow_delays(phi, traffic, per_unit),
+                flow_delays=flow_delays(phi, traffic, per_unit, dags=dags),
                 max_utilization=max(
                     (
                         self.model[link_id].utilization(flow)

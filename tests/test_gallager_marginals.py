@@ -34,6 +34,28 @@ class TestMarginalDistances:
         # 0.25*(1+1) + 0.75*(2+2) = 3.5
         assert delta["s"] == pytest.approx(3.5)
 
+    def test_weights_by_raw_parameters_over_their_sum(self):
+        """Not by the normalised fractions node flows use: the two differ
+        in the last bits, and OPT's outputs depend on which is used."""
+        w_a, w_b = 0.3, 0.7000003  # sums to 1 within the tolerance
+        phi = {
+            "s": {"t": {"a": w_a, "b": w_b}},
+            "a": {"t": {"t": 1.0}},
+            "b": {"t": {"t": 1.0}},
+        }
+        costs = {
+            ("s", "a"): 1.3,
+            ("s", "b"): 0.9,
+            ("a", "t"): 1.0,
+            ("b", "t"): 1.0,
+        }
+        delta = marginal_distances(phi, "t", costs)
+        total = w_a + w_b
+        raw = (w_a * (1.3 + 1.0) + w_b * (0.9 + 1.0)) / total
+        n_a, n_b = w_a / total, w_b / total
+        normalised = (n_a * (1.3 + 1.0) + n_b * (0.9 + 1.0)) / (n_a + n_b)
+        assert delta["s"] == raw != normalised
+
     def test_unreachable_node_infinite(self):
         phi = {"a": {"t": {"t": 1.0}}}
         delta = marginal_distances(
