@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Watch MPDA work: LSU flooding, ACTIVE/PASSIVE phases, loop freedom.
 
-Runs the actual MPDA routers over a timed control plane on a small ring
-with a chord, printing the protocol's life:
+Runs the actual MPDA routers through the protocol driver on a small
+ring with a chord, printing the protocol's life:
 
 1. cold start — full-table greetings, floods, ACKs, convergence;
 2. a link-cost spike — watch the successor sets adapt;
@@ -15,9 +15,8 @@ Run:  python examples/protocol_trace.py
 """
 
 from repro import MPDARouter, Topology
+from repro.core.driver import ProtocolDriver
 from repro.core.mpda import check_safety
-from repro.netsim.control import ControlPlane
-from repro.netsim.engine import Engine
 
 
 def build_topology() -> Topology:
@@ -43,33 +42,31 @@ def show(routers, dest) -> None:
 
 def main() -> None:
     topo = build_topology()
-    engine = Engine()
-    routers = {n: MPDARouter(n) for n in topo.nodes}
-    plane = ControlPlane(
-        engine, topo, routers, check_invariants=True  # Theorem 3, every event
+    driver = ProtocolDriver(
+        topo, MPDARouter, check_invariants=True  # Theorem 3, every event
     )
+    routers = driver.routers
 
     print("== cold start ==")
-    plane.start(topo.idle_marginal_costs())
-    engine.run()
-    print(f"converged at t={engine.now * 1e3:.1f} ms after "
-          f"{plane.delivered} LSU deliveries")
+    driver.start(topo.idle_marginal_costs())
+    driver.run()
+    print(f"converged after {driver.delivered} LSU deliveries")
     dest = 3
     print(f"  routes toward destination {dest}:")
     show(routers, dest)
 
     print()
     print("== cost spike on link 2<->3 (congestion measured) ==")
-    plane.set_costs({(2, 3): 25e-3, (3, 2): 25e-3})
-    engine.run()
-    print(f"reconverged; total deliveries {plane.delivered}")
+    driver.set_costs({(2, 3): 25e-3, (3, 2): 25e-3})
+    driver.run()
+    print(f"reconverged; total deliveries {driver.delivered}")
     show(routers, dest)
 
     print()
     print("== link 2<->3 fails ==")
-    plane.fail_link(2, 3)
-    engine.run()
-    print(f"reconverged; total deliveries {plane.delivered}")
+    driver.fail_link(2, 3)
+    driver.run()
+    print(f"reconverged; total deliveries {driver.delivered}")
     show(routers, dest)
 
     check_safety(routers)

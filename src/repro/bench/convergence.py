@@ -302,13 +302,14 @@ def packet_failover_experiment(
 ) -> PacketFailoverResult:
     """Fail the busiest safe link mid-run, at packet granularity.
 
-    Runs under whatever observation is current (``repro converge
-    --plane packet`` adds tracing + the online auditor, in which case
-    the run upgrades to the live MPDA control plane and the outage
-    flows through the driver's link_down/link_up path).  The returned
-    per-phase delivery counts quantify rerouting: packets keep arriving
-    during the outage because the flows that used the dead link moved
-    to the surviving loop-free successors.
+    The run uses ``policy="mp"``, so the live MPDA exchange routes it
+    and the outage flows through the driver's link_down/link_up path.
+    It runs under whatever observation is current (``repro converge
+    --plane packet`` adds tracing + the online auditor, whose verdict
+    lands in the result).  The returned per-phase delivery counts
+    quantify rerouting: packets keep arriving during the outage because
+    the flows that used the dead link moved to the surviving loop-free
+    successors.
     """
     factories = {
         "cairn": (cairn_scenario, "CAIRN"),
@@ -319,7 +320,7 @@ def packet_failover_experiment(
     failed = pick_loaded_failure_link(base.topo, base.traffic)
     scenario = with_failures(base, {failed: [outage]})
     config = PacketRunConfig(
-        tl=tl, ts=ts, duration=duration, damping=0.5, seed=seed
+        tl=tl, ts=ts, duration=duration, damping=0.5, seed=seed, policy="mp"
     )
     run_result = run(scenario, config)
 

@@ -26,9 +26,9 @@ one-off runs and for piping tables elsewhere.
 The observability flags hang an :mod:`repro.obs` session around the run:
 ``--trace`` streams structured JSONL events, ``--metrics-out`` writes
 the metrics/timings snapshot as JSON, and ``--timing`` prints the phase
-wall-clock table.  Any of them also upgrades oracle-mode runs to the
-live MPDA control plane so protocol metrics exist (see
-:func:`repro.obs.start`).
+wall-clock table.  They only record: the figures print the same numbers
+with or without them, and protocol metrics exist only for runs whose
+policy is ``mp`` (see :mod:`repro.obs`).
 
 ``converge`` runs the audited single-link-failure experiment (the
 online LFI auditor checks every delivery) — on the paper's perfect

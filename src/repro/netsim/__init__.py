@@ -9,8 +9,6 @@ packet-granularity experiments and for validating the fluid model:
   propagation, per-destination weighted splitting);
 - :mod:`repro.netsim.traffic` — Poisson / CBR / on-off sources;
 - :mod:`repro.netsim.monitor` — delay and flow measurement windows;
-- :mod:`repro.netsim.control` — timed delivery of LSU messages so the
-  MPDA routers of :mod:`repro.core` can run inside the simulator;
 - :mod:`repro.netsim.network` — assembles everything from a
   :class:`~repro.graph.topology.Topology`.
 """

@@ -1,9 +1,7 @@
 """Discrete-event simulation engine.
 
-A classic calendar-queue design: a binary heap of (time, tier, seq)
-ordered events, each holding a zero-argument callback.  Ties in time
-break first on an integer *tier* (so, e.g., measurement callbacks can be
-ordered after data-plane callbacks at the same instant) and then on
+A classic calendar-queue design: a binary heap of (time, seq) ordered
+events, each holding a zero-argument callback.  Ties in time break on
 scheduling order, which keeps runs fully deterministic.
 
 The engine is deliberately callback-based rather than coroutine-based:
@@ -28,7 +26,6 @@ Callback = Callable[[], None]
 @dataclass(order=True)
 class _ScheduledEvent:
     time: float
-    tier: int
     seq: int
     callback: Callback = field(compare=False)
     cancelled: bool = field(default=False, compare=False)
@@ -81,17 +78,13 @@ class Engine:
         self.processed = 0
         self._live = 0  # scheduled, not yet fired, not cancelled
 
-    def schedule(
-        self, delay: float, callback: Callback, *, tier: int = 0
-    ) -> EventHandle:
+    def schedule(self, delay: float, callback: Callback) -> EventHandle:
         """Run ``callback`` after ``delay`` simulated seconds."""
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past: {delay!r}")
-        return self.schedule_at(self.now + delay, callback, tier=tier)
+        return self.schedule_at(self.now + delay, callback)
 
-    def schedule_at(
-        self, time: float, callback: Callback, *, tier: int = 0
-    ) -> EventHandle:
+    def schedule_at(self, time: float, callback: Callback) -> EventHandle:
         """Run ``callback`` at absolute simulated time ``time``."""
         if time < self.now:
             raise SimulationError(
@@ -100,11 +93,11 @@ class Engine:
         heap = self._heap
         if len(heap) > 64 and len(heap) > 2 * self._live:
             # Mostly tombstones: compact before growing further.  The
-            # total order on (time, tier, seq) is unchanged, so pop
-            # order after heapify is identical to lazy-deletion order.
+            # total order on (time, seq) is unchanged, so pop order
+            # after heapify is identical to lazy-deletion order.
             heap[:] = [e for e in heap if not e.cancelled]
             heapq.heapify(heap)
-        event = _ScheduledEvent(time, tier, next(self._seq), callback)
+        event = _ScheduledEvent(time, next(self._seq), callback)
         heapq.heappush(heap, event)
         self._live += 1
         return EventHandle(event, self)
@@ -115,7 +108,6 @@ class Engine:
         callback: Callback,
         *,
         start: float | None = None,
-        tier: int = 0,
     ) -> EventHandle:
         """Run ``callback`` periodically (first firing at ``start`` or
         one interval from now).  Returns the handle of the *next* firing;
@@ -126,10 +118,10 @@ class Engine:
 
         def fire() -> None:
             callback()
-            state["handle"] = self.schedule(interval, fire, tier=tier)
+            state["handle"] = self.schedule(interval, fire)
 
         first = start if start is not None else self.now + interval
-        state["handle"] = self.schedule_at(first, fire, tier=tier)
+        state["handle"] = self.schedule_at(first, fire)
 
         class _Periodic(EventHandle):
             def __init__(self) -> None:  # noqa: D401 - thin proxy

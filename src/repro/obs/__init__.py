@@ -27,14 +27,12 @@ Typical use::
         result = run(scenario, config)
     export.write_metrics("metrics.json", ob)
 
-When an observation is active, quasi-static and packet runs upgrade
-``mode="oracle"`` to ``mode="protocol"`` (for the paper's LFI path
-rule, on stable topologies) so control-plane metrics — per-router LSU
-counts, ACK round-trips, ACTIVE-phase durations — are measured from the
-live MPDA exchange rather than synthesized.  Theorem 4 guarantees (and
-the test suite verifies) that both backends converge to identical
-successor sets, so figure outputs are unaffected.  Pass
-``protocol_control_plane=False`` to keep the oracle backend.
+An observation only records: it never selects the algorithm, so an
+observed run computes exactly what the unobserved run computes.
+Control-plane metrics — per-router LSU counts, ACK round-trips,
+ACTIVE-phase durations — exist when the run's policy exchanges
+messages (``policy="mp"``); an ``mp-oracle`` or ``sp`` run has none to
+record.
 """
 
 from __future__ import annotations
@@ -79,9 +77,6 @@ class Observation:
         tracer: event sink; defaults to the disabled :data:`NULL_TRACER`.
         metrics: registry to record into (fresh one by default).
         timers: phase timers (fresh ones by default).
-        protocol_control_plane: when True (default), runners upgrade
-            oracle-mode MP/SP runs to the live MPDA protocol so
-            control-plane metrics are real measurements.
         auditor: an :class:`~repro.obs.audit.InvariantAuditor`; when set,
             protocol drivers feed it every router event so LFI and
             successor-graph acyclicity are verified online.
@@ -107,7 +102,6 @@ class Observation:
         tracer: Tracer | NullTracer | None = None,
         metrics: MetricsRegistry | None = None,
         timers: PhaseTimers | None = None,
-        protocol_control_plane: bool = True,
         auditor: "InvariantAuditor | None" = None,
         profiler: "ResourceProfiler | None" = None,
         causal: "CausalTracker | None" = None,
@@ -115,7 +109,6 @@ class Observation:
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.timers = timers if timers is not None else PhaseTimers()
-        self.protocol_control_plane = protocol_control_plane
         self.auditor = auditor
         self.profiler = profiler
         self.causal = causal
@@ -145,7 +138,6 @@ def current() -> Observation | None:
 def start(
     *,
     trace_path: str | None = None,
-    protocol_control_plane: bool = True,
     audit: bool = False,
     audit_sample: int = 1,
     profile: bool = False,
@@ -199,7 +191,6 @@ def start(
     _current = Observation(
         tracer=tracer,
         timers=timers,
-        protocol_control_plane=protocol_control_plane,
         auditor=auditor,
         profiler=profiler,
         causal=tracker,
@@ -219,7 +210,6 @@ def stop() -> None:
 def observe(
     *,
     trace_path: str | None = None,
-    protocol_control_plane: bool = True,
     audit: bool = False,
     audit_sample: int = 1,
     profile: bool = False,
@@ -231,7 +221,6 @@ def observe(
     previous = _current
     ob = start(
         trace_path=trace_path,
-        protocol_control_plane=protocol_control_plane,
         audit=audit,
         audit_sample=audit_sample,
         profile=profile,

@@ -8,10 +8,11 @@ update-call sequence are exactly what the controller used to issue, and
 the committed converge/packet fixtures stay byte-identical.
 
 - ``mp`` — MPDA in protocol mode: the real message exchange, with
-  instantaneous loop-free reconvergence on link events;
+  instantaneous loop-free reconvergence on link events — the only name
+  that runs the protocol (an open observation records, it never
+  selects the algorithm);
 - ``mp-oracle`` — the converged MPDA outcome computed directly
-  (Theorem 4), upgraded to the live protocol while an observability
-  session wants control-plane metrics;
+  (Theorem 4);
 - ``sp`` — the paper's single-path baseline (``successor_limit=1``);
 - ``ecmp`` / ``ecmp-hop`` — the OSPF-style equal-cost baselines.
 """
@@ -20,10 +21,8 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 
-from repro import obs
 from repro.core.router import MPRouting
 from repro.core.transport import FaultyChannel, ReliableTransport
-from repro.exceptions import ConfigError
 from repro.graph.shortest_paths import CostMap
 from repro.graph.topology import NodeId
 from repro.policy.base import RoutingPolicy, RoutingTables
@@ -44,70 +43,28 @@ class MPFamilyPolicy(RoutingPolicy):
     path_rule = "lfi"
     loop_free = True
 
-    def __init__(
-        self,
-        *,
-        successor_limit: int | None = None,
-        loss: float = 0.0,
-        transport_seed: int = 7,
-    ) -> None:
+    def __init__(self, *, successor_limit: int | None = None) -> None:
         self._successor_limit = successor_limit
-        #: Control-plane loss rate for protocol mode: the MPDA exchange
-        #: runs over ReliableTransport(FaultyChannel(loss)) — the
-        #: paper's delivery model enforced over a lossy wire, costing
-        #: retransmissions, not correctness.  Configured through
-        #: ``policy_params={"loss": ...}`` (JSON-serializable, so sweep
-        #: cells pickle cleanly).
-        self._loss = loss
-        self._transport_seed = transport_seed
         self._mpr: MPRouting | None = None
 
     # -- lifecycle ------------------------------------------------------
     def initialize(self, scenario, config) -> None:
         self.topo = scenario.topo
         self.destinations = scenario.mean_traffic().destinations()
-        mode = self._effective_mode()
-        transport = None
-        if self._loss > 0.0:
-            if mode != "protocol":
-                raise ConfigError(
-                    f"policy {self.name!r}: control-plane loss needs the "
-                    "real message exchange (protocol mode); oracle mode "
-                    "exchanges no messages"
-                )
-            transport = ReliableTransport(
-                FaultyChannel(seed=self._transport_seed, loss=self._loss)
-            )
         self._mpr = MPRouting(
             scenario.topo,
             self.destinations,
             successor_limit=self._successor_limit,
-            mode=mode,
+            mode=self.mode,
             path_rule=self.path_rule,
             damping=config.damping,
             seed=config.seed,
-            transport=transport,
+            transport=self._transport(),
         )
-        self.handles_link_events = mode == "protocol"
 
-    def _effective_mode(self) -> str:
-        """Upgrade oracle runs to the live protocol while observing.
-
-        Control-plane metrics (LSU counts, ACTIVE phases, ACK
-        round-trips) only exist when the real MPDA exchange runs;
-        Theorem 4 makes both backends converge to the same successor
-        sets, so results match.  The upgrade is limited to the paper's
-        LFI rule (the ECMP ablations have no protocol backend).
-        """
-        ob = obs.current()
-        if (
-            ob is not None
-            and ob.protocol_control_plane
-            and self.mode == "oracle"
-            and self.path_rule == "lfi"
-        ):
-            return "protocol"
-        return self.mode
+    def _transport(self):
+        """The control-plane channel (None: MPRouting's default)."""
+        return None
 
     def on_costs(self, long_costs: CostMap) -> None:
         self._mpr.update_routes(long_costs)
@@ -159,12 +116,40 @@ class MPFamilyPolicy(RoutingPolicy):
 
 @register
 class MPProtocolPolicy(MPFamilyPolicy):
+    """MPDA through :class:`~repro.core.driver.ProtocolDriver`.
+
+    ``loss`` > 0 runs the exchange over
+    ``ReliableTransport(FaultyChannel(loss))`` — the paper's delivery
+    model enforced over a lossy wire, costing retransmissions, not
+    correctness (``policy_params={"loss": ...}``; JSON-serializable, so
+    sweep cells pickle cleanly).
+    """
+
     name = "mp"
     summary = (
         "MPDA multipath (protocol mode): the real message exchange, "
         "loop-free at every instant"
     )
     mode = "protocol"
+    handles_link_events = True
+
+    def __init__(
+        self,
+        *,
+        successor_limit: int | None = None,
+        loss: float = 0.0,
+        transport_seed: int = 7,
+    ) -> None:
+        super().__init__(successor_limit=successor_limit)
+        self._loss = loss
+        self._transport_seed = transport_seed
+
+    def _transport(self):
+        if self._loss > 0.0:
+            return ReliableTransport(
+                FaultyChannel(seed=self._transport_seed, loss=self._loss)
+            )
+        return None
 
 
 @register

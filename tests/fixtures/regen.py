@@ -12,9 +12,10 @@ Produces, next to this script:
   ``python -m repro converge --trace ... --metrics-out ...`` followed by
   ``python -m repro report``);
 - ``packet_net1.trace.jsonl`` / ``packet_net1.metrics.json`` /
-  ``packet_net1.report.json`` — a short audited packet-level NET1 run,
-  the source of the delay quantiles and the queueing / transmission /
-  propagation decomposition;
+  ``packet_net1.report.json`` — a short audited packet-level NET1 run
+  under ``policy="mp"`` (the live MPDA exchange), the source of the
+  delay quantiles and the queueing / transmission / propagation
+  decomposition;
 - ``causal_cairn.trace.jsonl`` / ``causal_cairn.report.json`` — the
   CAIRN cold-start/failover/restore run with causal tracing enabled
   (``converge --causal``): the source of the pinned wave counts, wave
@@ -80,7 +81,7 @@ def regen_packet_net1() -> None:
     try:
         run(
             net1_scenario(load=1.0),
-            PacketRunConfig(tl=10, ts=2, duration=20.0, seed=0),
+            PacketRunConfig(tl=10, ts=2, duration=20.0, seed=0, policy="mp"),
         )
         write_metrics(metrics, observation)
     finally:

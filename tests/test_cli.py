@@ -372,6 +372,18 @@ class TestPolicyCommands:
             assert name in out
         assert "loop-free" in out
 
+    def test_policies_tags_link_event_handlers(self, capsys):
+        """The tags come from class attributes, so they must match what
+        the controller does with an instance: only ``mp`` and
+        ``backpressure-lr`` receive outages through on_link_event."""
+        assert main(["policies"]) == 0
+        tagged = {
+            line.split()[0]
+            for line in capsys.readouterr().out.splitlines()
+            if "link-events" in line
+        }
+        assert tagged == {"mp", "backpressure-lr"}
+
     def test_zoo_writes_table_and_report(self, tmp_path, capsys):
         table = tmp_path / "table.md"
         out = tmp_path / "zoo-out"

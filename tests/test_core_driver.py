@@ -40,6 +40,20 @@ class TestLifecycle:
         with pytest.raises(TopologyError):
             driver.set_costs({("s", "a"): 2.0})
 
+    def test_link_failure_drops_in_flight(self, diamond):
+        driver = ProtocolDriver(diamond)
+        driver.start(diamond.uniform_costs(1.0))
+        driver.run()
+        driver.set_costs({("s", "a"): 3.0})
+        assert driver.pending_messages() > 0
+        driver.fail_link("s", "a")  # the LSUs in flight on it are lost
+        driver.run()
+        assert driver.pending_messages() == 0
+        assert "a" not in driver.routers["s"].up_neighbors()
+        # the network reconverges around the failure
+        assert driver.routers["s"].distance_to("t") == pytest.approx(2.0)
+        driver.verify_converged()
+
     def test_message_budget_enforced(self, diamond):
         driver = ProtocolDriver(diamond)
         driver.start(diamond.uniform_costs(1.0))

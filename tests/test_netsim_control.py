@@ -1,100 +1,88 @@
-"""MPDA over the timed control plane (LSUs with propagation delays)."""
+"""MPDA's control plane with delayed LSU delivery.
+
+Every LSU is held on the wire for up to ``DELAY`` channel ticks before it
+can be delivered (:class:`FaultyChannel`), and :class:`ReliableTransport`
+restores the paper's in-order delivery on top, so the routers see real
+latency but never a reordered or lost message.
+"""
 
 import pytest
 
+from repro.core.driver import ProtocolDriver
 from repro.core.mpda import MPDARouter, check_safety
+from repro.core.transport import FaultyChannel, ReliableTransport
 from repro.exceptions import RoutingError
 from repro.graph.generators import random_connected
-from repro.netsim.control import ControlPlane
-from repro.netsim.engine import Engine
+
+#: Maximum delivery delay, in channel ticks, of every LSU frame.
+DELAY = 4
 
 
-def timed_converge(topo, costs, check=True, processing_delay=0.0):
-    engine = Engine()
-    routers = {n: MPDARouter(n) for n in topo.nodes}
-    plane = ControlPlane(
-        engine,
+def delayed_converge(topo, costs, check=True):
+    channel = FaultyChannel(seed=1, delay=DELAY)
+    driver = ProtocolDriver(
         topo,
-        routers,
+        MPDARouter,
         check_invariants=check,
-        processing_delay=processing_delay,
+        transport=ReliableTransport(channel),
     )
-    plane.start(costs)
-    engine.run()
-    return engine, plane, routers
+    driver.start(costs)
+    driver.run()
+    return driver, channel
 
 
 class TestTimedConvergence:
     def test_converges_with_real_delays(self, diamond):
-        engine, plane, routers = timed_converge(
-            diamond, diamond.uniform_costs(1.0)
-        )
-        assert plane.quiescent()
-        assert engine.now > 0.0  # took real simulated time
-        for node, router in routers.items():
+        driver, channel = delayed_converge(diamond, diamond.uniform_costs(1.0))
+        assert driver.pending_messages() == 0
+        # the clock ran past the deliveries: frames waited out their delay
+        assert channel.now > channel.delivered
+        for router in driver.routers.values():
             assert router.is_passive()
+        routers = driver.routers
         assert routers["s"].distance_to("t") == pytest.approx(2.0)
         assert routers["s"].successors("t") == {"a", "b"}
+        driver.verify_converged()
 
     @pytest.mark.parametrize("seed", range(3))
     def test_safety_after_every_timed_delivery(self, seed):
         topo = random_connected(6, extra_links=4, seed=seed, jitter=0.3)
-        timed_converge(topo, topo.idle_marginal_costs())
-
-    def test_convergence_time_scales_with_prop_delay(self):
-        from repro.graph.generators import line
-
-        fast = line(4, prop_delay=1e-3)
-        slow = line(4, prop_delay=50e-3)
-        t_fast, _, _ = timed_converge(fast, fast.uniform_costs(1.0))
-        t_slow, _, _ = timed_converge(slow, slow.uniform_costs(1.0))
-        assert t_slow.now > t_fast.now
-
-    def test_processing_delay_adds_latency(self, diamond):
-        without, _, _ = timed_converge(diamond, diamond.uniform_costs(1.0))
-        with_proc, _, _ = timed_converge(
-            diamond, diamond.uniform_costs(1.0), processing_delay=5e-3
-        )
-        assert with_proc.now > without.now
+        driver, _ = delayed_converge(topo, topo.idle_marginal_costs())
+        driver.verify_converged()
 
 
 class TestChanges:
     def test_cost_change_propagates(self, diamond):
-        engine, plane, routers = timed_converge(
-            diamond, diamond.uniform_costs(1.0)
-        )
-        plane.set_costs({("b", "t"): 9.0, ("b", "a"): 9.0, ("b", "s"): 9.0})
-        engine.run()
-        assert routers["s"].successors("t") == {"a"}
-        check_safety(routers)
+        driver, _ = delayed_converge(diamond, diamond.uniform_costs(1.0))
+        driver.set_costs({("b", "t"): 9.0, ("b", "a"): 9.0, ("b", "s"): 9.0})
+        driver.run()
+        assert driver.routers["s"].successors("t") == {"a"}
+        check_safety(driver.routers)
+        driver.verify_converged()
 
     def test_link_failure_drops_in_flight(self, diamond):
-        engine, plane, routers = timed_converge(
-            diamond, diamond.uniform_costs(1.0)
-        )
-        plane.set_costs({("s", "a"): 3.0})  # generates in-flight LSUs
-        plane.fail_link("s", "a")  # lose them with the link
-        engine.run()
-        assert plane.quiescent()
-        assert "a" not in routers["s"].up_neighbors()
+        driver, _ = delayed_converge(diamond, diamond.uniform_costs(1.0))
+        driver.set_costs({("s", "a"): 3.0})  # generates in-flight LSUs
+        assert driver.pending_messages() > 0
+        driver.fail_link("s", "a")  # lose them with the link
+        driver.run()
+        assert driver.pending_messages() == 0
+        assert "a" not in driver.routers["s"].up_neighbors()
         # the network reconverges around the failure
-        assert routers["s"].distance_to("t") == pytest.approx(2.0)
+        assert driver.routers["s"].distance_to("t") == pytest.approx(2.0)
+        driver.verify_converged()
 
     def test_restore_link(self, diamond):
-        engine, plane, routers = timed_converge(
-            diamond, diamond.uniform_costs(1.0)
-        )
-        plane.fail_link("s", "a")
-        engine.run()
-        plane.restore_link("s", "a", 1.0, 1.0)
-        engine.run()
-        assert routers["s"].successors("t") == {"a", "b"}
-        check_safety(routers)
+        driver, _ = delayed_converge(diamond, diamond.uniform_costs(1.0))
+        driver.fail_link("s", "a")
+        driver.run()
+        driver.restore_link("s", "a", 1.0, 1.0)
+        driver.run()
+        assert driver.routers["s"].successors("t") == {"a", "b"}
+        check_safety(driver.routers)
+        driver.verify_converged()
 
     def test_double_start_rejected(self, diamond):
-        engine = Engine()
-        routers = {n: MPDARouter(n) for n in diamond.nodes}
-        plane = ControlPlane(engine, diamond, routers)
-        plane.start(diamond.uniform_costs(1.0))
+        driver, _ = delayed_converge(diamond, diamond.uniform_costs(1.0))
         with pytest.raises(RoutingError):
-            plane.start(diamond.uniform_costs(1.0))
+            driver.start(diamond.uniform_costs(1.0))

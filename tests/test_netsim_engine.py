@@ -24,14 +24,6 @@ class TestScheduling:
         engine.run()
         assert fired == [0, 1, 2, 3, 4]
 
-    def test_tier_orders_simultaneous_events(self):
-        engine = Engine()
-        fired = []
-        engine.schedule(1.0, lambda: fired.append("control"), tier=1)
-        engine.schedule(1.0, lambda: fired.append("data"), tier=0)
-        engine.run()
-        assert fired == ["data", "control"]
-
     def test_negative_delay_rejected(self):
         engine = Engine()
         with pytest.raises(SimulationError):

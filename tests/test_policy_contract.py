@@ -71,6 +71,14 @@ class TestRegistry:
         with pytest.raises(ConfigError, match="bad parameters.*'sp'"):
             create_policy("sp", bogus_knob=3)
 
+    @pytest.mark.parametrize("name", ["mp-oracle", "ecmp", "ecmp-hop"])
+    def test_control_plane_loss_is_an_mp_knob(self, name):
+        """Only ``mp`` exchanges messages a lossy wire could drop."""
+        create_policy("mp", loss=0.1, transport_seed=3)
+        for knob in ({"loss": 0.1}, {"transport_seed": 3}):
+            with pytest.raises(ConfigError, match=f"bad parameters.*'{name}'"):
+                create_policy(name, **knob)
+
     def test_ecmp_k_validates_k(self):
         with pytest.raises(ConfigError, match="integer k >= 1"):
             create_policy("ecmp-k", k=0)

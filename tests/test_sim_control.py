@@ -132,10 +132,12 @@ class TestPacketFailureReroute:
         )
         return with_failures(base, {("s", "a"): [(8.0, until)]})
 
-    def run_with_outage(self, diamond, *, until=24.0, observe_kwargs=None):
+    def run_with_outage(
+        self, diamond, *, until=24.0, observe_kwargs=None, policy="mp-oracle"
+    ):
         scenario = self.make_scenario(diamond, until=until)
         config = PacketRunConfig(
-            tl=4, ts=2, duration=24.0, damping=0.5, seed=3
+            tl=4, ts=2, duration=24.0, damping=0.5, seed=3, policy=policy
         )
         plane = PacketPlane(scenario, config)
         if observe_kwargs is None:
@@ -183,6 +185,7 @@ class TestPacketFailureReroute:
             diamond,
             until=16.0,
             observe_kwargs={"trace_path": str(trace), "audit": True},
+            policy="mp",
         )
         events = [
             json.loads(line) for line in trace.read_text().splitlines()
@@ -195,8 +198,9 @@ class TestPacketFailureReroute:
         assert len(downs) == len(ups) == 2
         assert all(e["plane"] == "packet" for e in downs + ups)
 
-        # The run upgraded to the live protocol and the online auditor
-        # saw the reconvergence: loop freedom held at every delivery.
+        # The live protocol reconverged through the driver's link
+        # events and the online auditor saw it: loop freedom held at
+        # every delivery.
         assert result.protocol_stats["delivered"] > 0
         summary = ob.auditor.summary()
         assert summary["verdict"] == "pass"
@@ -204,12 +208,12 @@ class TestPacketFailureReroute:
         assert summary["checks"] > 0
 
     def test_fluid_failure_runs_upgrade_to_protocol(self, diamond):
-        # The old runner excluded outage scenarios from the
-        # oracle->protocol upgrade; the controller feeds the driver
-        # link_down/link_up events, so the exclusion is gone.
+        # The fluid plane's outages reach the live protocol too: the
+        # controller feeds an ``mp`` run's driver link_down/link_up
+        # events, and the online auditor checks every delivery.
         scenario = self.make_scenario(diamond, until=16.0)
         config = QuasiStaticConfig(
-            tl=4, ts=2, duration=24.0, warmup=0.0, damping=0.5
+            tl=4, ts=2, duration=24.0, warmup=0.0, damping=0.5, policy="mp"
         )
         with obs.observe(audit=True) as ob:
             result = run(scenario, config)

@@ -73,7 +73,8 @@ class TestLiveTraces:
             run(
                 diamond_scenario,
                 QuasiStaticConfig(
-                    tl=4, ts=2, duration=12.0, warmup=4.0, damping=0.5
+                    tl=4, ts=2, duration=12.0, warmup=4.0, damping=0.5,
+                    policy="mp",
                 ),
             )
         events = _parse(trace)
@@ -89,7 +90,9 @@ class TestLiveTraces:
                          audit_sample=10):
             run(
                 diamond_scenario,
-                PacketRunConfig(tl=4, ts=2, duration=8.0, damping=0.5),
+                PacketRunConfig(
+                    tl=4, ts=2, duration=8.0, damping=0.5, policy="mp"
+                ),
             )
         events = _parse(trace)
         _assert_documented(events)
