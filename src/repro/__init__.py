@@ -33,7 +33,6 @@ from repro.core import (
     AllocationTable,
     MM1CostEstimator,
     MPDARouter,
-    MPRouting,
     OnlineCostEstimator,
     PDARouter,
     ProtocolDriver,
@@ -101,7 +100,6 @@ __all__ = [
     "MPDARouter",
     "PDARouter",
     "ProtocolDriver",
-    "MPRouting",
     "AllocationTable",
     "ih",
     "ah",

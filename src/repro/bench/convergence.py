@@ -45,13 +45,17 @@ from dataclasses import dataclass, field
 from repro import obs
 from repro.core.driver import ProtocolDriver
 from repro.core.mpda import MPDARouter
-from repro.core.router import MPRouting
 from repro.fluid.evaluator import link_flows
-from repro.fluid.flows import TrafficMatrix
 from repro.graph.topologies import cairn, net1
 from repro.graph.topology import NodeId, Topology
-from repro.sim.control import PacketRunConfig, run
-from repro.sim.scenario import cairn_scenario, net1_scenario, with_failures
+from repro.policy import create_policy
+from repro.sim.control import PacketRunConfig, RunConfig, run
+from repro.sim.scenario import (
+    Scenario,
+    cairn_scenario,
+    net1_scenario,
+    with_failures,
+)
 from repro.testing.fuzz import FaultProfile
 from repro.units import ms
 
@@ -225,19 +229,20 @@ def converge_experiment(
     return results
 
 
-def pick_loaded_failure_link(
-    topo: Topology, traffic: TrafficMatrix
-) -> tuple[NodeId, NodeId]:
+def pick_loaded_failure_link(scenario: Scenario) -> tuple[NodeId, NodeId]:
     """The busiest safe duplex link: carries the most boot-route flow
-    among the links whose loss keeps ``topo`` connected.
+    among the links whose loss keeps the topology connected.
 
     Failing an idle link proves nothing about rerouting; this picks one
-    the workload actually uses (deterministically — boot routes come
-    from idle marginal costs, ties break in sorted order).
+    the workload actually uses (deterministically — boot routes are
+    ``mp-oracle``'s from idle marginal costs, ties break in sorted
+    order).
     """
-    routing = MPRouting(topo, traffic.destinations())
-    routing.update_routes(topo.idle_marginal_costs())
-    flows = link_flows(routing.phi(), traffic)
+    topo = scenario.topo
+    routing = create_policy("mp-oracle")
+    routing.initialize(scenario, RunConfig())
+    routing.on_costs(topo.idle_marginal_costs())
+    flows = link_flows(routing.phi(), scenario.traffic)
     duplex = sorted(
         {tuple(sorted(ln.link_id, key=repr)) for ln in topo.links()},
         key=repr,
@@ -317,7 +322,7 @@ def packet_failover_experiment(
     }
     factory, label = factories[topo_key]
     base = factory(load=PACKET_LOAD)
-    failed = pick_loaded_failure_link(base.topo, base.traffic)
+    failed = pick_loaded_failure_link(base)
     scenario = with_failures(base, {failed: [outage]})
     config = PacketRunConfig(
         tl=tl, ts=ts, duration=duration, damping=0.5, seed=seed, policy="mp"

@@ -17,9 +17,12 @@ Components (Section 4 of the paper):
 - :mod:`repro.core.transport` — the pluggable channel model under the
   driver: the paper's perfect links, a seeded faulty wire, and the
   reliable shim that enforces the paper's delivery assumption;
-- :mod:`repro.core.spf` — the paper's single-path (SP) restriction;
-- :mod:`repro.core.router` — the assembled MP router (MPDA + IH/AH with
-  the two-timescale Tl / Ts update discipline).
+- :mod:`repro.core.spf` — the paper's single-path (SP) restriction and
+  the OSPF equal-cost rule.
+
+The assembled MP router — successor sets from MPDA (or its converged
+outcome), IH/AH allocation over them, and the two-timescale Tl / Ts
+update discipline — is :class:`repro.policy.paper.MPFamilyPolicy`.
 """
 
 from repro.core.allocation import (
@@ -34,8 +37,6 @@ from repro.core.linkstate import LinkEntry, LSUMessage, TopologyTable
 from repro.core.mpda import MPDARouter
 from repro.core.pda import PDARouter
 from repro.core.driver import ProtocolDriver
-from repro.core.router import MPRouting
-from repro.core.spf import single_path_successors
 from repro.core.transport import (
     FaultyChannel,
     PerfectChannel,
@@ -59,8 +60,6 @@ __all__ = [
     "PDARouter",
     "MPDARouter",
     "ProtocolDriver",
-    "MPRouting",
-    "single_path_successors",
     "Transport",
     "PerfectChannel",
     "FaultyChannel",

@@ -229,13 +229,6 @@ class AllocationTable:
         self._successors[destination] = successors
         return dict(phi)
 
-    def reset(
-        self, destination: NodeId, distance_via: Mapping[NodeId, float]
-    ) -> dict[NodeId, float]:
-        """Force a fresh IH distribution regardless of set changes."""
-        self._successors.pop(destination, None)
-        return self.update(destination, distance_via)
-
     def fractions(self, destination: NodeId) -> dict[NodeId, float]:
         """Current parameters toward ``destination`` (empty if none)."""
         return dict(self._phi.get(destination, {}))

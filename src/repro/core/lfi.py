@@ -113,43 +113,3 @@ def lfi_successors(
             and dist.get(nbr, float("inf")) < own
         ]
     return successors
-
-
-def shortest_successor(
-    topo: Topology,
-    costs: CostMap,
-    destination: NodeId,
-    *,
-    dist: Mapping[NodeId, float] | None = None,
-) -> dict[NodeId, list[NodeId]]:
-    """Single best successor per router (the SP baseline's sets).
-
-    The best successor minimizes :math:`D^k_j + l^i_k`; ties break on the
-    deterministic node order so all experiments are reproducible.
-    """
-    if dist is None:
-        dist = bellman_ford(costs, destination, nodes=topo.nodes)
-    successors: dict[NodeId, list[NodeId]] = {}
-    for node in topo.nodes:
-        if node == destination:
-            successors[node] = []
-            continue
-        best: NodeId | None = None
-        best_val = float("inf")
-        for nbr in topo.neighbors(node):
-            cost = costs.get((node, nbr))
-            if cost is None:
-                continue
-            via = dist.get(nbr, float("inf")) + cost
-            if via < best_val or (via == best_val and repr(nbr) < repr(best)):
-                best, best_val = nbr, via
-        # Loop-freedom for the single path still requires the neighbor to
-        # be strictly closer; with consistent costs the minimizing
-        # neighbor always is, unless the destination is unreachable.
-        if best is not None and dist.get(best, float("inf")) < dist.get(
-            node, float("inf")
-        ):
-            successors[node] = [best]
-        else:
-            successors[node] = []
-    return successors

@@ -7,25 +7,19 @@ upper-bound what EIGRP / RIP / OSPF would achieve, since MPDA is
 instantaneously loop-free while those either need more synchronization
 or allow transient loops.
 
-This module provides that restriction, both over converged distance
-tables (used by the quasi-static simulator) and over arbitrary successor
-sets with marginal distances (used to truncate live MPDA sets).
+This module provides that restriction, :func:`restrict_successors`:
+it cuts any successor set — converged (``mp-oracle``) or harvested from
+live MPDA routers (``mp``) — to its best members by marginal distance;
+``sp`` is ``mp-oracle`` with a limit of one.  It also provides the OSPF
+equal-cost rule :func:`ecmp_successors` the ``ecmp`` baselines use.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
 
-from repro.core.lfi import shortest_successor
 from repro.graph.shortest_paths import CostMap, bellman_ford
 from repro.graph.topology import NodeId, Topology
-
-
-def single_path_successors(
-    topo: Topology, costs: CostMap, destination: NodeId
-) -> dict[NodeId, list[NodeId]]:
-    """Converged single-best-successor sets toward ``destination``."""
-    return shortest_successor(topo, costs, destination)
 
 
 def ecmp_successors(

@@ -4,7 +4,7 @@ A :class:`SimNode` forwards each packet to a neighbor drawn according to
 the current routing parameters :math:`\\phi^i_{jk}` — the packet-level
 realization of Eq. (15)'s fractional allocation.  The routing parameters
 come from a *provider* (anything with ``fractions(node, dest)``, e.g.
-:class:`repro.core.router.MPRouting`), so the data plane follows
+any :class:`repro.policy.RoutingPolicy`), so the data plane follows
 allocation changes immediately without rebuilding anything.
 """
 

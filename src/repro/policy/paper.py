@@ -1,117 +1,225 @@
 """The paper's own algorithms as first citizens of the policy zoo.
 
-Each class is a thin adapter over :class:`~repro.core.router.MPRouting`
-— the engine the simulators always ran — so the refactor changes *where*
-the algorithm is selected (the registry) without changing a single
-computed number: the ``MPRouting`` construction arguments and the
-update-call sequence are exactly what the controller used to issue, and
-the committed converge/packet fixtures stay byte-identical.
+The paper's MP is one mechanism: IH / AH allocation (Figs. 6-7) over
+loop-free successor sets, under the two-timescale discipline.
+:class:`MPFamilyPolicy` owns it — the per-router allocation tables, the
+distance tables the allocation combines with local link costs, and the
+successor sets — and each registered subclass supplies only the source
+of its sets, through :meth:`MPFamilyPolicy._route`:
 
-- ``mp`` — MPDA in protocol mode: the real message exchange, with
-  instantaneous loop-free reconvergence on link events — the only name
-  that runs the protocol (an open observation records, it never
-  selects the algorithm);
+- ``mp`` — MPDA through :class:`~repro.core.driver.ProtocolDriver`: the
+  real message exchange, with instantaneous loop-free reconvergence on
+  link events — the only name that runs the protocol (an open
+  observation records, it never selects the algorithm);
 - ``mp-oracle`` — the converged MPDA outcome computed directly
-  (Theorem 4);
-- ``sp`` — the paper's single-path baseline (``successor_limit=1``);
+  (Theorem 4: :math:`S^i_j = \\{k : D^k_j < D^i_j\\}`); tests check it
+  equals what ``mp`` harvests;
+- ``sp`` — ``mp-oracle`` keeping only the best successor
+  (``successor_limit=1``, the paper's single-path baseline);
 - ``ecmp`` / ``ecmp-hop`` — the OSPF-style equal-cost baselines.
+
+The two operations of the discipline are the same for all five:
+
+- :meth:`~MPFamilyPolicy.on_costs` — the long-term (``Tl``) operation:
+  recompute the successor sets from long-term marginal-delay costs, and
+  run **IH** wherever a set changed (**AH** elsewhere);
+- :meth:`~MPFamilyPolicy.on_short_costs` — the short-term (``Ts``)
+  operation: run **AH** everywhere, using the routing distances combined
+  with freshly measured *local* link costs (a strictly local
+  computation, as the paper requires).
 """
 
 from __future__ import annotations
 
+import abc
 from collections.abc import Mapping
 
-from repro.core.router import MPRouting
+from repro import obs
+from repro.core.allocation import AllocationTable
+from repro.core.driver import ProtocolDriver
+from repro.core.lfi import lfi_successors
+from repro.core.mpda import MPDARouter
+from repro.core.spf import ecmp_successors, restrict_successors
 from repro.core.transport import FaultyChannel, ReliableTransport
-from repro.graph.shortest_paths import CostMap
+from repro.exceptions import ConfigError
+from repro.graph.shortest_paths import CostMap, SharedSPF
 from repro.graph.topology import NodeId
+from repro.graph.validation import assert_loop_free
 from repro.policy.base import RoutingPolicy, RoutingTables
 from repro.policy.registry import register
 
+INFINITY = float("inf")
+
+
+def _via(
+    node: NodeId,
+    successors: list[NodeId],
+    distances: Mapping[NodeId, float],
+    costs: CostMap,
+) -> dict[NodeId, float]:
+    """:math:`D^k_j + l_{ik}` through each successor ``k`` of ``node``
+    that has a finite distance and a usable link."""
+    via: dict[NodeId, float] = {}
+    for k in successors:
+        d = distances.get(k, INFINITY)
+        cost = costs.get((node, k))
+        if d == INFINITY or cost is None:
+            continue
+        via[k] = d + cost
+    return via
+
 
 class MPFamilyPolicy(RoutingPolicy):
-    """Shared adapter: lifecycle calls forwarded to :class:`MPRouting`.
+    """IH / AH allocation over loop-free successor sets.
 
     ``successor_limit`` keeps only that many best successors per set
     (``policy_params={"successor_limit": 2}`` is the successor-count
     ablation); None keeps every loop-free successor.
     """
 
-    #: "oracle" or "protocol" — the MPRouting backend this name selects.
-    mode = "oracle"
-    #: "lfi" (the paper's unequal-cost sets) or an ECMP ablation rule.
-    path_rule = "lfi"
     loop_free = True
 
     def __init__(self, *, successor_limit: int | None = None) -> None:
+        if successor_limit is not None and (
+            not isinstance(successor_limit, int) or successor_limit < 1
+        ):
+            raise ConfigError(
+                f"{self.name} needs successor_limit None or an integer "
+                f">= 1, got {successor_limit!r}"
+            )
         self._successor_limit = successor_limit
-        self._mpr: MPRouting | None = None
+        self.allocations: dict[NodeId, AllocationTable] = {}
+        #: _distances[j][k] = D^k_j under the last long-term costs — the
+        #: routing distances IH/AH combine with local costs.
+        self._distances: dict[NodeId, Mapping[NodeId, float]] = {}
+        self._successors: RoutingTables = {}
 
     # -- lifecycle ------------------------------------------------------
     def initialize(self, scenario, config) -> None:
         self.topo = scenario.topo
         self.destinations = scenario.mean_traffic().destinations()
-        self._mpr = MPRouting(
-            scenario.topo,
-            self.destinations,
-            successor_limit=self._successor_limit,
-            mode=self.mode,
-            path_rule=self.path_rule,
-            damping=config.damping,
-            seed=config.seed,
-            transport=self._transport(),
-        )
+        self.allocations = {
+            node: AllocationTable(node, damping=config.damping)
+            for node in self.topo.nodes
+        }
 
-    def _transport(self):
-        """The control-plane channel (None: MPRouting's default)."""
-        return None
+    @abc.abstractmethod
+    def _route(self, long_costs: CostMap) -> None:
+        """Compute every destination's successor sets from ``long_costs``
+        and record each through :meth:`_install`."""
 
     def on_costs(self, long_costs: CostMap) -> None:
-        self._mpr.update_routes(long_costs)
+        """Recompute successor sets; IH re-seeds changed allocations."""
+        self.route_updates += 1
+        ob = obs.current()
+        before = self.routing() if ob is not None else None
+        with obs.phase(ob, "routing.update_routes"):
+            self._route(long_costs)
+        if ob is not None:
+            self._record_churn(ob, before)
+        # Fresh distribution wherever the successor set changed; the
+        # AllocationTable notices changes and applies IH, otherwise it
+        # adjusts incrementally with AH.
+        self._allocate(long_costs)
 
     def on_short_costs(self, short_costs: CostMap) -> None:
-        self._mpr.adjust_allocation(short_costs)
+        """Run the allocation heuristics with fresh local link costs."""
+        self.allocation_updates += 1
+        ob = obs.current()
+        with obs.phase(ob, "routing.adjust_allocation"):
+            self._allocate(short_costs)
+        if ob is not None:
+            ob.metrics.counter("routing.allocation_updates").inc()
 
-    def on_link_event(
+    def _install(
         self,
-        event: str,
-        a: NodeId,
-        b: NodeId,
-        cost_ab: float | None = None,
-        cost_ba: float | None = None,
+        dest: NodeId,
+        successors: dict[NodeId, list[NodeId]],
+        distances: Mapping[NodeId, float],
+        costs: CostMap,
     ) -> None:
-        if event == "down":
-            self._mpr.fail_link(a, b)
-        elif event == "up":
-            self._mpr.restore_link(a, b, cost_ab, cost_ba)
-        else:
-            raise ValueError(f"unknown link event {event!r}")
+        """Record ``dest``'s distances and successor sets.
+
+        The successor-count limit is part of *path* selection, so it
+        applies here, at the long-term (``Tl``) update: the SP baseline
+        keeps its single path pinned between route updates, exactly like
+        a real single-path protocol; only the allocation over the
+        restricted set reacts at ``Ts``.
+        """
+        limit = self._successor_limit
+        if limit is not None:
+            successors = {
+                node: list(
+                    restrict_successors(
+                        _via(node, succ, distances, costs), limit
+                    )
+                )
+                for node, succ in successors.items()
+            }
+        self._distances[dest] = distances
+        self._successors[dest] = successors
+        assert_loop_free(successors, dest)
+
+    def _allocate(self, local_costs: CostMap) -> None:
+        for node in self.topo.nodes:
+            table = self.allocations[node]
+            for dest in self.destinations:
+                if node == dest:
+                    continue
+                table.update(dest, self._distance_via(node, dest, local_costs))
+
+    def _distance_via(
+        self, node: NodeId, dest: NodeId, local_costs: CostMap
+    ) -> dict[NodeId, float]:
+        """Marginal distance through each current successor of ``node``:
+        the routing distances (long-term) plus the locally measured
+        adjacent-link costs (short-term)."""
+        return _via(
+            node,
+            self._successors.get(dest, {}).get(node, []),
+            self._distances.get(dest, {}),
+            local_costs,
+        )
+
+    def _record_churn(self, ob, before: RoutingTables) -> None:
+        """Count route-flap churn: (node, dest) pairs whose set changed."""
+        churn = 0
+        for dest, new in self.routing().items():
+            old = before[dest]
+            for node in set(old) | set(new):
+                if set(old.get(node, ())) != set(new.get(node, ())):
+                    churn += 1
+        ob.metrics.counter("routing.route_updates").inc()
+        ob.metrics.counter("routing.successor_churn").inc(churn)
+        if ob.tracer.enabled:
+            # sim_time is stamped by the runners, so churn series line
+            # up with epochs.
+            ob.tracer.event(
+                "route_update",
+                time=ob.sim_time,
+                update=self.route_updates,
+                churn=churn,
+            )
 
     # -- read side ------------------------------------------------------
     def routing(self) -> RoutingTables:
         return {
-            dest: self._mpr.successors(dest) for dest in self.destinations
+            dest: {
+                node: list(succ)
+                for node, succ in self._successors.get(dest, {}).items()
+            }
+            for dest in self.destinations
         }
 
     def fractions(
         self, node: NodeId, destination: NodeId
     ) -> Mapping[NodeId, float]:
-        return self._mpr.fractions(node, destination)
+        return self.allocations[node].fractions(destination)
 
     def phi(self) -> dict[NodeId, dict[NodeId, dict[NodeId, float]]]:
-        return self._mpr.phi()
-
-    def protocol_stats(self) -> dict[str, int]:
-        return self._mpr.protocol_stats()
-
-    # -- counters delegated to the engine -------------------------------
-    @property
-    def route_updates(self) -> int:
-        return self._mpr.route_updates if self._mpr is not None else 0
-
-    @property
-    def allocation_updates(self) -> int:
-        return self._mpr.allocation_updates if self._mpr is not None else 0
+        return {
+            node: table.as_phi() for node, table in self.allocations.items()
+        }
 
 
 @register
@@ -130,7 +238,6 @@ class MPProtocolPolicy(MPFamilyPolicy):
         "MPDA multipath (protocol mode): the real message exchange, "
         "loop-free at every instant"
     )
-    mode = "protocol"
     handles_link_events = True
 
     def __init__(
@@ -141,15 +248,74 @@ class MPProtocolPolicy(MPFamilyPolicy):
         transport_seed: int = 7,
     ) -> None:
         super().__init__(successor_limit=successor_limit)
+        if not isinstance(loss, (int, float)) or not 0.0 <= loss < 1.0:
+            raise ConfigError(
+                f"mp needs a loss probability in [0, 1), got {loss!r}"
+            )
         self._loss = loss
         self._transport_seed = transport_seed
+        self._driver: ProtocolDriver | None = None
 
-    def _transport(self):
+    def initialize(self, scenario, config) -> None:
+        super().initialize(scenario, config)
+        transport = None
         if self._loss > 0.0:
-            return ReliableTransport(
+            transport = ReliableTransport(
                 FaultyChannel(seed=self._transport_seed, loss=self._loss)
             )
-        return None
+        self._driver = ProtocolDriver(
+            self.topo, MPDARouter, seed=config.seed, transport=transport
+        )
+
+    def _route(self, long_costs: CostMap) -> None:
+        driver = self._driver
+        if driver.started:
+            driver.set_costs(dict(long_costs))
+        else:
+            driver.start(long_costs)
+        driver.run()
+        self._harvest(long_costs)
+
+    def on_link_event(
+        self,
+        event: str,
+        a: NodeId,
+        b: NodeId,
+        cost_ab: float | None = None,
+        cost_ba: float | None = None,
+    ) -> None:
+        """Fail or restore the duplex link ``a <-> b`` and reconverge;
+        IH re-seeds the allocations whose successor set changed."""
+        driver = self._driver
+        if event == "down":
+            driver.fail_link(a, b)
+        elif event == "up":
+            driver.restore_link(a, b, cost_ab, cost_ba)
+        else:
+            raise ValueError(f"unknown link event {event!r}")
+        driver.run()
+        costs = driver.current_costs()
+        self._harvest(costs)
+        self._allocate(costs)
+
+    def _harvest(self, costs: CostMap) -> None:
+        """Copy distances and successor sets out of the live routers."""
+        routers = self._driver.routers
+        for dest in self.destinations:
+            successors: dict[NodeId, list[NodeId]] = {}
+            distances: dict[NodeId, float] = {dest: 0.0}
+            for node, router in routers.items():
+                distances[node] = router.distance_to(dest)
+                if node == dest:
+                    successors[node] = []
+                else:
+                    successors[node] = sorted(
+                        router.successors(dest), key=repr
+                    )
+            self._install(dest, successors, distances, costs)
+
+    def protocol_stats(self) -> dict[str, int]:
+        return self._driver.message_stats()
 
 
 @register
@@ -159,38 +325,74 @@ class MPOraclePolicy(MPFamilyPolicy):
         "MPDA multipath (oracle mode): converged Theorem-4 successor "
         "sets computed directly"
     )
-    mode = "oracle"
+
+    def _route(self, long_costs: CostMap) -> None:
+        # One reversed-adjacency setup shared by every destination (and
+        # by the successor rule, which takes the distances instead of
+        # re-running its own bellman_ford per destination).
+        spf = SharedSPF(long_costs, nodes=self.topo.nodes)
+        for dest in self.destinations:
+            dist = spf.distances_to(dest)
+            successors = self._successor_sets(long_costs, dest, dist)
+            self._install(dest, successors, dist, long_costs)
+
+    def _successor_sets(
+        self, costs: CostMap, dest: NodeId, dist: Mapping[NodeId, float]
+    ) -> dict[NodeId, list[NodeId]]:
+        return lfi_successors(self.topo, costs, dest, dist=dist)
 
 
 @register
-class SPPolicy(MPFamilyPolicy):
+class SPPolicy(MPOraclePolicy):
     name = "sp"
     summary = (
         "single-path baseline: best successor only (the paper's SP, "
         "an EIGRP/OSPF stand-in)"
     )
-    mode = "oracle"
 
     def __init__(self) -> None:
         super().__init__(successor_limit=1)
 
 
 @register
-class ECMPPolicy(MPFamilyPolicy):
+class ECMPPolicy(MPOraclePolicy):
+    """Equal-cost sets over the measured costs: with continuous marginal
+    delays ties never occur, so this degenerates to SP — which is itself
+    the point."""
+
     name = "ecmp"
     summary = (
         "equal-cost multipath over measured costs (OSPF's rule; "
         "degenerates to SP under continuous marginal delays)"
     )
-    mode = "oracle"
-    path_rule = "ecmp"
+
+    def _successor_sets(
+        self, costs: CostMap, dest: NodeId, dist: Mapping[NodeId, float]
+    ) -> dict[NodeId, list[NodeId]]:
+        return ecmp_successors(self.topo, costs, dest, dist=dist)
 
 
 @register
 class ECMPHopPolicy(ECMPPolicy):
+    """Realistic OSPF: hop-count routing with an even split over
+    equal-hop paths, blind to congestion."""
+
     name = "ecmp-hop"
     summary = (
         "hop-count ECMP (realistic OSPF): even split over equal-hop "
         "paths, blind to congestion"
     )
-    path_rule = "ecmp-hop"
+
+    def _route(self, long_costs: CostMap) -> None:
+        super()._route(dict.fromkeys(long_costs, 1.0))
+
+    def _distance_via(
+        self, node: NodeId, dest: NodeId, local_costs: CostMap
+    ) -> dict[NodeId, float]:
+        # OSPF never looks at measured delays: constant distances make
+        # IH an even split and AH a fixed point.
+        return {
+            k: 1.0
+            for k in self._successors.get(dest, {}).get(node, [])
+            if local_costs.get((node, k)) is not None
+        }

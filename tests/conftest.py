@@ -10,6 +10,9 @@ from hypothesis import settings
 from repro.fluid.flows import Flow, TrafficMatrix
 from repro.graph.generators import grid, ring
 from repro.graph.topology import Topology
+from repro.policy import create_policy
+from repro.sim.control import RunConfig
+from repro.sim.scenario import Scenario
 
 # Hypothesis budgets for tests that leave ``max_examples`` to the
 # profile (the fuzzed-schedule properties): "dev" keeps local runs
@@ -57,3 +60,20 @@ def small_grid() -> Topology:
 def diamond_traffic() -> TrafficMatrix:
     """One flow across the diamond, hot enough to need both paths."""
     return TrafficMatrix([Flow("s", "t", 600.0, name="hot")])
+
+
+@pytest.fixture(scope="session")
+def bind_policy():
+    """Factory: the registered policy ``name`` (with ``params``),
+    initialized on ``topo`` with one unit flow into each destination."""
+
+    def bind(name, topo, destinations, **params):
+        traffic = TrafficMatrix(
+            Flow(next(n for n in topo.nodes if n != dest), dest, 1.0)
+            for dest in destinations
+        )
+        policy = create_policy(name, **params)
+        policy.initialize(Scenario(topo.name, topo, traffic), RunConfig())
+        return policy
+
+    return bind

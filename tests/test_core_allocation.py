@@ -168,13 +168,6 @@ class TestAllocationTable:
         assert table.fractions("j") == {}
         assert table.destinations() == []
 
-    def test_reset_forces_ih(self):
-        table = AllocationTable("r")
-        table.update("j", {"a": 1.0, "b": 3.0})
-        table.update("j", {"a": 1.0, "b": 3.0})  # AH happened
-        phi = table.reset("j", {"a": 1.0, "b": 3.0})
-        assert phi == ih({"a": 1.0, "b": 3.0})
-
     def test_as_phi_shape(self):
         table = AllocationTable("r")
         table.update("j", {"a": 1.0})

@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.core.lfi import (
-    LFIViolation,
-    check_lfi,
-    lfi_successors,
-    shortest_successor,
-)
+from repro.core.lfi import LFIViolation, check_lfi, lfi_successors
 from repro.graph.validation import is_loop_free
 
 
@@ -89,30 +84,19 @@ class TestLfiSuccessors:
 
 
 class TestShortestSuccessor:
-    def test_single_best(self, diamond):
-        costs = diamond.uniform_costs(1.0)
-        succ = shortest_successor(diamond, costs, "t")
-        assert len(succ["s"]) == 1
-        assert succ["s"][0] in ("a", "b")
-
-    def test_deterministic_tie_break(self, diamond):
-        costs = diamond.uniform_costs(1.0)
-        first = shortest_successor(diamond, costs, "t")
-        second = shortest_successor(diamond, costs, "t")
-        assert first == second
-
-    def test_follows_cost_changes(self, diamond):
-        costs = diamond.uniform_costs(1.0)
-        costs[("s", "a")] = 10.0
-        succ = shortest_successor(diamond, costs, "t")
-        assert succ["s"] == ["b"]
-
-    def test_subset_of_multipath(self, small_grid):
+    def test_subset_of_multipath(self, small_grid, bind_policy):
+        """SP keeps exactly one of MP's successors: the ``sp`` and
+        ``mp-oracle`` routing tables under the same costs."""
         costs = small_grid.uniform_costs(1.0)
-        for dest in [(0, 0), (1, 1)]:
-            multi = lfi_successors(small_grid, costs, dest)
-            single = shortest_successor(small_grid, costs, dest)
+        dests = [(0, 0), (1, 1)]
+        sp = bind_policy("sp", small_grid, dests)
+        mp = bind_policy("mp-oracle", small_grid, dests)
+        sp.on_costs(costs)
+        mp.on_costs(costs)
+        single, multi = sp.routing(), mp.routing()
+        for dest in dests:
             for node in small_grid.nodes:
                 if node == dest:
                     continue
-                assert set(single[node]) <= set(multi[node])
+                assert len(single[dest][node]) == 1
+                assert set(single[dest][node]) <= set(multi[dest][node])

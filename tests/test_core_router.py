@@ -1,43 +1,57 @@
-"""MPRouting: the assembled routing plane (both backends)."""
+"""The MP routing plane: IH/AH allocation over MPDA successor sets.
+
+Every paper policy is an :class:`~repro.policy.paper.MPFamilyPolicy`;
+these tests drive the oracle (``mp-oracle``, ``sp``) and live-protocol
+(``mp``) sources of its successor sets through the policy lifecycle.
+"""
+
+import inspect
 
 import pytest
 
-from repro.core.router import MPRouting
-from repro.exceptions import RoutingError
+from repro.exceptions import ConfigError
 from repro.fluid.evaluator import evaluate
 from repro.fluid.flows import Flow, TrafficMatrix
 from repro.graph.validation import is_loop_free
+from repro.policy import create_policy, policy_class
 
 
 @pytest.fixture
-def routing(diamond):
-    return MPRouting(diamond, ["t"])
+def routing(diamond, bind_policy):
+    return bind_policy("mp-oracle", diamond, ["t"])
 
 
 class TestRouteComputation:
-    def test_invalid_mode_rejected(self, diamond):
-        with pytest.raises(RoutingError):
-            MPRouting(diamond, ["t"], mode="quantum")
+    def test_invalid_mode_rejected(self):
+        """The policy name is the only selector: a paper policy takes no
+        mode string, only its own knobs."""
+        for name in ("mp", "mp-oracle", "sp", "ecmp", "ecmp-hop"):
+            with pytest.raises(ConfigError, match="bad parameters"):
+                create_policy(name, mode="protocol")
+            knobs = set(inspect.signature(policy_class(name)).parameters)
+            assert knobs <= {"successor_limit", "loss", "transport_seed"}
 
     def test_oracle_successors_multipath(self, routing, diamond):
-        routing.update_routes(diamond.uniform_costs(1.0))
-        assert set(routing.successors("t")["s"]) == {"a", "b"}
+        routing.on_costs(diamond.uniform_costs(1.0))
+        assert set(routing.routing()["t"]["s"]) == {"a", "b"}
 
-    def test_single_path_limit(self, diamond):
-        routing = MPRouting(diamond, ["t"], successor_limit=1)
-        routing.update_routes(diamond.uniform_costs(1.0))
+    def test_single_path_limit(self, diamond, bind_policy):
+        routing = bind_policy(
+            "mp-oracle", diamond, ["t"], successor_limit=1
+        )
+        routing.on_costs(diamond.uniform_costs(1.0))
         phi = routing.phi()
         assert list(phi["s"]["t"].values()) == [1.0]
 
     def test_phi_satisfies_property1(self, routing, diamond):
-        routing.update_routes(diamond.uniform_costs(1.0))
+        routing.on_costs(diamond.uniform_costs(1.0))
         for node, per_dest in routing.phi().items():
             for dest, fractions in per_dest.items():
                 if fractions:
                     assert sum(fractions.values()) == pytest.approx(1.0)
 
     def test_phi_loop_free(self, routing, diamond):
-        routing.update_routes(diamond.uniform_costs(1.0))
+        routing.on_costs(diamond.uniform_costs(1.0))
         succ = {
             n: [k for k, v in routing.phi()[n].get("t", {}).items() if v > 0]
             for n in diamond.nodes
@@ -46,65 +60,65 @@ class TestRouteComputation:
 
     def test_allocation_shifts_toward_cheap_link(self, routing, diamond):
         costs = diamond.uniform_costs(1.0)
-        routing.update_routes(costs)
+        routing.on_costs(costs)
         before = routing.fractions("s", "t")
         # make the link to a locally cheap and adjust
         costs[("s", "a")] = 0.1
-        routing.adjust_allocation(costs)
+        routing.on_short_costs(costs)
         after = routing.fractions("s", "t")
         assert after["a"] > before["a"]
 
     def test_update_counts(self, routing, diamond):
-        routing.update_routes(diamond.uniform_costs(1.0))
-        routing.adjust_allocation(diamond.uniform_costs(1.0))
+        routing.on_costs(diamond.uniform_costs(1.0))
+        routing.on_short_costs(diamond.uniform_costs(1.0))
         assert routing.route_updates == 1
         assert routing.allocation_updates == 1
 
 
 class TestBackendsAgree:
     @pytest.mark.parametrize("dest", ["t", "s"])
-    def test_oracle_equals_protocol(self, diamond, dest):
+    def test_oracle_equals_protocol(self, diamond, bind_policy, dest):
         costs = diamond.uniform_costs(1.0)
-        oracle = MPRouting(diamond, [dest], mode="oracle")
-        protocol = MPRouting(diamond, [dest], mode="protocol")
-        oracle.update_routes(costs)
-        protocol.update_routes(costs)
+        oracle = bind_policy("mp-oracle", diamond, [dest])
+        protocol = bind_policy("mp", diamond, [dest])
+        oracle.on_costs(costs)
+        protocol.on_costs(costs)
         for node in diamond.nodes:
             assert sorted(
-                map(repr, oracle.successors(dest).get(node, []))
-            ) == sorted(map(repr, protocol.successors(dest).get(node, [])))
+                map(repr, oracle.routing()[dest].get(node, []))
+            ) == sorted(map(repr, protocol.routing()[dest].get(node, [])))
 
-    def test_protocol_mode_tracks_cost_changes(self, diamond):
-        protocol = MPRouting(diamond, ["t"], mode="protocol")
+    def test_protocol_mode_tracks_cost_changes(self, diamond, bind_policy):
+        protocol = bind_policy("mp", diamond, ["t"])
         costs = diamond.uniform_costs(1.0)
-        protocol.update_routes(costs)
+        protocol.on_costs(costs)
         costs[("b", "t")] = 10.0
         costs[("b", "a")] = 10.0
         costs[("b", "s")] = 10.0
-        protocol.update_routes(costs)
-        assert protocol.successors("t")["s"] == ["a"]
+        protocol.on_costs(costs)
+        assert protocol.routing()["t"]["s"] == ["a"]
 
-    def test_protocol_stats_exposed(self, diamond):
-        protocol = MPRouting(diamond, ["t"], mode="protocol")
-        protocol.update_routes(diamond.uniform_costs(1.0))
+    def test_protocol_stats_exposed(self, diamond, bind_policy):
+        protocol = bind_policy("mp", diamond, ["t"])
+        protocol.on_costs(diamond.uniform_costs(1.0))
         stats = protocol.protocol_stats()
         assert stats["delivered"] > 0
-        oracle = MPRouting(diamond, ["t"])
+        oracle = bind_policy("mp-oracle", diamond, ["t"])
         assert oracle.protocol_stats() == {}
 
 
 class TestDataPlaneIntegration:
-    def test_phi_routes_all_traffic(self, diamond):
-        routing = MPRouting(diamond, ["t"])
-        routing.update_routes(diamond.uniform_costs(1.0))
+    def test_phi_routes_all_traffic(self, routing, diamond):
+        routing.on_costs(diamond.uniform_costs(1.0))
         traffic = TrafficMatrix([Flow("s", "t", 100.0, name="x")])
         ev = evaluate(diamond, routing.phi(), traffic)
         assert ev.flow_delays["x"] > 0
 
-    def test_used_successors_subset_of_successors(self, diamond):
-        routing = MPRouting(diamond, ["t"])
-        routing.update_routes(diamond.uniform_costs(1.0))
-        used = routing.used_successors("t")
-        all_succ = routing.successors("t")
-        for node, chosen in used.items():
-            assert set(chosen) <= set(all_succ.get(node, []))
+    def test_used_successors_subset_of_successors(self, routing, diamond):
+        """Every next hop carrying traffic (phi > 0) is a successor."""
+        routing.on_costs(diamond.uniform_costs(1.0))
+        all_succ = routing.routing()["t"]
+        for node in diamond.nodes:
+            fractions = routing.fractions(node, "t")
+            used = {k for k, f in fractions.items() if f > 0}
+            assert used <= set(all_succ.get(node, []))

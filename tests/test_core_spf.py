@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.core.spf import restrict_successors, single_path_successors
-from repro.graph.validation import is_loop_free
+from repro.core.spf import restrict_successors
 
 
 class TestRestrictSuccessors:
@@ -34,13 +33,3 @@ class TestRestrictSuccessors:
     def test_empty_passthrough(self):
         assert restrict_successors({}, 1) == {}
 
-
-class TestSinglePathSuccessors:
-    def test_loop_free_and_single(self, small_grid):
-        costs = small_grid.uniform_costs(1.0)
-        dest = (2, 2)
-        succ = single_path_successors(small_grid, costs, dest)
-        assert is_loop_free(succ)
-        for node, chosen in succ.items():
-            if node != dest:
-                assert len(chosen) == 1

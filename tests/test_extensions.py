@@ -2,11 +2,11 @@
 
 import pytest
 
-from repro.core.router import MPRouting
 from repro.core.spf import ecmp_successors
-from repro.exceptions import RoutingError, SimulationError
+from repro.exceptions import ConfigError, SimulationError
 from repro.fluid.flows import Flow, TrafficMatrix
 from repro.graph.validation import is_loop_free
+from repro.policy import create_policy
 from repro.sim.control import QuasiStaticConfig, run
 from repro.sim.scenario import Scenario, net1_scenario, with_failures
 
@@ -46,11 +46,14 @@ class TestEcmpSuccessors:
 
 
 class TestEcmpRouting:
-    def test_mode_validation(self, diamond):
-        with pytest.raises(RoutingError):
-            MPRouting(diamond, ["t"], path_rule="psychic")
-        with pytest.raises(RoutingError):
-            MPRouting(diamond, ["t"], path_rule="ecmp", mode="protocol")
+    def test_mode_validation(self):
+        """The ECMP rules are policies of their own, computed from
+        converged distances: no rule string, no protocol mode."""
+        with pytest.raises(ConfigError, match="unknown routing policy"):
+            create_policy("psychic")
+        with pytest.raises(ConfigError, match="bad parameters.*'ecmp'"):
+            create_policy("ecmp", mode="protocol")
+        assert not create_policy("ecmp").handles_link_events
 
     def test_ecmp_run_label_and_ordering(self, diamond):
         """MP (unequal-cost) <= ECMP <= SP in delay on an asymmetric

@@ -119,22 +119,23 @@ class TestDynamicTraffic:
 class TestLoopFreedomEndToEnd:
     def test_mp_successor_graphs_loop_free_every_update(self):
         """Re-runs a short MP run and checks the DAG after each epoch."""
-        from repro.core.router import MPRouting
         from repro.fluid.delay import DelayModel
         from repro.fluid.evaluator import link_flows
+        from repro.policy import create_policy
 
         scenario = net1_scenario(load=1.5)
         topo = scenario.topo
         model = DelayModel.for_topology(topo, queue_limit=100.0)
-        routing = MPRouting(topo, scenario.traffic.destinations())
-        routing.update_routes(topo.idle_marginal_costs())
+        routing = create_policy("mp-oracle")
+        routing.initialize(scenario, QuasiStaticConfig())
+        routing.on_costs(topo.idle_marginal_costs())
         for step in range(12):
             flows = link_flows(routing.phi(), scenario.traffic)
             costs = model.marginals(flows)
             if step % 5 == 4:
-                routing.update_routes(costs)
+                routing.on_costs(costs)
             else:
-                routing.adjust_allocation(costs)
+                routing.on_short_costs(costs)
             for dest in scenario.traffic.destinations():
                 phi = routing.phi()
                 succ = {

@@ -84,6 +84,23 @@ class TestRegistry:
             create_policy("ecmp-k", k=0)
         assert create_policy("ecmp-k", k=1).k == 1
 
+    @pytest.mark.parametrize("limit", [0, -3, 1.5])
+    @pytest.mark.parametrize("name", ["mp", "mp-oracle", "ecmp", "ecmp-hop"])
+    def test_mp_family_validates_successor_limit(self, name, limit):
+        """A bad limit fails at construction, not at the first route
+        update inside ``restrict_successors``."""
+        with pytest.raises(ConfigError, match=f"successor_limit.*{limit!r}"):
+            create_policy(name, successor_limit=limit)
+        create_policy(name, successor_limit=1)
+
+    @pytest.mark.parametrize("loss", [-0.2, 1.0, float("nan"), "0.1"])
+    def test_mp_validates_loss(self, loss):
+        """A negative loss used to run a perfect channel, and 1.0 to
+        fail inside ``initialize``."""
+        with pytest.raises(ConfigError, match=f"loss.*{loss!r}"):
+            create_policy("mp", loss=loss)
+        create_policy("mp", loss=0.0)
+
 
 class TestConfigValidation:
     """Unknown policy names fail loudly at config time, and the plot key

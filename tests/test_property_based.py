@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.allocation import AllocationTable, validate_property1
-from repro.core.lfi import lfi_successors, shortest_successor
+from repro.core.lfi import lfi_successors
 from repro.core.mpda import MPDARouter
 from repro.fluid.delay import DelayModel
 from repro.fluid.evaluator import evaluate, link_flows, node_flows
@@ -36,17 +36,24 @@ def _random_traffic(topo, rng, n_flows=4, max_rate=300.0):
 
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 10_000))
-def test_lfi_sets_loop_free_under_random_costs(seed):
+def test_lfi_sets_loop_free_under_random_costs(seed, bind_policy):
     rng = random.Random(seed)
     topo = random_connected(9, extra_links=7, seed=seed % 31)
     costs = {ln.link_id: rng.uniform(0.05, 4.0) for ln in topo.links()}
-    for dest in topo.nodes[:3]:
-        succ = lfi_successors(topo, costs, dest)
-        assert is_loop_free(succ)
-        single = shortest_successor(topo, costs, dest)
+    dests = topo.nodes[:3]
+    # SP within MP, on the tables the ``sp`` and ``mp-oracle`` runs use.
+    sp = bind_policy("sp", topo, dests)
+    mp = bind_policy("mp-oracle", topo, dests)
+    sp.on_costs(costs)
+    mp.on_costs(costs)
+    single, multi = sp.routing(), mp.routing()
+    for dest in dests:
+        assert is_loop_free(lfi_successors(topo, costs, dest))
         for node in topo.nodes:
             if node != dest:
-                assert set(single[node]) <= set(succ[node]) or not single[node]
+                chosen = single[dest][node]
+                assert set(chosen) <= set(multi[dest][node])
+                assert len(chosen) == min(1, len(multi[dest][node]))
 
 
 @settings(max_examples=20, deadline=None)

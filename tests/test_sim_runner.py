@@ -2,11 +2,12 @@
 
 import pytest
 
+from repro.bench.convergence import pick_failure_link
 from repro.exceptions import SimulationError
 from repro.fluid.flows import Flow, TrafficMatrix
-from repro.sim.control import QuasiStaticConfig, run
+from repro.sim.control import QuasiStaticConfig, TwoTimescaleController, run
 from repro.sim.runner import run_opt
-from repro.sim.scenario import Scenario
+from repro.sim.scenario import Scenario, cairn_scenario, with_failures
 
 
 @pytest.fixture
@@ -83,6 +84,42 @@ class TestRun:
                 delay, rel=1e-6
             )
         assert protocol.protocol_stats["delivered"] > 0
+
+    @pytest.mark.parametrize("limit", [None, 2])
+    def test_protocol_matches_oracle_through_a_link_event(self, limit):
+        """Theorem 4 under the successor-count ablation: the limit cuts
+        the harvested MPDA sets exactly as it cuts the oracle's, also
+        when IH re-seeds after a link failure and repair."""
+        base = cairn_scenario(load=1.2)
+        scenario = with_failures(
+            base, {pick_failure_link(base.topo): [(10.0, 20.0)]}
+        )
+        params = {} if limit is None else {"successor_limit": limit}
+        runs = {}
+        for name in ("mp", "mp-oracle"):
+            config = QuasiStaticConfig(
+                tl=10.0,
+                ts=2.0,
+                duration=30.0,
+                warmup=10.0,
+                damping=0.5,
+                policy=name,
+                policy_params=dict(params),
+            )
+            controller = TwoTimescaleController(scenario, config)
+            result = controller.run()
+            tables = {
+                dest: {node: set(succ) for node, succ in by_node.items()}
+                for dest, by_node in controller.policy.routing().items()
+            }
+            runs[name] = result.records, tables
+        (live, live_tables), (oracle, oracle_tables) = runs.values()
+        assert live_tables == oracle_tables
+        assert len(live) == len(oracle) == 15
+        for a, b in zip(live, oracle):
+            assert abs(a.average_delay - b.average_delay) <= 1e-12 * abs(
+                b.average_delay
+            )
 
     def test_deterministic(self, diamond_scenario):
         a = run(diamond_scenario, QuasiStaticConfig(**FAST))
