@@ -53,39 +53,67 @@ def test_multi_destination_spf(benchmark, record_figure):
     )
 
 
+def _tree(router) -> dict:
+    """A router's main table as a link map (oracle tables are dicts)."""
+    table = router.main_table
+    return dict(table) if isinstance(table, dict) else table.links()
+
+
 @pytest.mark.parametrize("n", [50])
 def test_incremental_driver_step_loop(benchmark, record_figure, n):
-    """Cold-start convergence: incremental core vs the naive oracle.
+    """Cold start, link failure, restore and a cost change: incremental
+    core vs the naive oracle, phase by phase.
 
-    The two runs must agree on every protocol-visible count (the
-    incremental paths are exact, not approximate); the benchmark then
-    reports how much of the driver step loop the shortcuts save.
+    The failure, restore and cost phases reach MTU's subtree repair,
+    which a cold start (settled from the root) never does.  After every
+    phase both runs must agree on every protocol-visible count and on
+    every router's main table and distances (the incremental paths are
+    exact, not approximate); the benchmark then reports how much of the
+    driver step loop the shortcuts save in each phase.
     """
     topo = waxman(n, seed=1)
     costs = topo.idle_marginal_costs()
+    a, b = next(iter(topo.links())).link_id
+    bumped = {link_id: cost * 1.7 for link_id, cost in list(costs.items())[:4]}
+    phases = {
+        "cold start": lambda driver: driver.start(costs),
+        "link failure": lambda driver: driver.fail_link(a, b),
+        "restore": lambda driver: driver.restore_link(
+            a, b, costs[(a, b)], costs[(b, a)]
+        ),
+        "cost change": lambda driver: driver.set_costs(bumped),
+    }
 
     def converge(router_cls):
         driver = ProtocolDriver(topo, router_cls, seed=0)
-        driver.start(costs)
-        driver.run()
-        return driver
+        seconds, states = [], []
+        for inject in phases.values():
+            t0 = time.perf_counter()
+            inject(driver)
+            driver.run()
+            seconds.append(time.perf_counter() - t0)
+            states.append(
+                (
+                    driver.message_stats(),
+                    {node: _tree(r) for node, r in driver.routers.items()},
+                    {node: dict(r.distances) for node, r in driver.routers.items()},
+                )
+            )
+        return driver, seconds, states
 
-    t0 = time.perf_counter()
-    oracle = converge(OracleMPDA)
-    oracle_s = time.perf_counter() - t0
-
-    driver = run_once(benchmark, converge, MPDARouter)
+    _, oracle_s, oracle_states = converge(OracleMPDA)
+    driver, incremental_s, states = run_once(benchmark, converge, MPDARouter)
     driver.verify_converged()
 
-    assert driver.message_stats() == oracle.message_stats()
-    for node, router in driver.routers.items():
-        assert router.distances == oracle.routers[node].distances
-    incremental_s = benchmark.stats.stats.mean
+    for phase, got, want in zip(phases, states, oracle_states):
+        assert got == want, phase
     record_figure(
         f"micro_incremental_n{n}",
-        f"MPDA cold-start, n={n}: naive oracle {oracle_s:.2f} s, "
-        f"incremental {incremental_s:.2f} s "
-        f"({oracle_s / incremental_s:.1f}x)",
+        f"MPDA n={n}, naive oracle vs incremental core:\n"
+        + "\n".join(
+            f"  {phase:<12} {slow:.2f} s vs {fast:.2f} s ({slow / fast:.1f}x)"
+            for phase, slow, fast in zip(phases, oracle_s, incremental_s)
+        ),
     )
 
 

@@ -145,6 +145,9 @@ class TopologyTable:
       *into* ``n``) and ``_multi_in`` counting in-degree >= 2 nodes (so
       :meth:`distances_from` / :meth:`apply_incremental` can recognize
       when the table is a forest and skip Dijkstra entirely).
+
+    :meth:`in_links_view` and :meth:`link_groups_view` expose the two
+    link indexes read-only.
     """
 
     def __init__(self, links: Mapping[LinkId, float] | None = None) -> None:
@@ -351,6 +354,23 @@ class TopologyTable:
         """The live link map (read-only; do not hold across mutations)."""
         return self._links
 
+    def link_groups_view(self) -> Mapping[NodeId, Mapping[LinkId, float]]:
+        """The links grouped by head, ``{head: {(head, tail): cost}}``.
+
+        The live index (no copy): read-only, and not to be held across
+        mutations.  On a tree, ``head``'s group lists its children.
+        """
+        return self._by_head
+
+    def in_links_view(self) -> Mapping[NodeId, Mapping[NodeId, float]]:
+        """The links grouped by tail, ``{tail: {head: cost}}``.
+
+        The live index (no copy): read-only, and not to be held across
+        mutations.  On a tree, every node but the root has exactly one
+        entry, its predecessor.
+        """
+        return self._in_links
+
     def nodes(self) -> set[NodeId]:
         """Every node appearing as a head or tail."""
         return set(self._node_refs)
@@ -441,7 +461,9 @@ class FrozenTree:
 
     Instances are shared across routers and must never be mutated; a
     receiver that needs to edit its copy materializes a mutable
-    :class:`TopologyTable` with :meth:`thaw` first.
+    :class:`TopologyTable` with :meth:`thaw` first.  A sender's next
+    snapshot shares every per-head link group that did not change with
+    this one and holds fresh dicts for the rest.
 
     Attributes:
         version: the sender's table version this snapshot captures.
@@ -520,6 +542,9 @@ class FrozenTree:
     # Read-only surface shared with TopologyTable (what MTU touches).
     def links_with_head_view(self, head: NodeId) -> Mapping[LinkId, float]:
         return self._by_head.get(head, _EMPTY_LINKS)
+
+    def link_groups_view(self) -> Mapping[NodeId, Mapping[LinkId, float]]:
+        return self._by_head
 
     def nodes_view(self):
         return self._nodes.keys()

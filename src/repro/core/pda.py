@@ -14,7 +14,9 @@ adjacent-link change) the router runs:
   neighbors are resolved by distance to the head of the link, not by
   sequence numbers), override adjacent links with locally measured costs,
   run Dijkstra, and keep only the tree.  Differences from the previous
-  tree are flooded to the neighbors as LSU entries.
+  tree are flooded to the neighbors as LSU entries.  Here the Dijkstra
+  step is :func:`repair_tree`: it re-settles only the nodes below the
+  candidate links that moved since the last run, with the same result.
 
 PDA converges to correct shortest paths a finite time after the last
 change (Theorem 2, proved via n-hop minimum trees).  Routers here are
@@ -24,7 +26,9 @@ driver (:mod:`repro.core.driver` or the packet simulator) delivers them.
 
 from __future__ import annotations
 
+import heapq
 import itertools
+from collections.abc import Iterable, Mapping
 
 from repro.core.linkstate import (
     INFINITY,
@@ -35,7 +39,7 @@ from repro.core.linkstate import (
     TopologyTable,
 )
 from repro.exceptions import RoutingError
-from repro.graph.shortest_paths import dijkstra, rank_nodes
+from repro.graph.shortest_paths import rank_nodes
 from repro.graph.topology import NodeId
 
 #: Process-wide router identities.  ``id()`` would be ambiguous here:
@@ -43,6 +47,155 @@ from repro.graph.topology import NodeId
 #: a recycled address must not alias a stale entry in an auditor's
 #: incremental cache.
 _uid_counter = itertools.count(1)
+
+#: Shared empty adjacency for nodes without links (never mutated).
+_NO_LINKS: Mapping = {}
+
+
+def repair_tree(
+    tree: TopologyTable,
+    dist: dict[NodeId, float],
+    adj: Mapping[NodeId, Mapping[NodeId, float]],
+    adj_in: Mapping[NodeId, Mapping[NodeId, float]],
+    root: NodeId,
+    rank: Mapping[NodeId, int],
+    moved: Iterable[tuple[NodeId, NodeId]] | None,
+) -> tuple[list[LinkEntry], dict[NodeId, NodeId | None]]:
+    """MTU steps 6-8: bring a shortest-path tree up to date after edits.
+
+    ``tree`` (a :class:`TopologyTable`) and ``dist`` must hold exactly
+    what :func:`~repro.graph.shortest_paths.dijkstra` gave for the
+    previous candidate graph, with ``dist`` covering the current node
+    universe (nodes new to it at infinity).  ``adj`` (head -> {tail:
+    cost}) and ``adj_in`` (tail -> {head: cost}) describe the current
+    candidate graph, ``rank`` is :func:`rank_nodes` over the universe,
+    and ``moved`` lists every link (head, tail) added, removed or
+    re-costed since — or is None to settle everything from ``root``.
+
+    The subtrees below removed or costlier tree links are dropped, and
+    those nodes plus the tails of cheaper or new links are re-settled by
+    a heap seeded from them alone.  A node's predecessor is the
+    lowest-rank head among those giving the float-exact minimum of
+    ``dist[head] + cost`` — Dijkstra's lower-address tie rule — so
+    ``dist`` ends equal to
+    :func:`~repro.graph.shortest_paths.dijkstra`'s distances over the
+    candidate graph and the universe, and the tree to its predecessor
+    links.
+
+    ``dist`` is updated in place; ``tree`` is only read.  Returns
+    ``(entries, repaired)``: the ADD/CHANGE entries then the DELETE
+    entries that turn ``tree`` into the new tree (each touches a
+    distinct link), and ``repaired`` mapping every node whose tree link
+    or distance may have moved to its new predecessor (None when
+    unreachable).  Nodes absent from ``repaired`` kept both.
+    """
+    # Each tree node but the root has exactly one in-link,
+    # {predecessor: cost}.
+    tree_in = tree.in_links_view()
+    children = tree.link_groups_view()
+    repaired: dict = {}
+    heap: list = []
+    push = heapq.heappush
+    if moved is None:
+        for node in tree_in:
+            repaired[node] = None
+            dist[node] = INFINITY
+        dist[root] = 0.0
+        heap.append((0.0, rank[root], root))
+    else:
+        seeds = []
+        stack = []
+        for head, tail in moved:
+            cost = adj.get(head, _NO_LINKS).get(tail)
+            link = tree_in.get(tail)
+            if link is not None and head in link:
+                if cost is None or cost > link[head]:
+                    stack.append(tail)
+                elif cost < link[head]:
+                    seeds.append((head, tail, cost))
+            elif cost is not None:
+                seeds.append((head, tail, cost))
+        # Drop the subtrees below removed or costlier tree links.
+        while stack:
+            node = stack.pop()
+            if node in repaired:
+                continue
+            repaired[node] = None
+            dist[node] = INFINITY
+            for _, child in children.get(node, ()):
+                stack.append(child)
+        # Re-label each dropped node from its in-links (in-links from
+        # dropped nodes still at infinity add nothing; those nodes relax
+        # their out-links when they settle).
+        for node in list(repaired):
+            best = INFINITY
+            best_head = None
+            for head, cost in adj_in.get(node, _NO_LINKS).items():
+                alt = dist[head] + cost
+                if alt < best or (
+                    alt == best
+                    and best_head is not None
+                    and rank[head] < rank[best_head]
+                ):
+                    best, best_head = alt, head
+            if best_head is not None:
+                dist[node] = best
+                repaired[node] = best_head
+                push(heap, (best, rank[node], node))
+        # New or cheaper links may lower their tail.  A cheaper tree
+        # link whose float sum does not move keeps its tail's
+        # predecessor (``<=``), but the tail is still marked repaired:
+        # its tree link changed cost.
+        for head, tail, cost in seeds:
+            alt = dist[head] + cost
+            cur = dist[tail]
+            if alt < cur:
+                dist[tail] = alt
+                repaired[tail] = head
+                push(heap, (alt, rank[tail], tail))
+            elif alt == cur < INFINITY:
+                prev = repaired.get(tail)
+                if prev is None:
+                    (prev,) = tree_in[tail]
+                if rank[head] <= rank[prev]:
+                    repaired[tail] = head
+    # Label-setting from the seeds: every label is the cost of a real
+    # path, and every push raises the heap minimum by a positive cost,
+    # so each node settles once, at its final distance.
+    pop = heapq.heappop
+    while heap:
+        d, node_rank, node = pop(heap)
+        if d > dist[node]:
+            continue
+        for tail, cost in adj.get(node, _NO_LINKS).items():
+            alt = d + cost
+            cur = dist[tail]
+            if alt < cur:
+                dist[tail] = alt
+                repaired[tail] = node
+                push(heap, (alt, rank[tail], tail))
+            elif alt == cur:
+                prev = repaired.get(tail)
+                if prev is None:
+                    (prev,) = tree_in[tail]
+                if node_rank < rank[prev]:
+                    repaired[tail] = node
+    entries = []
+    deletes = []
+    for node, head in repaired.items():
+        link = tree_in.get(node)
+        if link is not None:
+            ((old_head, old_cost),) = link.items()
+            if old_head == head:
+                cost = adj[head][node]
+                if cost != old_cost:
+                    entries.append(LinkEntry(EntryOp.CHANGE, head, node, cost))
+                continue
+            deletes.append(LinkEntry(EntryOp.DELETE, old_head, node))
+        if head is not None:
+            entries.append(LinkEntry(EntryOp.ADD, head, node, adj[head][node]))
+    entries += deletes
+    return entries, repaired
 
 
 class PDARouter:
@@ -66,8 +219,14 @@ class PDARouter:
     ``_tables_dirty``; MTU is deterministic in those inputs and
     idempotent, so while the flag is clear :meth:`_mtu` returns the empty
     diff without recomputing — the dominant case for MPDA's pure-ACK
-    deliveries.  :mod:`repro.testing.oracle` checks every such shortcut
-    against a naive router that recomputes everything per event.
+    deliveries.  Otherwise steps 3-5 re-source only the link groups
+    whose inputs moved and report the candidate links that changed, and
+    :func:`repair_tree` re-settles only the nodes those links affect;
+    the LSU diff, ``distances`` and the flooded snapshot are patched
+    from the repaired nodes alone.  An adjacent-link event rebuilds
+    steps 3-5 and settles the tree from the root.
+    :mod:`repro.testing.oracle` checks every such shortcut against a
+    naive router that recomputes everything per event.
     """
 
     def __init__(self, node_id: NodeId) -> None:
@@ -111,16 +270,17 @@ class PDARouter:
         #: Per-neighbor version of the frozen snapshot currently held
         #: in ``neighbor_tables`` (absent = mutable or out-of-sync).
         self._nbr_versions: dict[NodeId, int] = {}
-        #: MTU steps 3-4 state carried across runs: per-destination
-        #: preferred neighbor and its merged value, the candidate cost
-        #: map, and its adjacency.  Valid while ``_mtu_full`` is False;
+        #: MTU steps 3-5 state carried across runs: per-destination
+        #: preferred neighbor and its merged value, and the candidate
+        #: graph as out-adjacency (head -> {tail: cost}) and in-adjacency
+        #: (tail -> {head: cost}).  Valid while ``_mtu_full`` is False;
         #: ``_best_dirty`` lists destinations whose neighbor rows moved
         #: and ``_group_dirty`` the heads whose copied link group must
         #: be re-sourced.
         self._best_val: dict[NodeId, float] = {}
         self._best_nbr: dict[NodeId, NodeId] = {}
-        self._cand: dict[tuple[NodeId, NodeId], float] = {}
-        self._adj: dict[NodeId, list[tuple[NodeId, float]]] = {}
+        self._adj: dict[NodeId, dict[NodeId, float]] = {}
+        self._adj_in: dict[NodeId, dict[NodeId, float]] = {}
         self._best_dirty: set[NodeId] = set()
         self._group_dirty: set[NodeId] = set()
         #: The single neighbor all of ``_best_dirty`` came from, or None
@@ -325,7 +485,7 @@ class PDARouter:
         return self._rank
 
     def _mtu(self):
-        """MTU (Fig. 3): rebuild the main table; return the LSU diff.
+        """MTU (Fig. 3): update the main table; return the LSU diff.
 
         MTU is a pure function of the adjacent-link costs and the
         neighbor tables, and running it twice on the same inputs yields
@@ -338,67 +498,61 @@ class PDARouter:
             return ()
         self._tables_dirty = False
         old = self.main_table
-        universe = self._universe()
-        rank = self._universe_rank(universe)
         me = self.node_id
         link_costs = self.link_costs
         up = [n for n in link_costs if link_costs[n] < INFINITY]
+        # ``distances`` covers exactly the known-node universe: nodes
+        # new to it start at infinity, and nodes that left it (no table
+        # mentions them, so no candidate link reaches them) are dropped
+        # after the repair.
+        dist = self.distances
+        prev_nodes = self._rank_nodes
+        rank = self._universe_rank(self._universe())
+        gone = ()
+        if self._rank_nodes is not prev_nodes:
+            for node in self._rank_nodes - prev_nodes:
+                dist[node] = INFINITY
+            gone = prev_nodes - self._rank_nodes
 
         if self._mtu_full:
             self._mtu_rebuild(up, rank)
+            moved = None
         else:
-            self._mtu_refresh(up, rank)
-
-        # Steps 6-8 fused: run Dijkstra, then a single pass over the
-        # predecessor map yields the tree's per-head link groups, the
-        # restricted distance view, and the ADD/CHANGE half of the diff
-        # at once (a link (h, t) is in the tree iff ``pred[t] == h``, so
-        # no intermediate tree dict is materialized).
-        cand = self._cand
-        dist, pred = dijkstra(cand, me, nodes=universe, rank=rank, adj=self._adj)
-        old_links = old.links_view()
-        old_get = old_links.get
-        by_head: dict[NodeId, dict] = {}
-        group_of = by_head.get
-        flood: dict[NodeId, float] = {me: 0.0}
-        entries: list[LinkEntry] = []
-        n_links = 0
-        for t, h in pred.items():
-            if h is None:
-                continue
-            link = (h, t)
-            cost = cand[link]
-            group = group_of(h)
-            if group is None:
-                group = by_head[h] = {}
-            group[link] = cost
-            flood[t] = dist[t]
-            n_links += 1
-            old_cost = old_get(link)
-            if old_cost is None:
-                entries.append(LinkEntry(EntryOp.ADD, h, t, cost))
-            elif old_cost != cost:
-                entries.append(LinkEntry(EntryOp.CHANGE, h, t, cost))
-        pred_get = pred.get
-        for link in old_links:
-            if pred_get(link[1]) != link[0]:
-                entries.append(LinkEntry(EntryOp.DELETE, *link))
+            moved = self._mtu_refresh(up, rank)
+        entries, repaired = repair_tree(
+            old, dist, self._adj, self._adj_in, me, rank, moved
+        )
+        for node in gone:
+            del dist[node]
         changes = tuple(entries)
         if changes:
             # Patching the main table with its own diff entries (all
-            # touching distinct links) lands it exactly at the tree, at
-            # O(changes) instead of an O(tree) rebuild.
+            # touching distinct links) lands it exactly at the tree.
             old.apply(changes)
-            # Freeze the new tree for flooding.  The previous restricted
-            # view had one entry (self) iff the previous tree was empty,
-            # in which case the diff entries also reconstruct the tree
-            # from scratch.
+            # Freeze the new tree for flooding.  Receivers share the
+            # snapshot by reference, so its distance view and every link
+            # group it changes are fresh objects; the rest are shared
+            # with the previous snapshot.  The previous view had one
+            # entry (self) iff the previous tree was empty, in which case
+            # the diff entries also reconstruct the tree from scratch.
             prev_flood = self._flood_dist
-            prev_get = prev_flood.get
-            changed_rows = {j for j, v in flood.items() if prev_get(j) != v}
-            for j in prev_flood:
-                if j not in flood:
-                    changed_rows.add(j)
+            flood = dict(prev_flood)
+            changed_rows = set()
+            for node, head in repaired.items():
+                if head is None:
+                    flood.pop(node, None)
+                else:
+                    flood[node] = dist[node]
+                if prev_flood.get(node) != flood.get(node):
+                    changed_rows.add(node)
+            prev = self._snap
+            by_head = dict(prev.link_groups_view()) if prev is not None else {}
+            for head in {entry.head for entry in changes}:
+                group = old.links_with_head_view(head)
+                if group:
+                    by_head[head] = dict(group)
+                else:
+                    by_head.pop(head, None)
             prev_version = self._table_version
             self._table_version += 1
             self._snap = FrozenTree(
@@ -409,10 +563,9 @@ class PDARouter:
                 changed_rows=changed_rows,
                 by_head=by_head,
                 nodes=flood,
-                n_links=n_links,
+                n_links=len(old),
             )
             self._flood_dist = flood
-        self.distances = dist
         self._distances_recomputed()
         return changes
 
@@ -443,35 +596,32 @@ class PDARouter:
                     best_val[j] = val
                     best_nbr[j] = k
 
-        # The candidate map is grouped by head as it is built (each
-        # preferred neighbor contributes exactly the links leaving one
-        # head), so Dijkstra gets its adjacency for free instead of
-        # regrouping O(E) links every run.
-        candidate: dict[tuple[NodeId, NodeId], float] = {}
-        adj: dict[NodeId, list[tuple[NodeId, float]]] = {}
+        adj: dict[NodeId, dict[NodeId, float]] = {}
+        adj_in: dict[NodeId, dict[NodeId, float]] = {}
         me = self.node_id
         tables = self.neighbor_tables
         for j, k in best_nbr.items():
             if j == me or best_val[j] == INFINITY:
                 continue
-            view = tables[k].links_with_head_view(j)
-            candidate.update(view)
-            adj[j] = [(tail, cost) for (_, tail), cost in view.items()]
+            group = adj[j] = {}
+            for (_, tail), cost in tables[k].links_with_head_view(j).items():
+                group[tail] = cost
+                adj_in.setdefault(tail, {})[j] = cost
 
         # Step 5: adjacent links override anything neighbors reported.
+        adj[me] = {k: link_costs[k] for k in up}
         for k in up:
-            candidate[(me, k)] = link_costs[k]
-        adj[me] = [(k, link_costs[k]) for k in up]
+            adj_in.setdefault(k, {})[me] = link_costs[k]
 
         self._best_val = best_val
         self._best_nbr = best_nbr
-        self._cand = candidate
         self._adj = adj
+        self._adj_in = adj_in
         self._best_dirty.clear()
         self._group_dirty.clear()
         self._mtu_full = False
 
-    def _mtu_refresh(self, up, rank) -> None:
+    def _mtu_refresh(self, up, rank) -> list[tuple[NodeId, NodeId]]:
         """MTU steps 3-5, touching only destinations whose inputs moved.
 
         ``_best_dirty`` holds every node whose merged-distance row
@@ -481,7 +631,10 @@ class PDARouter:
         inputs and untouched rows cannot have changed their entry.
         ``_group_dirty`` holds nodes whose copied link group may differ
         even with an unchanged winner (the winning neighbor re-announced
-        links leaving that head); their groups are spliced in place.
+        links leaving that head); their groups are re-sourced.
+
+        Returns the candidate links (head, tail) that were added,
+        removed or re-costed — what :func:`repair_tree` starts from.
         """
         best_val, best_nbr = self._best_val, self._best_nbr
         link_costs = self.link_costs
@@ -540,24 +693,35 @@ class PDARouter:
                     group_dirty.add(j)
         self._best_dirty = set()
 
-        cand = self._cand
+        adj_in = self._adj_in
         tables = self.neighbor_tables
         me = self.node_id
+        moved: list[tuple[NodeId, NodeId]] = []
         for j in group_dirty:
             if j == me:
                 continue
-            old_adj = adj.pop(j, None)
-            if old_adj:
-                for tail, _ in old_adj:
-                    cand.pop((j, tail), None)
+            old_group = adj.pop(j, _NO_LINKS)
+            group: dict[NodeId, float] = {}
             k = best_nbr.get(j)
-            if k is None or best_val[j] == INFINITY:
-                continue
-            view = tables[k].links_with_head_view(j)
-            if view:
-                cand.update(view)
-                adj[j] = [(tail, cost) for (_, tail), cost in view.items()]
+            if k is not None and best_val[j] != INFINITY:
+                view = tables[k].links_with_head_view(j)
+                if view:
+                    for (_, tail), cost in view.items():
+                        group[tail] = cost
+                    adj[j] = group
+            for tail in old_group:
+                if tail not in group:
+                    incoming = adj_in[tail]
+                    del incoming[j]
+                    if not incoming:
+                        del adj_in[tail]
+                    moved.append((j, tail))
+            for tail, cost in group.items():
+                if old_group.get(tail) != cost:
+                    adj_in.setdefault(tail, {})[j] = cost
+                    moved.append((j, tail))
         self._group_dirty = set()
+        return moved
 
     # ------------------------------------------------------------------
     # message plumbing

@@ -54,8 +54,9 @@ def rank_nodes(nodes) -> dict[NodeId, int]:
 
     Comparing ``rank[a] < rank[b]`` is exactly ``repr(a) < repr(b)`` for
     nodes in the map, but each comparison is an int compare instead of a
-    repr call plus a string compare — the protocol hot path builds one
-    rank map per router and reuses it across Dijkstra runs.
+    repr call plus a string compare — each protocol router builds one
+    rank map and reuses it across the tree repairs of its MTU runs
+    (:func:`repro.core.pda.repair_tree`).
     """
     return {node: i for i, node in enumerate(sorted(nodes, key=repr))}
 
@@ -65,8 +66,6 @@ def dijkstra(
     source: NodeId,
     *,
     nodes: list[NodeId] | None = None,
-    rank: Mapping[NodeId, int] | None = None,
-    adj: Mapping[NodeId, list[tuple[NodeId, float]]] | None = None,
 ) -> tuple[dict[NodeId, float], dict[NodeId, NodeId | None]]:
     """Single-source shortest paths.
 
@@ -75,23 +74,18 @@ def dijkstra(
         source: the root node.
         nodes: optional extra node universe; nodes unreachable from
             ``source`` get distance :data:`INFINITY` and predecessor None.
-        rank: optional precomputed :func:`rank_nodes` map covering every
-            node of the graph; replaces per-comparison repr calls with
-            int compares without changing any tie outcome.
-        adj: optional out-adjacency for ``costs``, exactly as
-            :func:`_adjacency` would build it (callers that already hold
-            the links grouped by head skip the per-run O(E) regrouping;
-            costs must then be pre-validated non-negative).
+
+    The protocol's MTU does not call this: it repairs its previous tree
+    with :func:`repro.core.pda.repair_tree`, which yields the same
+    distances and the same lower-address predecessors.
 
     Returns:
         ``(dist, pred)`` where ``dist[j]`` is the cost of the shortest path
         ``source -> j`` and ``pred[j]`` the predecessor of ``j`` on it.
     """
-    if adj is None:
-        adj = _adjacency(costs)
-    # dict.fromkeys + update run at C speed; the protocol hot path calls
-    # this once per changed MTU, so the O(V) setup cost matters as much
-    # as the heap loop.
+    adj = _adjacency(costs)
+    # dict.fromkeys + update run at C speed, so the O(V) setup stays
+    # small next to the heap loop.
     dist: dict[NodeId, float] = {source: INFINITY}
     dist.update(dict.fromkeys(adj, INFINITY))
     if nodes is not None:
@@ -99,61 +93,36 @@ def dijkstra(
     pred: dict[NodeId, NodeId | None] = dict.fromkeys(dist)
     dist[source] = 0.0
 
-    tie = _tie_key if rank is None else rank.__getitem__
     # Lazy deletion: every push strictly lowers a node's label, so the
     # first pop of a node carries its final distance and any later pop
     # satisfies d > dist[node].  (The push counter breaks comparison
-    # ties only when tie keys can collide, i.e. the repr fallback.)
-    heap: list[tuple]
+    # ties between distinct nodes with equal reprs.)
+    counter = itertools.count()
+    heap = [(0.0, _tie_key(source), next(counter), source)]
     push = heapq.heappush
     pop = heapq.heappop
     adj_get = adj.get
-    if rank is None:
-        counter = itertools.count()
-        heap = [(0.0, tie(source), next(counter), source)]
-        while heap:
-            d, _, _, node = pop(heap)
-            if d > dist[node]:
-                continue
-            node_key = tie(node)
-            for nbr, cost in adj_get(node, ()):
-                alt = d + cost
-                cur = dist[nbr]
-                if alt < cur:
-                    # Strict improvement.
-                    push(heap, (alt, tie(nbr), next(counter), nbr))
-                    dist[nbr] = alt
-                    pred[nbr] = node
-                elif (
-                    alt == cur
-                    and pred[nbr] is not None
-                    and node_key < tie(pred[nbr])
-                ):
-                    # An equal-cost path through a lower-address
-                    # predecessor: prefer it so every router resolves
-                    # ties identically.
-                    pred[nbr] = node
-    else:
-        # Ranks are unique ints, so (distance, rank) alone orders the
-        # heap totally — no counter, smaller tuples.
-        heap = [(0.0, tie(source), source)]
-        while heap:
-            d, node_key, node = pop(heap)
-            if d > dist[node]:
-                continue
-            for nbr, cost in adj_get(node, ()):
-                alt = d + cost
-                cur = dist[nbr]
-                if alt < cur:
-                    push(heap, (alt, tie(nbr), nbr))
-                    dist[nbr] = alt
-                    pred[nbr] = node
-                elif (
-                    alt == cur
-                    and pred[nbr] is not None
-                    and node_key < tie(pred[nbr])
-                ):
-                    pred[nbr] = node
+    while heap:
+        d, node_key, _, node = pop(heap)
+        if d > dist[node]:
+            continue
+        for nbr, cost in adj_get(node, ()):
+            alt = d + cost
+            cur = dist[nbr]
+            if alt < cur:
+                # Strict improvement.
+                push(heap, (alt, _tie_key(nbr), next(counter), nbr))
+                dist[nbr] = alt
+                pred[nbr] = node
+            elif (
+                alt == cur
+                and pred[nbr] is not None
+                and node_key < _tie_key(pred[nbr])
+            ):
+                # An equal-cost path through a lower-address
+                # predecessor: prefer it so every router resolves
+                # ties identically.
+                pred[nbr] = node
     return dist, pred
 
 

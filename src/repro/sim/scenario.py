@@ -199,9 +199,13 @@ class FailureScenario(Scenario):
             if not self.topo.has_link(a, b) or not self.topo.has_link(b, a):
                 raise SimulationError(f"no duplex link {a!r} <-> {b!r}")
             for start, end in windows:
-                if end <= start:
+                # ``not end > start`` also rejects NaN bounds, which
+                # compare False both ways and would never take the
+                # link down.
+                if not end > start:
                     raise SimulationError(
-                        f"outage window ({start}, {end}) is empty"
+                        f"outage window ({start}, {end}) on {a!r} <-> "
+                        f"{b!r} is empty or not a number"
                     )
 
     def links_down_at(self, time: float) -> frozenset:

@@ -1,5 +1,7 @@
 """Extension features: the ECMP baseline and link-failure scenarios."""
 
+import math
+
 import pytest
 
 from repro.core.spf import ecmp_successors
@@ -88,6 +90,16 @@ class TestFailureScenario:
             with_failures(base, {("s", "zzz"): [(1.0, 2.0)]})
         with pytest.raises(SimulationError):
             with_failures(base, {("s", "a"): [(5.0, 5.0)]})
+
+    @pytest.mark.parametrize("window", [(math.nan, 5.0), (1.0, math.nan)])
+    def test_nan_window_rejected(self, diamond, window):
+        """A NaN bound makes ``end <= start`` false, yet
+        ``links_down_at`` would never report the link down."""
+        base = Scenario(
+            "d", diamond, TrafficMatrix([Flow("s", "t", 100.0, name="x")])
+        )
+        with pytest.raises(SimulationError, match=r"'s' <-> 'a'.*not a number"):
+            with_failures(base, {("s", "a"): [window]})
 
     def test_links_down_windows(self, diamond):
         base = Scenario(

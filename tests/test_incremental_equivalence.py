@@ -42,13 +42,31 @@ def _raw_mp_case(path: pathlib.Path) -> bool:
 RAW_MP_CORPUS = sorted(p.name for p in CORPUS_DIR.glob("*.json") if _raw_mp_case(p))
 
 
-@pytest.mark.parametrize("make_topo", [net1, cairn, lambda: waxman(40, seed=2)])
+@pytest.mark.parametrize(
+    "make_topo",
+    [
+        net1,
+        cairn,
+        lambda: waxman(40, seed=2),
+        # Capacity 1 and no propagation delay make every idle cost 1.0:
+        # equal-hop paths tie exactly and the lower-address rule picks
+        # every predecessor.
+        pytest.param(
+            lambda: waxman(40, seed=2, capacity=1.0, prop_delay=0.0),
+            id="waxman40-unit",
+        ),
+    ],
+)
 def test_failover_window_differential(make_topo):
-    """Cold start, link failure, restoration and a cost bump."""
+    """Cold start, link failure, restoration, a cost bump, then a cut
+    that halves links below their start cost (with unit costs, two cut
+    links in a row tie one uncut link)."""
     topo = make_topo()
     costs = topo.idle_marginal_costs()
     a, b = next(iter(topo.links())).link_id
-    bumped = {link_id: cost * 1.7 for link_id, cost in list(costs.items())[:4]}
+    links = list(costs.items())
+    bumped = {link_id: cost * 1.7 for link_id, cost in links[:4]}
+    cut = {link_id: cost * 0.5 for link_id, cost in links[2:8]}
     for router_cls in ROUTERS:
         lockstep = Lockstep(topo, router_cls)
         lockstep.start(costs)
@@ -58,6 +76,8 @@ def test_failover_window_differential(make_topo):
         lockstep.restore_link(a, b, costs[(a, b)], costs[(b, a)])
         lockstep.run()
         lockstep.set_costs(bumped)
+        lockstep.run()
+        lockstep.set_costs(cut)
         lockstep.run()
 
 

@@ -13,13 +13,16 @@ from hypothesis import strategies as st
 
 from repro.core.allocation import AllocationTable, validate_property1
 from repro.core.lfi import lfi_successors
+from repro.core.linkstate import INFINITY, EntryOp, TopologyTable
 from repro.core.mpda import MPDARouter
+from repro.core.pda import repair_tree
 from repro.fluid.delay import DelayModel
 from repro.fluid.evaluator import evaluate, link_flows, node_flows
 from repro.fluid.flows import Flow, TrafficMatrix
 from repro.gallager.marginals import marginal_distances
 from repro.gallager.opt import optimize, shortest_path_phi
 from repro.graph.generators import random_connected
+from repro.graph.shortest_paths import dijkstra, rank_nodes
 from repro.graph.validation import is_loop_free
 from repro.testing.fuzz import check_case, generate_case
 from repro.testing.oracle import lockstep_case
@@ -148,6 +151,104 @@ def test_mpda_matches_the_oracle_under_fuzzed_schedules(seed, reliable):
     raw faulty wire (``lockstep_case`` raises on any divergence).
     ``max_examples`` comes from the active hypothesis profile."""
     lockstep_case(generate_case(seed, reliable=reliable), MPDARouter)
+
+
+#: Eight nodes, so ties are common; repr order puts 10 and 11 between
+#: 1 and 2, so the lower-address tie rule differs from natural order.
+_NODES = st.sampled_from([0, 1, 2, 3, 4, 5, 10, 11])
+_COSTS = st.sampled_from([1.0, 2.0, 3.0])
+_LINK = st.tuples(_NODES, _NODES, _COSTS).filter(lambda link: link[0] != link[1])
+#: ``drop`` and ``recost`` pick an existing link by index.
+_EDIT = st.one_of(
+    st.tuples(st.just("set"), _LINK),
+    st.tuples(st.just("drop"), st.integers(0, 99)),
+    st.tuples(st.just("recost"), st.tuples(st.integers(0, 99), _COSTS)),
+    st.tuples(st.just("enter"), _NODES),
+    st.tuples(st.just("leave"), _NODES),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    initial=st.lists(_LINK, min_size=8, max_size=32),
+    batches=st.lists(st.lists(_EDIT, max_size=6), min_size=1, max_size=8),
+)
+def test_tree_repair_matches_dijkstra(initial, batches):
+    """MTU's tree repair equals a fresh Dijkstra after every edit batch.
+
+    Costs come from {1, 2, 3}, so equal-cost paths are common and the
+    lower-address tie rule decides most predecessors.  Each batch adds,
+    removes and re-costs links and moves nodes in and out of the
+    universe; the repair then starts from the links that moved."""
+    root = 0
+    links = {(h, t): c for h, t, c in initial}
+    extra = set()
+
+    def universe():
+        return {root, *extra, *(n for link in links for n in link)}
+
+    def adjacency():
+        adj, adj_in = {}, {}
+        for (h, t), c in links.items():
+            adj.setdefault(h, {})[t] = c
+            adj_in.setdefault(t, {})[h] = c
+        return adj, adj_in
+
+    tree = TopologyTable()
+    nodes = universe()
+    dist = dict.fromkeys(nodes, INFINITY)
+    # Step 0 settles the tree from the root; each batch then repairs it.
+    for step, batch in enumerate([[]] + batches):
+        before = dict(links)
+        for op, arg in batch:
+            existing = sorted(links)
+            if op == "set":
+                links[arg[:2]] = arg[2]
+            elif op == "drop" and existing:
+                del links[existing[arg % len(existing)]]
+            elif op == "recost" and existing:
+                links[existing[arg[0] % len(existing)]] = arg[1]
+            elif op == "enter":
+                extra.add(arg)
+            elif op == "leave" and arg != root:
+                extra.discard(arg)
+                links = {link: c for link, c in links.items() if arg not in link}
+        moved = [
+            link
+            for link in before.keys() | links.keys()
+            if before.get(link) != links.get(link)
+        ]
+        prev_nodes, nodes = nodes, universe()
+        for node in nodes - prev_nodes:
+            dist[node] = INFINITY
+        rank = rank_nodes(nodes)
+        adj, adj_in = adjacency()
+        prev_tree = tree.links()
+        prev_dist = dict(dist)
+        entries, repaired = repair_tree(
+            tree, dist, adj, adj_in, root, rank, moved if step else None
+        )
+        for node in prev_nodes - nodes:
+            del dist[node]
+
+        want_dist, want_pred = dijkstra(links, root, nodes=sorted(nodes))
+        assert dist == want_dist
+        want_tree = {
+            (h, t): links[(h, t)] for t, h in want_pred.items() if h is not None
+        }
+        if step:
+            for node in nodes - repaired.keys():
+                assert dist[node] == prev_dist[node]
+                assert want_pred[node] == next(
+                    (h for (h, t) in prev_tree if t == node), None
+                )
+        touched = [(entry.head, entry.tail) for entry in entries]
+        assert len(set(touched)) == len(touched)
+        for entry in entries:
+            link = (entry.head, entry.tail)
+            assert (link in prev_tree) == (entry.op is not EntryOp.ADD)
+        tree.apply(entries)
+        assert tree.links() == want_tree
 
 
 @settings(max_examples=10, deadline=None)
