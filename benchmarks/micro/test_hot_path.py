@@ -1,4 +1,5 @@
-"""MICRO — hot-path kernels: shared-heap SPF, incremental protocol core, OPT.
+"""MICRO — hot-path kernels: shared-heap SPF, incremental protocol core, OPT,
+the packet event loop.
 
 Not a paper figure; pins the optimized kernels against their scalar /
 naive counterparts so a regression in either speed or exactness shows
@@ -10,7 +11,10 @@ three PRs later.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import time
+from dataclasses import dataclass, field
 
 import pytest
 
@@ -24,7 +28,9 @@ from repro.graph.shortest_paths import (
     bellman_ford,
     multi_destination_distances,
 )
-from repro.sim.scenario import net1_scenario
+from repro.netsim.engine import Engine
+from repro.sim.control import PacketRunConfig, TwoTimescaleController
+from repro.sim.scenario import cairn_scenario, net1_scenario
 from repro.testing.opt_reference import naive_optimize
 from repro.testing.oracle import OracleMPDA
 
@@ -151,4 +157,143 @@ def test_opt_iteration_loop(benchmark, record_figure):
         f"OPT on NET1 at load 1.35 (eta 0.1, {result.iterations} "
         f"iterations): naive loop {naive_s:.2f} s, one DAG per destination "
         f"{dag_s:.2f} s ({naive_s / dag_s:.1f}x)",
+    )
+
+
+# ----------------------------------------------------------------------
+# The packet event loop
+# ----------------------------------------------------------------------
+@dataclass(order=True)
+class _ScheduledEvent:
+    time: float
+    seq: int
+    callback: object = field(compare=False)
+    cancelled: bool = field(default=False, compare=False)
+    fired: bool = field(default=False, compare=False)
+
+
+class _EventHandle:
+    __slots__ = ("_event", "_engine")
+
+    def __init__(self, event: _ScheduledEvent, engine) -> None:
+        self._event = event
+        self._engine = engine
+
+
+class DataclassHeapEngine:
+    """Reference event loop on a heap of ``@dataclass(order=True)`` events.
+
+    Every comparison runs the generated ``__lt__`` in Python, every
+    event allocates a dataclass and a handle, and every firing checks
+    the cancellation flags and costs a ``step()`` call.  The total order
+    on (time, scheduling order) is :class:`Engine`'s, so both fire the
+    same events in the same order.
+    """
+
+    def __init__(self) -> None:
+        self.now = 0.0
+        self._heap: list[_ScheduledEvent] = []
+        self._seq = itertools.count()
+        self.processed = 0
+        self._live = 0
+
+    def schedule(self, delay, callback):
+        if delay < 0:
+            raise ValueError(f"cannot schedule in the past: {delay!r}")
+        return self.schedule_at(self.now + delay, callback)
+
+    def schedule_at(self, time, callback):
+        if time < self.now:
+            raise ValueError(f"cannot schedule at {time!r}, now is {self.now!r}")
+        heap = self._heap
+        if len(heap) > 64 and len(heap) > 2 * self._live:
+            heap[:] = [e for e in heap if not e.cancelled]
+            heapq.heapify(heap)
+        event = _ScheduledEvent(time, next(self._seq), callback)
+        heapq.heappush(heap, event)
+        self._live += 1
+        return _EventHandle(event, self)
+
+    def step(self) -> bool:
+        while self._heap:
+            event = heapq.heappop(self._heap)
+            if event.cancelled:
+                continue
+            event.fired = True
+            self._live -= 1
+            self.now = event.time
+            event.callback()
+            self.processed += 1
+            return True
+        return False
+
+    def run(self, until=None) -> None:
+        while self._heap:
+            head = self._heap[0]
+            if head.cancelled:
+                heapq.heappop(self._heap)
+                continue
+            if until is not None and head.time > until:
+                break
+            if not self.step():
+                break
+        if until is not None and until > self.now:
+            self.now = until
+
+
+def _packet_outputs(network) -> dict:
+    """Everything the run measured, compared with ``==`` (floats too)."""
+    return {
+        "flows": dict(network.flow_monitor.flows),
+        "links": {
+            link_id: (
+                link.monitor.total_packets,
+                link.monitor.total_wait_s,
+                link.monitor.total_service_s,
+                link.monitor.total_prop_s,
+                link.queue.max_depth,
+            )
+            for link_id, link in network.links.items()
+        },
+        "events": network.engine.processed,
+    }
+
+
+def test_packet_event_loop(benchmark, record_figure, monkeypatch):
+    """CAIRN at load 1.2 under ``mp-oracle``: tuple heap vs dataclass heap.
+
+    Both runs draw the same random numbers and fire the same events in
+    the same order, so every flow record, link total, queue high-water
+    mark and the event count must be equal before the speed ratio is
+    reported.
+    """
+    scenario = cairn_scenario(load=1.2)
+    config = PacketRunConfig(
+        policy="mp-oracle", tl=10.0, ts=2.0, duration=5.0, warmup=1.0, seed=0
+    )
+
+    def simulate():
+        controller = TwoTimescaleController(scenario, config)
+        result = controller.run()
+        return result, controller.plane.network
+
+    result, network = run_once(benchmark, simulate)
+
+    with monkeypatch.context() as patch:
+        patch.setattr("repro.netsim.network.Engine", DataclassHeapEngine)
+        t0 = time.perf_counter()
+        reference, reference_net = simulate()
+        reference_s = time.perf_counter() - t0
+
+    assert type(reference_net.engine) is DataclassHeapEngine
+    assert type(network.engine) is Engine
+    assert _packet_outputs(network) == _packet_outputs(reference_net)
+    assert result.records == reference.records
+    engine_s = benchmark.stats.stats.mean
+    record_figure(
+        "micro_packet_engine",
+        f"Packet CAIRN at load 1.2 (mp-oracle, {config.duration:g} sim-s, "
+        f"{network.engine.processed} events): dataclass heap "
+        f"{reference_s:.2f} s, tuple heap {engine_s:.2f} s "
+        f"({reference_s / engine_s:.1f}x)",
     )

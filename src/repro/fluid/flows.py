@@ -9,6 +9,7 @@ Section 5 describes the CAIRN and NET1 workloads.
 
 from __future__ import annotations
 
+import math
 import random
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
@@ -38,8 +39,12 @@ class Flow:
             raise TopologyError(
                 f"flow source and destination coincide: {self.source!r}"
             )
-        if self.rate < 0:
-            raise TopologyError(f"flow rate must be non-negative: {self.rate!r}")
+        # False for NaN as well as for negative or infinite rates.
+        if not 0 <= self.rate < math.inf:
+            raise TopologyError(
+                f"flow {self.label()!r}: rate must be non-negative and "
+                f"finite, got {self.rate!r}"
+            )
 
     def scaled(self, factor: float) -> "Flow":
         """The same flow with its rate multiplied by ``factor``."""

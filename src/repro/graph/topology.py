@@ -18,6 +18,7 @@ cost maps, so one immutable topology can back many concurrent experiments.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Hashable, Iterable, Iterator
 from dataclasses import dataclass
 
@@ -51,15 +52,16 @@ class Link:
     def __post_init__(self) -> None:
         if self.head == self.tail:
             raise TopologyError(f"self-loop link at node {self.head!r}")
-        if self.capacity <= 0:
+        # Chained comparisons are False for NaN, so NaN fails both.
+        if not 0 < self.capacity < math.inf:
             raise TopologyError(
                 f"link {self.head!r}->{self.tail!r}: capacity must be "
-                f"positive, got {self.capacity!r}"
+                f"positive and finite, got {self.capacity!r}"
             )
-        if self.prop_delay < 0:
+        if not 0 <= self.prop_delay < math.inf:
             raise TopologyError(
                 f"link {self.head!r}->{self.tail!r}: propagation delay must "
-                f"be non-negative, got {self.prop_delay!r}"
+                f"be non-negative and finite, got {self.prop_delay!r}"
             )
 
     @property

@@ -3,7 +3,8 @@
 A from-scratch substrate (no simpy in this offline environment) used for
 packet-granularity experiments and for validating the fluid model:
 
-- :mod:`repro.netsim.engine` — the event scheduler;
+- :mod:`repro.netsim.engine` — the event scheduler, a binary heap of
+  ``(time, seq, callback)`` tuples with no cancellation;
 - :mod:`repro.netsim.packet` / :mod:`queueing` / :mod:`link` /
   :mod:`node` — the data plane (FIFO output queues, transmission +
   propagation, per-destination weighted splitting);

@@ -1,63 +1,29 @@
 """Discrete-event simulation engine.
 
-A classic calendar-queue design: a binary heap of (time, seq) ordered
-events, each holding a zero-argument callback.  Ties in time break on
-scheduling order, which keeps runs fully deterministic.
+A binary heap of plain ``(time, seq, callback)`` tuples.  ``heapq``
+compares them in C; ``seq`` is unique, so a comparison never reaches
+the callback, and ties in time break on scheduling order, which keeps
+runs fully deterministic.  Events cannot be cancelled: a component that
+no longer wants a callback checks its own state when it fires (the
+traffic sources check their window).
 
 The engine is deliberately callback-based rather than coroutine-based:
-the simulator's components (links, sources, timers) are state machines,
-and callbacks keep the hot path free of generator overhead.
+the simulator's components (links, sources) are state machines, and
+callbacks keep the hot path free of generator overhead.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
+import math
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from time import perf_counter
 
 from repro import obs
 from repro.exceptions import SimulationError
 
 Callback = Callable[[], None]
-
-
-@dataclass(order=True)
-class _ScheduledEvent:
-    time: float
-    seq: int
-    callback: Callback = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
-    fired: bool = field(default=False, compare=False)
-
-
-class EventHandle:
-    """Returned by :meth:`Engine.schedule`; allows cancellation."""
-
-    __slots__ = ("_event", "_engine")
-
-    def __init__(self, event: _ScheduledEvent, engine: "Engine") -> None:
-        self._event = event
-        self._engine = engine
-
-    def cancel(self) -> None:
-        """Prevent the event from firing (no-op if it already fired)."""
-        event = self._event
-        if not event.cancelled:
-            event.cancelled = True
-            if not event.fired:
-                # The tombstone stays in the heap (lazy deletion) but no
-                # longer counts as pending work.
-                self._engine._live -= 1
-
-    @property
-    def time(self) -> float:
-        return self._event.time
-
-    @property
-    def active(self) -> bool:
-        return not self._event.cancelled
 
 
 class Engine:
@@ -73,114 +39,52 @@ class Engine:
 
     def __init__(self) -> None:
         self.now = 0.0
-        self._heap: list[_ScheduledEvent] = []
+        self._heap: list[tuple[float, int, Callback]] = []
         self._seq = itertools.count()
+        #: Events fired so far, added up at the end of each ``run``.
         self.processed = 0
-        self._live = 0  # scheduled, not yet fired, not cancelled
 
-    def schedule(self, delay: float, callback: Callback) -> EventHandle:
+    def schedule(self, delay: float, callback: Callback) -> None:
         """Run ``callback`` after ``delay`` simulated seconds."""
-        if delay < 0:
-            raise SimulationError(f"cannot schedule in the past: {delay!r}")
-        return self.schedule_at(self.now + delay, callback)
+        # Negated so that NaN, for which every comparison is False,
+        # fails too instead of breaking the heap order.
+        if not delay >= 0:
+            raise SimulationError(f"delay must be >= 0, got {delay!r}")
+        heappush(self._heap, (self.now + delay, next(self._seq), callback))
 
-    def schedule_at(self, time: float, callback: Callback) -> EventHandle:
+    def schedule_at(self, time: float, callback: Callback) -> None:
         """Run ``callback`` at absolute simulated time ``time``."""
-        if time < self.now:
+        if not time >= self.now:
             raise SimulationError(
                 f"cannot schedule at {time!r}, now is {self.now!r}"
             )
-        heap = self._heap
-        if len(heap) > 64 and len(heap) > 2 * self._live:
-            # Mostly tombstones: compact before growing further.  The
-            # total order on (time, seq) is unchanged, so pop order
-            # after heapify is identical to lazy-deletion order.
-            heap[:] = [e for e in heap if not e.cancelled]
-            heapq.heapify(heap)
-        event = _ScheduledEvent(time, next(self._seq), callback)
-        heapq.heappush(heap, event)
-        self._live += 1
-        return EventHandle(event, self)
-
-    def every(
-        self,
-        interval: float,
-        callback: Callback,
-        *,
-        start: float | None = None,
-    ) -> EventHandle:
-        """Run ``callback`` periodically (first firing at ``start`` or
-        one interval from now).  Returns the handle of the *next* firing;
-        cancelling it stops the series."""
-        if interval <= 0:
-            raise SimulationError(f"interval must be positive: {interval!r}")
-        state: dict[str, EventHandle] = {}
-
-        def fire() -> None:
-            callback()
-            state["handle"] = self.schedule(interval, fire)
-
-        first = start if start is not None else self.now + interval
-        state["handle"] = self.schedule_at(first, fire)
-
-        class _Periodic(EventHandle):
-            def __init__(self) -> None:  # noqa: D401 - thin proxy
-                pass
-
-            def cancel(self) -> None:
-                state["handle"].cancel()
-
-            @property
-            def time(self) -> float:
-                return state["handle"].time
-
-            @property
-            def active(self) -> bool:
-                return state["handle"].active
-
-        return _Periodic()
+        heappush(self._heap, (time, next(self._seq), callback))
 
     # ------------------------------------------------------------------
     # running
     # ------------------------------------------------------------------
-    def step(self) -> bool:
-        """Process the next event; False when the calendar is empty."""
-        while self._heap:
-            event = heapq.heappop(self._heap)
-            if event.cancelled:
-                continue
-            event.fired = True
-            self._live -= 1
-            self.now = event.time
-            event.callback()
-            self.processed += 1
-            return True
-        return False
-
-    def run(
-        self, until: float | None = None, max_events: int | None = None
-    ) -> None:
-        """Process events until the calendar empties, ``until`` is
-        reached (the clock is then advanced to it), or ``max_events``.
+    def run(self, until: float | None = None) -> None:
+        """Process events until the calendar empties or the next one is
+        due after ``until`` (the clock is then advanced to it).
 
         When an observation is active, the whole dispatch loop is timed
         under the ``netsim.engine.run`` phase and the number of events
         processed is counted — aggregate instrumentation, so the
         per-event hot path stays untouched either way.
         """
+        if until is not None and math.isnan(until):
+            raise SimulationError("cannot run until nan")
         ob = obs.current()
         if ob is None:
-            self._run(until, max_events)
+            self._run(until)
             return
         before = self.processed
         depth_gauge = ob.metrics.gauge("netsim.engine.queue_depth")
-        # len(_heap) counts cancelled tombstones too — a cheap O(1)
-        # reading of how much calendar the heap actually holds, which
-        # is what memory and heap-op costs scale with.
+        # The heap holds exactly the events still due to fire.
         depth_gauge.set(len(self._heap))
         started = perf_counter()
         with ob.timers.phase("netsim.engine.run"):
-            self._run(until, max_events)
+            self._run(until)
         elapsed = perf_counter() - started
         depth_gauge.set(len(self._heap))
         done = self.processed - before
@@ -190,26 +94,16 @@ class Engine:
                 done / elapsed
             )
 
-    def _run(
-        self, until: float | None = None, max_events: int | None = None
-    ) -> None:
-        budget = max_events if max_events is not None else float("inf")
-        done = 0
-        while self._heap and done < budget:
-            head = self._heap[0]
-            if head.cancelled:
-                heapq.heappop(self._heap)
-                continue
-            if until is not None and head.time > until:
-                break
-            if not self.step():
-                break
-            done += 1
-        if max_events is not None and done >= budget and self._heap:
-            raise SimulationError(f"exceeded event budget of {max_events}")
+    def _run(self, until: float | None) -> None:
+        heap = self._heap
+        horizon = math.inf if until is None else until
+        fired = 0
+        try:
+            while heap and heap[0][0] <= horizon:
+                self.now, _, callback = heappop(heap)
+                callback()
+                fired += 1
+        finally:
+            self.processed += fired
         if until is not None and until > self.now:
             self.now = until
-
-    def pending(self) -> int:
-        """Events scheduled and still due to fire (O(1) counter)."""
-        return self._live

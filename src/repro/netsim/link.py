@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import random
 from collections.abc import Callable
+from functools import partial
 
 from repro.exceptions import SimulationError
 from repro.graph.topology import Link
@@ -60,8 +61,6 @@ class SimLink:
         self.engine = engine
         self.link = link
         self.deliver = deliver
-        self.rng = rng
-        self.service = service
         self.queue = FIFOQueue(queue_capacity)
         self.on_drop = on_drop
         self.monitor = LinkMonitor(link.prop_delay)
@@ -69,6 +68,13 @@ class SimLink:
         self.up = True
         self.busy_time = 0.0
         self._service_started = 0.0
+        # A link's attributes never change: read them once, not per packet.
+        self._prop_delay = link.prop_delay
+        if service == "deterministic":
+            mean = 1.0 / link.capacity
+            self._service_time: Callable[[], float] = lambda: mean
+        else:
+            self._service_time = partial(rng.expovariate, link.capacity)
 
     # ------------------------------------------------------------------
     def send(self, packet: Packet) -> None:
@@ -82,7 +88,7 @@ class SimLink:
             if not self.queue.push(packet, now):
                 self._note_drop()
         else:
-            self._begin_service(packet, arrived=now)
+            self._begin_service(packet, now)
 
     def _note_drop(self) -> None:
         if self.on_drop is not None:
@@ -92,14 +98,8 @@ class SimLink:
         self.busy = True
         self._service_started = self.engine.now
         self.engine.schedule(
-            self._service_time(), lambda: self._finish_service(packet, arrived)
+            self._service_time(), partial(self._finish_service, packet, arrived)
         )
-
-    def _service_time(self) -> float:
-        mean = 1.0 / self.link.capacity
-        if self.service == "deterministic":
-            return mean
-        return self.rng.expovariate(self.link.capacity)
 
     def _finish_service(self, packet: Packet, arrived: float) -> None:
         now = self.engine.now
@@ -112,14 +112,12 @@ class SimLink:
             propagated=self.up,
         )
         if self.up:
-            self.engine.schedule(
-                self.link.prop_delay, lambda: self.deliver(packet)
-            )
+            self.engine.schedule(self._prop_delay, partial(self.deliver, packet))
         else:
             self._note_drop()  # lost with the link mid-transmission
         if self.queue:
             next_packet, enqueue_time = self.queue.pop()
-            self._begin_service(next_packet, arrived=enqueue_time)
+            self._begin_service(next_packet, enqueue_time)
         else:
             self.busy = False
 

@@ -86,7 +86,7 @@ class PacketNetwork:
             self.links[ln.link_id] = SimLink(
                 self.engine,
                 ln,
-                self._deliver_closure(ln.tail),
+                self._deliver_to(self.nodes[ln.tail]),
                 random.Random(master.getrandbits(64)),
                 service=service,
                 queue_capacity=queue_capacity,
@@ -111,14 +111,12 @@ class PacketNetwork:
     # ------------------------------------------------------------------
     # data plane
     # ------------------------------------------------------------------
-    def _deliver_closure(self, node: NodeId):
-        sim_node = None
+    def _deliver_to(self, node: SimNode):
+        engine = self.engine
+        receive = node.receive
 
         def deliver(packet: Packet) -> None:
-            nonlocal sim_node
-            if sim_node is None:
-                sim_node = self.nodes[node]
-            sim_node.receive(packet, self.engine.now)
+            receive(packet, engine.now)
 
         return deliver
 

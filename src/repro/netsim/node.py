@@ -16,7 +16,7 @@ from typing import Protocol
 
 from repro.exceptions import SimulationError
 from repro.graph.topology import NodeId
-from repro.netsim.monitor import FlowMonitor, check_hop_limit
+from repro.netsim.monitor import FlowMonitor, check_hop_limit, hop_limit
 from repro.netsim.packet import Packet
 
 
@@ -56,6 +56,7 @@ class SimNode:
         self.flow_monitor = flow_monitor
         self.rng = rng
         self.num_nodes = num_nodes
+        self.max_hops = hop_limit(num_nodes)
         #: out_links[nbr] is installed by the network builder.
         self.out_links: dict[NodeId, "object"] = {}
 
@@ -73,7 +74,8 @@ class SimNode:
     def forward(self, packet: Packet) -> None:
         """Pick a successor per the routing parameters and transmit."""
         packet.hops += 1
-        check_hop_limit(packet, self.num_nodes, self.node_id)
+        if packet.hops > self.max_hops:  # raises, naming the loop
+            check_hop_limit(packet, self.num_nodes, self.node_id)
         fractions = self.routing.fractions(self.node_id, packet.destination)
         choice = self._choose(fractions)
         if choice is None:

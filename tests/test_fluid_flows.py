@@ -1,5 +1,7 @@
 """Flows and traffic matrices."""
 
+import math
+
 import pytest
 
 from repro.exceptions import TopologyError
@@ -19,6 +21,12 @@ class TestFlow:
     def test_rejects_negative_rate(self):
         with pytest.raises(TopologyError):
             Flow("a", "b", -1.0)
+
+    @pytest.mark.parametrize("rate", [math.nan, math.inf])
+    def test_rejects_non_finite_rate(self, rate):
+        """A NaN rate would make a Poisson source silently emit nothing."""
+        with pytest.raises(TopologyError, match=rf"'x'.*got {rate}"):
+            Flow("a", "b", rate, name="x")
 
     def test_scaled(self):
         flow = Flow("a", "b", 10.0, name="x")

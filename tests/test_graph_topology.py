@@ -1,5 +1,7 @@
 """Unit tests for the Topology model."""
 
+import math
+
 import pytest
 
 from repro.exceptions import TopologyError
@@ -20,6 +22,13 @@ class TestLink:
     def test_rejects_negative_prop_delay(self):
         with pytest.raises(TopologyError):
             Link("a", "b", prop_delay=-1e-3)
+
+    @pytest.mark.parametrize("field", ["capacity", "prop_delay"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_non_finite_attributes(self, field, value):
+        """A NaN delay would reach the packet engine as a NaN event time."""
+        with pytest.raises(TopologyError, match=rf"'a'->'b'.*got {value}"):
+            Link("a", "b", **{field: value})
 
     def test_reversed_swaps_endpoints_keeps_attributes(self):
         link = Link("a", "b", capacity=10.0, prop_delay=2e-3)
