@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from collections.abc import Callable
 
@@ -1039,9 +1040,23 @@ def main(argv: list[str] | None = None) -> int:
             for flag in ("loss", "causal"):
                 if getattr(args, flag):
                     parser.error(f"--{flag} is not available with --plane packet")
+        if args.audit_sample < 1:
+            parser.error(
+                f"--audit-sample must be at least 1, got {args.audit_sample}"
+            )
         return _run_converge(args)
 
     if args.command == "fleet":
+        # Counts and budgets the fleet cannot honour are usage errors,
+        # raised before any cell runs.  Only ``fleet fuzz`` has --cases.
+        for flag in ("cases", "workers"):
+            value = getattr(args, flag, 1)
+            if value < 1:
+                parser.error(f"--{flag} must be at least 1, got {value}")
+        if not (math.isfinite(args.timeout) and args.timeout > 0):
+            parser.error(
+                f"--timeout must be finite and positive, got {args.timeout}"
+            )
         return _run_fleet(args)
 
     if args.command == "replay":

@@ -409,12 +409,10 @@ class ProtocolDriver:
             return
         tracing = ob.tracer.enabled
         causal = ob.causal
-        before_dists = (
-            dict(router.distances) if tracing or causal is not None else None
-        )
-        # Successor provenance is the expensive half (a dict copy per
-        # event); only MPDA routers have successor sets, and the diff is
-        # only observable through the trace — so gate on both.
+        # Both diffs are only observable through the trace, so an
+        # untraced session copies nothing; only MPDA routers have
+        # successor sets, and only causal traces carry their changes.
+        before_dists = dict(router.distances) if tracing else None
         track_succ = (
             causal is not None
             and tracing
@@ -429,7 +427,7 @@ class ProtocolDriver:
         else:
             fn(*args)
         if before_dists is not None:
-            self._note_dist_changes(ob, router, before_dists, causal, tracing)
+            self._note_dist_changes(ob, router, before_dists, causal)
         if track_succ:
             self._note_succ_changes(ob, router, before_succ, causal)
         self._collect(router, causal)
@@ -448,7 +446,7 @@ class ProtocolDriver:
             )
 
     def _note_dist_changes(
-        self, ob, router: PDARouter, before, causal=None, tracing=True
+        self, ob, router: PDARouter, before, causal=None
     ) -> None:
         """Emit one ``dist_change`` event if the event moved distances."""
         after = router.distances
@@ -459,30 +457,18 @@ class ProtocolDriver:
         ]
         if not changed:
             return
-        if causal is not None:
-            eid = causal.current_eid()
-            for dest in changed:
-                router.route_provenance[dest] = eid
-            if tracing:
-                ob.tracer.event(
-                    "dist_change",
-                    time=ob.sim_time,
-                    node=router.node_id,
-                    dests=sorted(changed, key=repr),
-                    delivered=self.delivered,
-                    cause=eid,
-                )
-            return
+        cause = {} if causal is None else {"cause": causal.current_eid()}
         ob.tracer.event(
             "dist_change",
             time=ob.sim_time,
             node=router.node_id,
             dests=sorted(changed, key=repr),
             delivered=self.delivered,
+            **cause,
         )
 
     def _note_succ_changes(self, ob, router, before, causal) -> None:
-        """Emit ``succ_change`` + stamp provenance for successor moves."""
+        """Emit one ``succ_change`` event if the event moved successors."""
         after = router.successor_sets
         changed = [
             dest
@@ -491,16 +477,13 @@ class ProtocolDriver:
         ]
         if not changed:
             return
-        eid = causal.current_eid()
-        for dest in changed:
-            router.succ_provenance[dest] = eid
         ob.tracer.event(
             "succ_change",
             time=ob.sim_time,
             node=router.node_id,
             dests=sorted(changed, key=repr),
             delivered=self.delivered,
-            cause=eid,
+            cause=causal.current_eid(),
         )
 
     def _note_disturbance(self, op: str, link) -> None:

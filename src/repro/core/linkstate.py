@@ -19,7 +19,6 @@ import os
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 
-from repro.graph.shortest_paths import dijkstra
 from repro.graph.topology import LinkId, NodeId
 
 INFINITY = float("inf")
@@ -134,17 +133,18 @@ class LSUMessage:
 class TopologyTable:
     """A set of directed links with costs — one router's view of a graph.
 
-    Alongside the flat link map the table maintains two derived indexes,
-    updated O(1) per mutation, that the protocol hot path leans on:
+    Alongside the flat link map the table maintains three derived
+    indexes, updated O(1) per mutation, that the protocol hot path leans
+    on:
 
     - ``_by_head[h]``: the links leaving ``h`` (MTU copies a node's
       outgoing links from its preferred neighbor's table — a full link
       scan per node would make MTU quadratic);
+    - ``_in_links[n]``: the links *into* ``n`` (in a main table, each
+      node's tree link, which :func:`~repro.core.pda.repair_tree`
+      reads);
     - ``_node_refs[n]``: how many link endpoints mention ``n`` (so
-      :meth:`nodes` needs no scan), plus ``_in_links[n]`` (the links
-      *into* ``n``) and ``_multi_in`` counting in-degree >= 2 nodes (so
-      :meth:`distances_from` / :meth:`apply_incremental` can recognize
-      when the table is a forest and skip Dijkstra entirely).
+      :meth:`nodes` needs no scan).
 
     :meth:`in_links_view` and :meth:`link_groups_view` expose the two
     link indexes read-only.
@@ -155,7 +155,6 @@ class TopologyTable:
         self._by_head: dict[NodeId, dict[LinkId, float]] = {}
         self._node_refs: dict[NodeId, int] = {}
         self._in_links: dict[NodeId, dict[NodeId, float]] = {}
-        self._multi_in = 0  # nodes with in-degree >= 2
         if links:
             for (head, tail), cost in links.items():
                 self.set_link(head, tail, cost)
@@ -172,14 +171,11 @@ class TopologyTable:
             return False
         links[link_id] = cost
         self._by_head.setdefault(head, {})[link_id] = cost
-        incoming = self._in_links.setdefault(tail, {})
-        incoming[head] = cost
+        self._in_links.setdefault(tail, {})[head] = cost
         if old is None:
             refs = self._node_refs
             refs[head] = refs.get(head, 0) + 1
             refs[tail] = refs.get(tail, 0) + 1
-            if len(incoming) == 2:
-                self._multi_in += 1
         return True
 
     def delete_link(self, head: NodeId, tail: NodeId) -> bool:
@@ -200,9 +196,7 @@ class TopologyTable:
                 del refs[node]
         incoming = self._in_links[tail]
         del incoming[head]
-        if len(incoming) == 1:
-            self._multi_in -= 1
-        elif not incoming:
+        if not incoming:
             del self._in_links[tail]
         return True
 
@@ -218,114 +212,11 @@ class TopologyTable:
                 )
         return changed
 
-    def apply_incremental(
-        self,
-        entries: Iterable[LinkEntry],
-        root: NodeId,
-        dist: dict[NodeId, float],
-    ) -> tuple[bool, set[NodeId] | None]:
-        """Apply LSU entries and patch ``dist`` (distances from ``root``).
-
-        ``dist`` must equal ``distances_from(root)`` for the pre-apply
-        table; on the tree fast path it is updated in place to the
-        post-apply distances and the set of nodes whose value changed
-        (including nodes entering or leaving the table) is returned —
-        exactly the rows a full recompute-and-compare would flag.
-
-        Returns ``(table_changed, changed_nodes)``.  ``changed_nodes``
-        is None when the post-apply table is not a tree rooted at
-        ``root`` (mid-update transient); ``dist`` is then untouched and
-        the caller must fall back to :meth:`distances_from`.
-
-        Only subtrees below modified links are walked, and a branch is
-        pruned as soon as a recomputed value comes out unchanged — an
-        LSU touching k links costs O(affected region), not O(table).
-        """
-        refs = self._node_refs
-        changed_any = False
-        seeds: set[NodeId] = set()
-        removed: set[NodeId] = set()
-        entered: set[NodeId] = set()
-        for entry in entries:
-            head, tail = entry.head, entry.tail
-            if entry.op is EntryOp.DELETE:
-                if not self.delete_link(head, tail):
-                    continue
-                changed_any = True
-                seeds.add(tail)
-                for node in (head, tail):
-                    if node not in refs:
-                        removed.add(node)
-                        entered.discard(node)
-            else:
-                if not self.set_link(head, tail, entry.cost):
-                    continue
-                changed_any = True
-                # The head is seeded too: its value is normally
-                # unaffected by an outgoing link (pruned on first
-                # check), but a node deleted and re-added within one
-                # LSU would otherwise keep a stale distance.
-                seeds.add(tail)
-                seeds.add(head)
-                for node in (head, tail):
-                    if node not in dist and node not in entered:
-                        entered.add(node)
-                        removed.discard(node)
-        if not changed_any:
-            return False, set()
-        in_links = self._in_links
-        if self._multi_in or root in in_links:
-            return True, None
-        # In-degree <= 1 still allows a cycle the root cannot reach, and
-        # stale finite distances around one would grow without end in the
-        # walk below.  Nothing outside such a cycle links into it, so the
-        # walk can only enter it from a seed on it: follow each seed's
-        # in-links upward and decline if they come back around.
-        for node in seeds:
-            seen = set()
-            while node not in seen:
-                seen.add(node)
-                incoming = in_links.get(node)
-                if not incoming:
-                    break
-                (node,) = incoming
-            else:
-                return True, None
-        changed: set[NodeId] = set()
-        for node in removed:
-            if node != root and dist.pop(node, None) is not None:
-                changed.add(node)
-        for node in entered:
-            if node in refs and node not in dist:
-                dist[node] = INFINITY
-                changed.add(node)
-        by_head = self._by_head
-        stack = [t for t in seeds if t in refs]
-        while stack:
-            node = stack.pop()
-            if node == root:
-                continue  # the root's own distance is pinned at 0.0
-            incoming = in_links.get(node)
-            if incoming:
-                ((head, cost),) = incoming.items()
-                value = dist.get(head, INFINITY) + cost
-            else:
-                value = INFINITY
-            if dist.get(node) != value:
-                dist[node] = value
-                changed.add(node)
-                outgoing = by_head.get(node)
-                if outgoing:
-                    for _, tail in outgoing:
-                        stack.append(tail)
-        return True, changed
-
     def clear(self) -> None:
         self._links.clear()
         self._by_head.clear()
         self._node_refs.clear()
         self._in_links.clear()
-        self._multi_in = 0
 
     # ------------------------------------------------------------------
     # queries
@@ -387,37 +278,6 @@ class TopologyTable:
         """
         return self._node_refs
 
-    def distances_from(
-        self, root: NodeId, nodes: list[NodeId] | None = None
-    ) -> dict[NodeId, float]:
-        """Shortest distances from ``root`` within this table.
-
-        When the table is a forest with no link into ``root`` — the
-        steady state for a neighbor table, which holds that neighbor's
-        shortest-path *tree* — every reachable node has exactly one path
-        from ``root``, so a single propagation pass reproduces Dijkstra's
-        distances exactly (the same additions in root-outward order;
-        nodes on unreachable components stay at infinity either way).
-        Anything else (mid-update transients, raw faulty channels) falls
-        back to Dijkstra.
-        """
-        if nodes is None and not self._multi_in and root not in self._in_links:
-            dist = dict.fromkeys(self._node_refs, INFINITY)
-            dist[root] = 0.0
-            by_head = self._by_head
-            stack = [root]
-            while stack:
-                node = stack.pop()
-                outgoing = by_head.get(node)
-                if outgoing is None:
-                    continue
-                d = dist[node]
-                for (_, tail), cost in outgoing.items():
-                    dist[tail] = d + cost
-                    stack.append(tail)
-            return dist
-        return dijkstra(self._links, root, nodes=nodes)[0]
-
     def full_dump(self) -> tuple[LinkEntry, ...]:
         """ADD entries for every link — sent to a newly-up neighbor."""
         return tuple(
@@ -455,9 +315,10 @@ class FrozenTree:
     rebuild the tree from scratch (``applies_to_empty``).  In both cases
     the swap lands the receiver on the same table content and the same
     distance values the entry replay would produce, by construction, at
-    O(1) instead of O(entries + affected region).  Any other receiver
-    state (duplicated or reordered delivery over a raw faulty channel)
-    ignores the snapshot and takes the entry path.
+    O(1) instead of an entry replay plus a Dijkstra run over the whole
+    table.  Any other receiver state (duplicated or reordered delivery
+    over a raw faulty channel) ignores the snapshot and takes the entry
+    path.
 
     Instances are shared across routers and must never be mutated; a
     receiver that needs to edit its copy materializes a mutable

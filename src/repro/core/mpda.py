@@ -66,9 +66,6 @@ class MPDARouter(PDARouter):
         self._succ_stale = False
         self.transitions = 0  # PASSIVE -> ACTIVE count, a protocol metric
         self.acks_received = 0  # consumed ACKs, one per LSU round-trip
-        #: dest -> causal event id of the last successor-set change
-        #: (written by the driver when causal tracing is active).
-        self.succ_provenance: dict[NodeId, int | None] = {}
         #: Destinations whose LFI inputs (a neighbor row or FD entry)
         #: changed since the successor sets were last recomputed.
         self._dirty_dests: set[NodeId] = set()
@@ -313,25 +310,6 @@ class MPDARouter(PDARouter):
         place, so the snapshot's values stay frozen-in-time.
         """
         return dict(self.successor_sets)
-
-    def marginal_distance_via(
-        self, destination: NodeId
-    ) -> dict[NodeId, float]:
-        """:math:`D^i_{jk} + l^i_k` for each successor — IH/AH's input."""
-        return {
-            k: self.neighbor_distance(k, destination) + self.link_costs[k]
-            for k in self.successors(destination)
-            if k in self.link_costs
-        }
-
-    def best_successor(self, destination: NodeId) -> NodeId | None:
-        """The single best successor — how the paper derives its SP
-        baseline ("restrict our multipath routing algorithm to use only
-        the best successor")."""
-        via = self.marginal_distance_via(destination)
-        if not via:
-            return None
-        return min(via, key=lambda k: (via[k], repr(k)))
 
     def is_passive(self) -> bool:
         return self.state is RouterState.PASSIVE

@@ -7,7 +7,11 @@ adjacent-link change) the router runs:
 
 - **NTU** (Neighbor Topology-table Update, Fig. 2): apply the LSU to the
   neighbor's table and recompute that neighbor's distances by running
-  Dijkstra rooted at the neighbor;
+  Dijkstra rooted at the neighbor.  A receiver whose copy is the table
+  the sender diffed against — always, under the paper's delivery
+  model — adopts the sender's frozen tree and distances by reference
+  instead (:class:`~repro.core.linkstate.FrozenTree`), with the same
+  result;
 - **MTU** (Main Topology-table Update, Fig. 3): merge the neighbor trees —
   for each known node *j*, copy *j*'s outgoing links from the *preferred
   neighbor* ``p`` minimizing :math:`D^i_{jp} + l^i_p` (conflicts between
@@ -39,7 +43,7 @@ from repro.core.linkstate import (
     TopologyTable,
 )
 from repro.exceptions import RoutingError
-from repro.graph.shortest_paths import rank_nodes
+from repro.graph.shortest_paths import dijkstra, rank_nodes
 from repro.graph.topology import NodeId
 
 #: Process-wide router identities.  ``id()`` would be ambiguous here:
@@ -223,8 +227,9 @@ class PDARouter:
     whose inputs moved and report the candidate links that changed, and
     :func:`repair_tree` re-settles only the nodes those links affect;
     the LSU diff, ``distances`` and the flooded snapshot are patched
-    from the repaired nodes alone.  An adjacent-link event rebuilds
-    steps 3-5 and settles the tree from the root.
+    from the repaired nodes alone.  An adjacent-link event, or an LSU
+    replayed onto an out-of-sync neighbor table, rebuilds steps 3-5 and
+    settles the tree from the root.
     :mod:`repro.testing.oracle` checks every such shortcut against a
     naive router that recomputes everything per event.
     """
@@ -245,10 +250,6 @@ class PDARouter:
         #: copy of k's topology (NTU step 1c).
         self.nbr_distances: dict[NodeId, dict[NodeId, float]] = {}
         self.outbox: list[tuple[NodeId, LSUMessage]] = []
-        #: dest -> causal event id of the last distance change (written
-        #: by the protocol driver when causal tracing is active; see
-        #: :mod:`repro.obs.causal`).  Empty and untouched otherwise.
-        self.route_provenance: dict[NodeId, int | None] = {}
         self.mtu_runs = 0
         self.lsu_sent = 0
         self.lsu_received = 0
@@ -386,38 +387,27 @@ class PDARouter:
                 self._note_mtu_dirty(sender, snap.changed_rows, message.entries)
                 self._note_rows_changed(snap.changed_rows)
                 return
-        # Entry path: replay the LSU onto a mutable copy — taken on
-        # duplicated or reordered delivery, where the snapshot's
+        # Replay (Fig. 2 as written): apply the entries to a mutable
+        # copy and rerun Dijkstra from the sender — taken on duplicated
+        # or reordered delivery over a raw channel, where the snapshot's
         # baseline doesn't match.
         if isinstance(table, FrozenTree):
             table = self.neighbor_tables[sender] = table.thaw()
-            self.nbr_distances[sender] = dict(self.nbr_distances[sender])
             self._nbr_versions.pop(sender, None)
-        old = self.nbr_distances[sender]
-        changed, changed_nodes = table.apply_incremental(
-            message.entries, sender, old
-        )
-        if not changed:
+        if not table.apply(message.entries):
             # Every entry was a no-op on the table, so the sender's
             # distances — and MTU's inputs — are exactly as before.
             return
         self._tables_dirty = True
-        if changed_nodes is not None:
-            # ``old`` was patched in place and ``changed_nodes`` covers
-            # every destination whose row differs.
-            self._note_mtu_dirty(sender, changed_nodes, message.entries)
-            self._note_rows_changed(changed_nodes)
-            return
-        # The post-apply table is transiently not a tree rooted at the
-        # sender: recompute its distances, diff the rows, and rebuild
-        # the carried MTU state from scratch.
-        self._mtu_full = True
-        new = table.distances_from(sender)
-        new.setdefault(sender, 0.0)
+        old = self.nbr_distances[sender]
+        new = dijkstra(table.links_view(), sender)[0]
         self.nbr_distances[sender] = new
         self._note_rows_changed(
             j for j in old.keys() | new.keys() if old.get(j) != new.get(j)
         )
+        # Rebuild the carried MTU state from scratch rather than track
+        # which of its groups the replay touched.
+        self._mtu_full = True
 
     def _note_mtu_dirty(self, sender: NodeId, rows, entries) -> None:
         """Record what an applied LSU invalidates in the carried MTU state.

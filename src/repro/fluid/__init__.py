@@ -21,7 +21,6 @@ from repro.fluid.evaluator import (
     evaluate,
     link_flows,
     node_flows,
-    node_flows_iterative,
 )
 from repro.fluid.queues import FluidQueues
 
@@ -34,6 +33,5 @@ __all__ = [
     "FluidQueues",
     "evaluate",
     "node_flows",
-    "node_flows_iterative",
     "link_flows",
 ]

@@ -9,11 +9,9 @@ computes the chain of quantities in Section 2.1 of the paper:
 - total delay :math:`D_T = \\sum_{(i,k)} D_{ik}(f_{ik})` (Eq. 3),
 - per-flow expected delays (what the paper's figures plot).
 
-When the routing graph for a destination is loop-free (which every
-algorithm in this library guarantees), node flows are computed exactly in
-one pass over a topological order; :func:`node_flows_iterative` is the
-fallback for arbitrary (possibly cyclic) parameters, used to study what
-transient loops would do to delays.
+The routing graph for a destination must be loop-free (which every
+algorithm in this library guarantees), so node flows are computed exactly
+in one pass over a topological order.
 
 Every exact computation walks a :class:`RoutingDAG`: one destination's
 routing graph for one phi snapshot, holding each router's validated,
@@ -30,7 +28,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
-from repro.exceptions import AllocationError, ConvergenceError, RoutingError
+from repro.exceptions import AllocationError, RoutingError
 from repro.fluid.delay import DelayModel
 from repro.fluid.flows import TrafficMatrix
 from repro.graph.topology import LinkId, NodeId, Topology
@@ -189,61 +187,6 @@ def node_flows(
         for nbr, fraction in fractions.items():
             flows[nbr] += t * fraction
     return flows
-
-
-def node_flows_iterative(
-    phi: Phi,
-    rates: Mapping[NodeId, float],
-    destination: NodeId,
-    *,
-    tolerance: float = 1e-9,
-    max_iterations: int = 10_000,
-) -> dict[NodeId, float]:
-    """Node flows by fixed-point iteration; tolerates cyclic parameters.
-
-    Solves :math:`t = r + \\Phi^{\\top} t` by repeated substitution.  With a
-    traffic-recirculating loop the series diverges and a
-    :class:`~repro.exceptions.ConvergenceError` is raised — mirroring the
-    paper's observation that "even temporary loops cause traffic to
-    recirculate" and corrupt delay computations.
-    """
-    nodes: set[NodeId] = set(phi) | set(rates) | {destination}
-    flows = {
-        node: (rates.get(node, 0.0) if node != destination else 0.0)
-        for node in nodes
-    }
-    base = dict(flows)
-    for _ in range(max_iterations):
-        nxt = dict(base)
-        for node in nodes:
-            if node == destination:
-                continue
-            t = flows[node]
-            if t <= FLOW_EPSILON:
-                continue
-            for nbr, fraction in _fractions(phi, node, destination).items():
-                if nbr == destination:
-                    continue
-                nxt[nbr] = nxt.get(nbr, 0.0) + t * fraction
-        drift = max(
-            abs(nxt.get(n, 0.0) - flows.get(n, 0.0)) for n in nodes
-        )
-        flows = nxt
-        if drift <= tolerance:
-            # Add the destination's received traffic for parity with
-            # node_flows(): t at j counts what arrives there.
-            arrived = 0.0
-            for node in nodes:
-                if node == destination:
-                    continue
-                frac = _fractions(phi, node, destination).get(destination, 0.0)
-                arrived += flows.get(node, 0.0) * frac
-            flows[destination] = arrived
-            return flows
-    raise ConvergenceError(
-        f"node flows for destination {destination!r} did not converge; "
-        "routing parameters likely contain a traffic-recirculating loop"
-    )
 
 
 def _dag_for(

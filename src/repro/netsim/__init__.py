@@ -8,7 +8,8 @@ packet-granularity experiments and for validating the fluid model:
 - :mod:`repro.netsim.packet` / :mod:`queueing` / :mod:`link` /
   :mod:`node` — the data plane (FIFO output queues, transmission +
   propagation, per-destination weighted splitting);
-- :mod:`repro.netsim.traffic` — Poisson / CBR / on-off sources;
+- :mod:`repro.netsim.traffic` — Poisson sources, and on/off sources
+  that replay a bursty scenario's precomputed windows;
 - :mod:`repro.netsim.monitor` — delay and flow measurement windows;
 - :mod:`repro.netsim.network` — assembles everything from a
   :class:`~repro.graph.topology.Topology`.
@@ -17,13 +18,11 @@ packet-granularity experiments and for validating the fluid model:
 from repro.netsim.engine import Engine
 from repro.netsim.packet import Packet
 from repro.netsim.network import PacketNetwork
-from repro.netsim.traffic import CBRSource, OnOffSource, PoissonSource
+from repro.netsim.traffic import PoissonSource
 
 __all__ = [
     "Engine",
     "Packet",
     "PacketNetwork",
     "PoissonSource",
-    "CBRSource",
-    "OnOffSource",
 ]

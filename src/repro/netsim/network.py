@@ -26,7 +26,7 @@ from repro.netsim.link import SimLink
 from repro.netsim.monitor import FlowMonitor
 from repro.netsim.node import RoutingProvider, SimNode
 from repro.netsim.packet import Packet
-from repro.netsim.traffic import OnOffSource, PoissonSource, ScheduledSource
+from repro.netsim.traffic import PoissonSource, ScheduledSource
 
 ESTIMATOR_KINDS = ("mm1", "online")
 
@@ -151,40 +151,6 @@ class PacketNetwork:
                 stop=stop,
             )
             for flow in traffic.flows
-        ]
-
-    def attach_onoff(
-        self,
-        flows: list[Flow],
-        *,
-        burstiness: float = 4.0,
-        mean_on: float = 1.0,
-        start: float = 0.0,
-        stop: float | None = None,
-    ) -> list[OnOffSource]:
-        """On-off sources averaging each flow's rate.
-
-        ``burstiness`` is the peak-to-mean ratio; the off period is
-        derived so the long-run rate equals ``flow.rate``.
-        """
-        if burstiness <= 1.0:
-            raise SimulationError(
-                f"burstiness must exceed 1 (peak/mean), got {burstiness!r}"
-            )
-        mean_off = mean_on * (burstiness - 1.0)
-        return [
-            OnOffSource(
-                self.engine,
-                self.inject,
-                flow,
-                random.Random(self._source_rng.getrandbits(64)),
-                peak_rate=flow.rate * burstiness,
-                mean_on=mean_on,
-                mean_off=mean_off,
-                start=start,
-                stop=stop,
-            )
-            for flow in flows
         ]
 
     def attach_schedules(

@@ -2,13 +2,11 @@
 
 - :class:`PoissonSource` — Poisson packet arrivals at a fixed mean rate;
   the stationary workload of the paper's Section 5.1 experiments.
-- :class:`CBRSource` — constant bit rate (deterministic spacing).
-- :class:`OnOffSource` — exponential on/off bursts; the "very bursty"
-  dynamic traffic the paper argues single-path routing handles poorly.
 - :class:`ScheduledSource` — on/off bursts replaying *precomputed*
   (start, end) windows, so a
-  :class:`~repro.sim.scenario.BurstyScenario`'s schedule plays out
-  identically on the fluid and packet planes.
+  :class:`~repro.sim.scenario.BurstyScenario`'s schedule (the "very
+  bursty" dynamic traffic the paper argues single-path routing handles
+  poorly) plays out identically on the fluid and packet planes.
 
 All sources take an injection callback ``inject(packet)`` so they are
 independent of the network plumbing, and an explicit ``random.Random``
@@ -91,100 +89,11 @@ class PoissonSource(_SourceBase):
         self.engine.schedule(self._gap(), self._fire)
 
 
-class CBRSource(_SourceBase):
-    """Deterministic arrivals every ``1/rate`` seconds."""
-
-    def __init__(
-        self,
-        engine: Engine,
-        inject: InjectFn,
-        flow: Flow,
-        *,
-        start: float = 0.0,
-        stop: float | None = None,
-    ) -> None:
-        super().__init__(engine, inject, flow, start=start, stop=stop)
-        if flow.rate > 0:
-            engine.schedule_at(start + 1.0 / flow.rate, self._fire)
-
-    def _fire(self) -> None:
-        if not self._within_window():
-            return
-        self._emit()
-        self.engine.schedule(1.0 / self.flow.rate, self._fire)
-
-
-class OnOffSource(_SourceBase):
-    """Exponential on/off bursts.
-
-    During an *on* period (mean ``mean_on`` seconds) packets arrive as a
-    Poisson stream at ``peak_rate``; *off* periods (mean ``mean_off``)
-    are silent.  The long-run average rate is
-    ``peak_rate * mean_on / (mean_on + mean_off)``.
-    """
-
-    def __init__(
-        self,
-        engine: Engine,
-        inject: InjectFn,
-        flow: Flow,
-        rng: random.Random,
-        *,
-        peak_rate: float,
-        mean_on: float,
-        mean_off: float,
-        start: float = 0.0,
-        stop: float | None = None,
-    ) -> None:
-        super().__init__(engine, inject, flow, start=start, stop=stop)
-        if peak_rate <= 0 or mean_on <= 0 or mean_off < 0:
-            raise SimulationError(
-                "on/off source needs positive peak rate and on-period"
-            )
-        self.rng = rng
-        self.peak_rate = peak_rate
-        self.mean_on = mean_on
-        self.mean_off = mean_off
-        self.on_until = 0.0
-        engine.schedule_at(start, self._begin_on)
-
-    @property
-    def average_rate(self) -> float:
-        return self.peak_rate * self.mean_on / (self.mean_on + self.mean_off)
-
-    def _begin_on(self) -> None:
-        if not self._within_window():
-            return
-        duration = self.rng.expovariate(1.0 / self.mean_on)
-        self.on_until = self.engine.now + duration
-        self.engine.schedule(duration, self._begin_off)
-        self.engine.schedule(
-            self.rng.expovariate(self.peak_rate), self._fire
-        )
-
-    def _begin_off(self) -> None:
-        if not self._within_window():
-            return
-        if self.mean_off == 0:
-            self._begin_on()
-            return
-        self.engine.schedule(
-            self.rng.expovariate(1.0 / self.mean_off), self._begin_on
-        )
-
-    def _fire(self) -> None:
-        if not self._within_window() or self.engine.now > self.on_until:
-            return
-        self._emit()
-        self.engine.schedule(self.rng.expovariate(self.peak_rate), self._fire)
-
-
 class ScheduledSource(_SourceBase):
     """Poisson arrivals at ``peak_rate`` during precomputed on-periods.
 
-    Unlike :class:`OnOffSource` (which draws its own exponential
-    periods), the on/off pattern is given as explicit ``(start, end)``
-    windows — only the packet arrival times within a window are random.
+    The on/off pattern is given as explicit ``(start, end)`` windows —
+    only the packet arrival times within a window are random.
     """
 
     def __init__(

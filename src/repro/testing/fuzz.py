@@ -49,14 +49,12 @@ from repro.sim.scenario import Scenario
 
 #: v2: failure records embed ``causal_slice`` — the minimal causal
 #: chain (ancestor events of the violating delivery) that produced the
-#: rejected state.  v1 artifacts (no slice) still load and replay.
+#: rejected state.
 #: v3: cases carry a ``policy`` name — ``"mp"`` runs the protocol
-#: driver exactly as before; any other registered routing policy runs
-#: the same schedule through the policy lifecycle with the Theorem-3
-#: audit after every step (the fleet's zoo-wide campaigns).  Earlier
-#: versions load as ``policy="mp"``.
+#: driver; any other registered routing policy runs the same schedule
+#: through the policy lifecycle with the Theorem-3 audit after every
+#: step (the fleet's zoo-wide campaigns).  Only v3 artifacts load.
 ARTIFACT_VERSION = 3
-_SUPPORTED_VERSIONS = (1, 2, 3)
 
 #: Event schedule ops (JSON-serializable lists, op first).
 OPS = ("fail_link", "restore_link", "set_cost", "partition", "pump")
@@ -134,7 +132,7 @@ class FuzzCase:
             schedule=tuple(tuple(event) for event in doc["schedule"]),
             driver_seed=doc["driver_seed"],
             check_invariants=doc["check_invariants"],
-            policy=doc.get("policy", "mp"),
+            policy=doc["policy"],
         )
 
 
@@ -621,10 +619,10 @@ def write_artifact(path: str, case: FuzzCase, failure: dict) -> None:
 def load_artifact(path: str) -> tuple[FuzzCase, dict]:
     with open(path) as fh:
         doc = json.load(fh)
-    if doc.get("version") not in _SUPPORTED_VERSIONS:
+    if doc.get("version") != ARTIFACT_VERSION:
         raise ValueError(
             f"artifact {path!r} has version {doc.get('version')!r}, "
-            f"expected one of {_SUPPORTED_VERSIONS}"
+            f"expected {ARTIFACT_VERSION}"
         )
     return FuzzCase.from_dict(doc["case"]), doc["failure"]
 
@@ -658,14 +656,7 @@ def replay(path: str) -> ReplayResult:
     """Re-execute an artifact; deterministic, so the recorded failure
     must come back verbatim unless the code under test changed."""
     case, recorded = load_artifact(path)
-    with open(path) as fh:
-        version = json.load(fh).get("version")
     observed = check_case(case)
-    if observed is not None and version == 1:
-        # v1 artifact: compare modulo the slice this build now records.
-        observed = {
-            k: v for k, v in observed.items() if k != "causal_slice"
-        }
     return ReplayResult(
         reproduced=observed == recorded,
         recorded=recorded,

@@ -492,3 +492,73 @@ class TestConvergePlanes:
         with pytest.raises(SystemExit):
             build_parser().parse_args([verb])
         assert "invalid choice" in capsys.readouterr().err
+
+
+class TestCountAndBudgetFlags:
+    """Counts and budgets a run cannot honour are usage errors (exit 2)
+    raised before any cell runs, naming the flag."""
+
+    #: One inline fuzz cell, so a missing check costs a fraction of a
+    #: second instead of a campaign.
+    ONE_CELL = ["fleet", "fuzz", "--cases", "1", "--policies", "sp", "--inline"]
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            pytest.param(
+                ["fleet", "fuzz", "--cases", "-3"],
+                "--cases must be at least 1, got -3",
+                id="cases-negative",
+            ),
+            pytest.param(
+                ["fleet", "fuzz", "--cases", "0"],
+                "--cases must be at least 1, got 0",
+                id="cases-zero",
+            ),
+            pytest.param(
+                [*ONE_CELL, "--workers", "0"],
+                "--workers must be at least 1, got 0",
+                id="workers-zero",
+            ),
+            pytest.param(
+                ["fleet", "zoo", "--workers", "-1"],
+                "--workers must be at least 1, got -1",
+                id="zoo-workers-negative",
+            ),
+            pytest.param(
+                [*ONE_CELL, "--timeout", "-1"],
+                "--timeout must be finite and positive, got -1.0",
+                id="timeout-negative",
+            ),
+            pytest.param(
+                [*ONE_CELL, "--timeout", "0"],
+                "--timeout must be finite and positive, got 0.0",
+                id="timeout-zero",
+            ),
+            pytest.param(
+                [*ONE_CELL, "--timeout", "inf"],
+                "--timeout must be finite and positive, got inf",
+                id="timeout-inf",
+            ),
+            pytest.param(
+                [*ONE_CELL, "--timeout", "nan"],
+                "--timeout must be finite and positive, got nan",
+                id="timeout-nan",
+            ),
+        ],
+    )
+    def test_fleet_rejects(self, argv, message, tmp_path, capsys):
+        out = tmp_path / "fleet-out"
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", str(out)])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_converge_rejects_audit_sample_below_one(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["converge", "--topo", "net1", "--audit-sample", "0"])
+        assert exc.value.code == 2
+        assert "--audit-sample must be at least 1, got 0" in (
+            capsys.readouterr().err
+        )

@@ -1,7 +1,5 @@
 """LSU messages and topology tables."""
 
-import pytest
-
 from repro.core.linkstate import (
     EntryOp,
     INFINITY,
@@ -66,11 +64,6 @@ class TestTopologyTable:
     def test_nodes(self):
         table = TopologyTable({("a", "b"): 1.0, ("b", "c"): 1.0})
         assert table.nodes() == {"a", "b", "c"}
-
-    def test_distances_from(self):
-        table = TopologyTable({("a", "b"): 1.0, ("b", "c"): 2.0})
-        dist = table.distances_from("a")
-        assert dist["c"] == pytest.approx(3.0)
 
     def test_full_dump(self):
         table = TopologyTable({("a", "b"): 1.0, ("b", "c"): 2.0})

@@ -154,18 +154,6 @@ class TestStateMachine:
         assert all(not m.entries and not m.ack for _, m in a.outbox)
 
 
-class TestBestSuccessor:
-    def test_best_successor_minimizes_marginal_distance(self, diamond):
-        costs = diamond.uniform_costs(1.0)
-        costs[("s", "a")] = 0.2  # via a is now strictly cheaper
-        driver = converge(diamond, costs)
-        assert driver.routers["s"].best_successor("t") == "a"
-
-    def test_no_route_returns_none(self):
-        router = MPDARouter("a")
-        assert router.best_successor("nowhere") is None
-
-
 @settings(max_examples=15, deadline=None)
 @given(
     seed=st.integers(0, 10_000),

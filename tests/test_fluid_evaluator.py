@@ -4,12 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.exceptions import (
-    AllocationError,
-    ConvergenceError,
-    LoopError,
-    RoutingError,
-)
+from repro.exceptions import AllocationError, LoopError, RoutingError
 from repro.fluid.delay import DelayModel
 from repro.fluid.evaluator import (
     destination_successors,
@@ -17,7 +12,6 @@ from repro.fluid.evaluator import (
     flow_delays,
     link_flows,
     node_flows,
-    node_flows_iterative,
 )
 from repro.fluid.flows import Flow, TrafficMatrix
 
@@ -74,32 +68,6 @@ class TestNodeFlows:
         phi = {"s": {"t": {"a": 1.2, "b": -0.2}}}
         with pytest.raises(AllocationError):
             node_flows(phi, {"s": 1.0}, "t")
-
-
-class TestNodeFlowsIterative:
-    def test_agrees_with_exact_on_dag(self):
-        rates = {"s": 100.0}
-        exact = node_flows(diamond_phi(0.25), rates, "t")
-        approx = node_flows_iterative(diamond_phi(0.25), rates, "t")
-        for node, value in exact.items():
-            assert approx[node] == pytest.approx(value, abs=1e-6)
-
-    def test_partial_loop_converges(self):
-        """A loop that leaks traffic out converges geometrically."""
-        phi = {
-            "a": {"t": {"b": 1.0}},
-            "b": {"t": {"a": 0.5, "t": 0.5}},
-        }
-        t = node_flows_iterative(phi, {"a": 10.0}, "t")
-        # a receives 10 + b*0.5, b receives a: solves to a=20, b=20.
-        assert t["a"] == pytest.approx(20.0, abs=1e-5)
-        assert t["b"] == pytest.approx(20.0, abs=1e-5)
-        assert t["t"] == pytest.approx(10.0, abs=1e-5)
-
-    def test_full_recirculation_diverges(self):
-        phi = {"a": {"t": {"b": 1.0}}, "b": {"t": {"a": 1.0}}}
-        with pytest.raises(ConvergenceError):
-            node_flows_iterative(phi, {"a": 1.0}, "t", max_iterations=200)
 
 
 class TestLinkFlows:

@@ -1,7 +1,7 @@
 """Differential tests: the incremental protocol core vs a naive oracle.
 
-The production core is incremental (dirty-destination MTU state,
-snapshot flooding, patched neighbor distances).  Every shortcut claims
+The production core is incremental (dirty-destination MTU state, tree
+repair, snapshot flooding).  Every shortcut claims
 *bit-for-bit* equality with the procedures of the paper's Figs. 1-4;
 :mod:`repro.testing.oracle` implements those procedures naively and
 these tests run it in lockstep with production PDA and MPDA, comparing
@@ -17,7 +17,7 @@ from dataclasses import replace
 import pytest
 
 from repro.core.allocation import ah
-from repro.core.linkstate import EntryOp, LinkEntry, TopologyTable
+from repro.core.linkstate import EntryOp, FrozenTree, TopologyTable
 from repro.core.mpda import MPDARouter
 from repro.core.pda import PDARouter
 from repro.graph.generators import waxman
@@ -34,12 +34,24 @@ def _raw_mp_case(path: pathlib.Path) -> bool:
     """Protocol corpus cases over the raw wire.  Over a reliable
     transport every receiver stays in sync and adopts snapshots, which
     the failover windows and reliable fuzz seeds already cover; raw
-    cases reach the entry replay, thaw and fallback paths."""
+    cases reach the thaw-and-replay path."""
     case = json.loads(path.read_text())["case"]
     return case["policy"] == "mp" and not case["profile"]["reliable"]
 
 
 RAW_MP_CORPUS = sorted(p.name for p in CORPUS_DIR.glob("*.json") if _raw_mp_case(p))
+
+
+def _assert_all_adopted(lockstep):
+    """Every production neighbor table is its sender's frozen snapshot.
+
+    Under the paper's delivery model each receiver holds the table the
+    sender diffed against, so it adopts; an NTU that replayed entries
+    instead (a Dijkstra run per delivery) leaves a thawed table behind.
+    """
+    for node, router in lockstep.production.routers.items():
+        for nbr, table in router.neighbor_tables.items():
+            assert isinstance(table, FrozenTree), (node, nbr, table)
 
 
 @pytest.mark.parametrize(
@@ -79,6 +91,7 @@ def test_failover_window_differential(make_topo):
         lockstep.run()
         lockstep.set_costs(cut)
         lockstep.run()
+        _assert_all_adopted(lockstep)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -88,13 +101,14 @@ def test_fuzz_schedule_differential(seed):
     for reliable in (True, False):
         case = generate_case(seed, reliable=reliable)
         for router_cls in ROUTERS:
-            lockstep_case(case, router_cls)
+            lockstep = lockstep_case(case, router_cls)
+            if reliable:
+                _assert_all_adopted(lockstep)
 
 
 def test_raw_seed_1497_differential():
-    """The one raw seed in 0-1499 on which MPDA's neighbor table stops
-    being a tree, so NTU falls back to a full recompute.  Plain PDA
-    there also closes a cycle the sender cannot reach."""
+    """A raw seed on which replayed neighbor tables stop being trees;
+    plain PDA's even closes a cycle the sender cannot reach."""
     case = generate_case(1497, reliable=False)
     for router_cls in ROUTERS:
         lockstep_case(case, router_cls)
@@ -233,91 +247,3 @@ def test_snapshot_desync_falls_back_to_entries():
     assert isinstance(router.neighbor_tables["s"], TopologyTable)
     assert router.nbr_distances["s"] == {"s": 0.0, "i": 1.0, "x": 3.0}
     assert router.distances["x"] == 4.0
-
-
-# ----------------------------------------------------------------------
-# incremental neighbor-table patching
-# ----------------------------------------------------------------------
-def _tree_table():
-    table = TopologyTable()
-    table.set_link("r", "a", 1.0)
-    table.set_link("r", "b", 2.0)
-    table.set_link("a", "c", 1.0)
-    table.set_link("c", "d", 1.0)
-    return table
-
-
-def _check_incremental(table, entries):
-    dist = table.distances_from("r")
-    dist.setdefault("r", 0.0)
-    changed, changed_nodes = table.apply_incremental(entries, "r", dist)
-    fresh = table.distances_from("r")
-    fresh.setdefault("r", 0.0)
-    assert changed_nodes is not None
-    assert dist == fresh
-    return changed, changed_nodes
-
-
-def test_apply_incremental_cost_change_updates_subtree():
-    table = _tree_table()
-    changed, rows = _check_incremental(
-        table, [LinkEntry(EntryOp.CHANGE, "a", "c", 3.0)]
-    )
-    assert changed
-    assert rows == {"c", "d"}  # the subtree below the edited link
-
-
-def test_apply_incremental_prunes_unchanged_branches():
-    table = _tree_table()
-    # Re-adding an identical link is a no-op: nothing recomputed.
-    changed, rows = _check_incremental(
-        table, [LinkEntry(EntryOp.ADD, "r", "a", 1.0)]
-    )
-    assert not changed
-    assert rows == set()
-
-
-def test_apply_incremental_grows_and_shrinks():
-    table = _tree_table()
-    changed, rows = _check_incremental(
-        table,
-        [
-            LinkEntry(EntryOp.ADD, "d", "e", 2.0),
-            LinkEntry(EntryOp.DELETE, "r", "b", 0.0),
-        ],
-    )
-    assert changed
-    assert rows == {"e", "b"}  # one node entered, one left
-
-
-def test_apply_incremental_non_tree_transient_returns_none():
-    table = _tree_table()
-    dist = table.distances_from("r")
-    dist.setdefault("r", 0.0)
-    before = dict(dist)
-    # A second parent for "c" makes the table not a tree: the fast
-    # path must decline and leave ``dist`` untouched.
-    changed, changed_nodes = table.apply_incremental(
-        [LinkEntry(EntryOp.ADD, "b", "c", 1.0)], "r", dist
-    )
-    assert changed
-    assert changed_nodes is None
-    assert dist == before
-
-
-def test_apply_incremental_unreachable_cycle_returns_none():
-    """Regression: cutting the root's link into the cycle a -> c -> d
-    -> a leaves every in-degree at most 1, and the stale distances
-    around the cycle used to grow without end."""
-    table = _tree_table()
-    table.set_link("d", "a", 1.0)
-    dist = table.distances_from("r")
-    before = dict(dist)
-    changed, changed_nodes = table.apply_incremental(
-        [LinkEntry(EntryOp.DELETE, "r", "a")], "r", dist
-    )
-    assert changed
-    assert changed_nodes is None
-    assert dist == before
-    fresh = table.distances_from("r")
-    assert fresh["a"] == fresh["c"] == fresh["d"] == float("inf")

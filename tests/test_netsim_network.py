@@ -84,18 +84,3 @@ class TestMeasurement:
             net.run(until=float(k))
             costs = net.measure_costs()
         assert costs[("s", "a")] > 0.0
-
-    def test_onoff_attachment(self, diamond):
-        net = diamond_network(diamond, seed=2)
-        sources = net.attach_onoff(
-            [Flow("s", "t", 100.0, name="x")], burstiness=3.0, stop=30.0
-        )
-        net.run(until=40.0)
-        assert sources[0].emitted > 0
-        delivered = net.flow_monitor.total_delivered()
-        assert delivered == net.flow_monitor.total_injected()
-
-    def test_bad_burstiness_rejected(self, diamond):
-        net = diamond_network(diamond)
-        with pytest.raises(SimulationError):
-            net.attach_onoff([Flow("s", "t", 1.0)], burstiness=1.0)

@@ -7,7 +7,7 @@ import pytest
 from repro.exceptions import SimulationError
 from repro.fluid.flows import Flow
 from repro.netsim.engine import Engine
-from repro.netsim.traffic import CBRSource, OnOffSource, PoissonSource
+from repro.netsim.traffic import PoissonSource
 
 
 def collect(source_factory, duration):
@@ -29,7 +29,7 @@ class TestPoisson:
         assert len(times) / 200.0 == pytest.approx(50.0, rel=0.1)
 
     def test_interarrivals_exponential(self):
-        """CV of exponential gaps is 1 (distinguishes from CBR)."""
+        """CV of exponential gaps is 1 (constant spacing would give 0)."""
         times = collect(
             lambda e, inj: PoissonSource(
                 e, inj, Flow("a", "b", 100.0, name="x"), random.Random(2)
@@ -60,59 +60,6 @@ class TestPoisson:
             duration=10.0,
         )
         assert times == []
-
-
-class TestCBR:
-    def test_deterministic_spacing(self):
-        times = collect(
-            lambda e, inj: CBRSource(e, inj, Flow("a", "b", 10.0, name="x")),
-            duration=1.0,
-        )
-        assert times == pytest.approx([0.1 * i for i in range(1, 11)])
-
-
-class TestOnOff:
-    def test_long_run_rate_matches_average(self):
-        flow = Flow("a", "b", 100.0, name="x")  # nominal average
-        times = collect(
-            lambda e, inj: OnOffSource(
-                e, inj, flow, random.Random(5),
-                peak_rate=300.0, mean_on=1.0, mean_off=2.0,
-            ),
-            duration=600.0,
-        )
-        # average = peak * on/(on+off) = 100
-        assert len(times) / 600.0 == pytest.approx(100.0, rel=0.15)
-
-    def test_burst_structure_visible(self):
-        """On/off gaps are far burstier than Poisson (CV >> 1)."""
-        times = collect(
-            lambda e, inj: OnOffSource(
-                e, inj, Flow("a", "b", 100.0, name="x"), random.Random(6),
-                peak_rate=500.0, mean_on=0.5, mean_off=2.0,
-            ),
-            duration=300.0,
-        )
-        gaps = [b - a for a, b in zip(times, times[1:])]
-        mean = sum(gaps) / len(gaps)
-        var = sum((g - mean) ** 2 for g in gaps) / len(gaps)
-        assert var**0.5 / mean > 1.5
-
-    def test_average_rate_property(self):
-        engine = Engine()
-        src = OnOffSource(
-            engine, lambda p: None, Flow("a", "b", 1.0, name="x"),
-            random.Random(0), peak_rate=40.0, mean_on=1.0, mean_off=3.0,
-        )
-        assert src.average_rate == pytest.approx(10.0)
-
-    def test_invalid_parameters(self):
-        engine = Engine()
-        with pytest.raises(SimulationError):
-            OnOffSource(
-                engine, lambda p: None, Flow("a", "b", 1.0), random.Random(0),
-                peak_rate=0.0, mean_on=1.0, mean_off=1.0,
-            )
 
     def test_stop_before_start_rejected(self):
         engine = Engine()

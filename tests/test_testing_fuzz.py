@@ -189,10 +189,19 @@ class TestPolicyCases:
         clone = FuzzCase.from_dict(json.loads(json.dumps(case.as_dict())))
         assert clone.policy == "backpressure-lr"
 
-    def test_pre_v3_documents_load_as_mp(self):
-        doc = generate_case(1).as_dict()
-        del doc["policy"]  # v1/v2 artifacts have no policy field
-        assert FuzzCase.from_dict(doc).policy == "mp"
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_pre_v3_artifacts_rejected(self, tmp_path, version):
+        case = generate_case(1).as_dict()
+        del case["policy"]  # v1/v2 artifacts have no policy field
+        path = tmp_path / "old.json"
+        path.write_text(
+            json.dumps({"version": version, "case": case, "failure": {}})
+        )
+        with pytest.raises(
+            ValueError,
+            match=f"has version {version}, expected {ARTIFACT_VERSION}$",
+        ):
+            load_artifact(str(path))
 
     @pytest.mark.parametrize("policy", ZOO_POLICIES)
     def test_zoo_policies_survive_the_schedule(self, policy):
