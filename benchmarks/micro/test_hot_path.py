@@ -1,5 +1,5 @@
 """MICRO — hot-path kernels: shared-heap SPF, incremental protocol core, OPT,
-the packet event loop.
+the packet event loop, the per-delivery Theorem-3 check.
 
 Not a paper figure; pins the optimized kernels against their scalar /
 naive counterparts so a regression in either speed or exactness shows
@@ -21,6 +21,8 @@ import pytest
 from benchmarks.conftest import run_once
 from repro.core.driver import ProtocolDriver
 from repro.core.mpda import MPDARouter
+from repro.fleet.plan import fuzz_plan
+from repro.fleet.worker import execute_cell
 from repro.fluid.delay import DelayModel
 from repro.gallager.opt import optimize
 from repro.graph.generators import waxman
@@ -31,6 +33,7 @@ from repro.graph.shortest_paths import (
 from repro.netsim.engine import Engine
 from repro.sim.control import PacketRunConfig, TwoTimescaleController
 from repro.sim.scenario import cairn_scenario, net1_scenario
+from repro.testing import safety_reference
 from repro.testing.opt_reference import naive_optimize
 from repro.testing.oracle import OracleMPDA
 
@@ -296,4 +299,49 @@ def test_packet_event_loop(benchmark, record_figure, monkeypatch):
         f"{network.engine.processed} events): dataclass heap "
         f"{reference_s:.2f} s, tuple heap {engine_s:.2f} s "
         f"({reference_s / engine_s:.1f}x)",
+    )
+
+
+# ----------------------------------------------------------------------
+# The per-delivery Theorem-3 check
+# ----------------------------------------------------------------------
+def test_safety_check(benchmark, record_figure, monkeypatch):
+    """The ``mp`` cells of a fixed fuzz plan: production check vs the
+    naive reference.
+
+    Every delivery of every cell runs the Theorem-3 check, once with
+    :func:`repro.core.mpda.check_safety`, which reads the routers in
+    place and peels each successor graph, and once with
+    :func:`repro.testing.safety_reference.check_safety`, which copies the
+    state into maps and searches depth-first.  Both runs must give the
+    same verdict records (status and every metric) before the speed
+    ratio is reported.
+    """
+    cells = fuzz_plan(30, seed=0, policies=("mp",)).cells
+
+    def campaign():
+        return [execute_cell(cell) for cell in cells]
+
+    records = run_once(benchmark, campaign)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            "repro.core.driver.check_safety", safety_reference.check_safety
+        )
+        t0 = time.perf_counter()
+        reference = campaign()
+        reference_s = time.perf_counter() - t0
+
+    assert records == reference
+    assert {record["status"] for record in records} == {"pass"}
+    check_s = benchmark.stats.stats.mean
+    deliveries = sum(
+        record["result"]["metrics"]["delivered"] for record in records
+    )
+    record_figure(
+        "micro_safety_check",
+        f"{len(cells)} reliable mp fuzz cells ({deliveries} deliveries, "
+        f"a Theorem-3 check after each): the campaign takes "
+        f"{reference_s:.2f} s with the reference check, {check_s:.2f} s "
+        f"with check_safety ({reference_s / check_s:.1f}x)",
     )

@@ -37,7 +37,6 @@ from repro.core import (
     PDARouter,
     ProtocolDriver,
     ah,
-    check_lfi,
     ih,
     lfi_successors,
 )
@@ -103,7 +102,6 @@ __all__ = [
     "AllocationTable",
     "ih",
     "ah",
-    "check_lfi",
     "lfi_successors",
     "MM1CostEstimator",
     "OnlineCostEstimator",

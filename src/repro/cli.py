@@ -452,12 +452,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     replay = sub.add_parser(
         "replay",
-        help="deterministically re-execute a fuzz failure artifact",
+        help=(
+            "deterministically re-execute a fuzz failure artifact or a "
+            "corpus entry"
+        ),
     )
     replay.add_argument(
         "artifact",
         metavar="ARTIFACT",
-        help="JSON artifact written by 'repro fleet fuzz'",
+        help=(
+            "JSON artifact written by 'repro fleet fuzz', or a "
+            "tests/corpus/ entry (a pass entry must reproduce its metrics)"
+        ),
     )
 
     explain = sub.add_parser(
@@ -1060,6 +1066,14 @@ def main(argv: list[str] | None = None) -> int:
         return _run_fleet(args)
 
     if args.command == "replay":
+        # A document that does not load is a usage error, raised before
+        # the case runs.
+        from repro.testing import load_artifact
+
+        try:
+            load_artifact(args.artifact)
+        except (OSError, ValueError) as error:
+            parser.error(str(error))
         return _run_replay(args)
 
     if args.command == "explain":

@@ -6,12 +6,13 @@ Components (Section 4 of the paper):
 - :mod:`repro.core.allocation` — routing parameters and the IH / AH
   flow-allocation heuristics (Figs. 6 and 7);
 - :mod:`repro.core.lfi` — the Loop-Free Invariant conditions (Eqs. 16-17)
-  and their checker (Theorem 1);
+  and the converged successor sets they yield;
 - :mod:`repro.core.linkstate` — LSU messages and topology tables;
 - :mod:`repro.core.pda` — the Partial-topology Dissemination Algorithm
   (Figs. 1-3);
 - :mod:`repro.core.mpda` — the Multipath PDA (Fig. 4) with one-hop
-  ACTIVE/PASSIVE synchronization enforcing the LFI conditions;
+  ACTIVE/PASSIVE synchronization enforcing the LFI conditions, and
+  :func:`~repro.core.mpda.check_safety`, their checker (Theorem 3);
 - :mod:`repro.core.driver` — a deterministic message-passing driver for
   running a network of protocol routers to quiescence;
 - :mod:`repro.core.transport` — the pluggable channel model under the
@@ -32,7 +33,7 @@ from repro.core.allocation import (
     validate_property1,
 )
 from repro.core.costs import MM1CostEstimator, OnlineCostEstimator
-from repro.core.lfi import LFIViolation, check_lfi, lfi_successors
+from repro.core.lfi import LFIViolation, lfi_successors
 from repro.core.linkstate import LinkEntry, LSUMessage, TopologyTable
 from repro.core.mpda import MPDARouter
 from repro.core.pda import PDARouter
@@ -52,7 +53,6 @@ __all__ = [
     "ah",
     "validate_property1",
     "LFIViolation",
-    "check_lfi",
     "lfi_successors",
     "LinkEntry",
     "LSUMessage",

@@ -16,10 +16,11 @@ chooses successors
 
 then the union of all successor sets is loop-free at every instant.
 
-This module provides a checker used by the test suite and simulation
-safety monitors against live MPDA router states, and the *converged*
-successor-set computation :func:`lfi_successors` (by Theorem 4, what MPDA
-produces once quiet: :math:`S^i_j = \\{k : D^k_j < D^i_j\\}`).
+This module holds :class:`LFIViolation`, which the Theorem-3 check
+:func:`repro.core.mpda.check_safety` raises when live MPDA router states
+break the conditions, and the *converged* successor-set computation
+:func:`lfi_successors` (by Theorem 4, what MPDA produces once quiet:
+:math:`S^i_j = \\{k : D^k_j < D^i_j\\}`).
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from collections.abc import Mapping
 
 from repro.graph.shortest_paths import CostMap, bellman_ford
 from repro.graph.topology import NodeId, Topology
-from repro.graph.validation import find_successor_cycle
 
 
 class LFIViolation(AssertionError):
@@ -37,49 +37,6 @@ class LFIViolation(AssertionError):
     Derives from AssertionError because in a correct implementation this
     is unreachable; the safety monitors promote it to a test failure.
     """
-
-
-def check_lfi(
-    destination: NodeId,
-    feasible_distance: Mapping[NodeId, float],
-    reported: Mapping[NodeId, Mapping[NodeId, float]],
-    successors: Mapping[NodeId, set[NodeId]],
-) -> None:
-    """Verify Eqs. (16)-(17) and acyclicity for one destination.
-
-    Args:
-        destination: the destination *j*.
-        feasible_distance: :math:`FD^i_j` per router *i*.
-        reported: ``reported[i][k]`` = :math:`D^i_{jk}`, the distance from
-            neighbor *k* to *j* in *i*'s copy of *k*'s topology.
-        successors: :math:`S^i_j` per router.
-
-    Raises:
-        LFIViolation: if any condition fails.
-    """
-    for router, fd in feasible_distance.items():
-        known = reported.get(router, {})
-        succ = successors.get(router, set())
-        for nbr in succ:
-            if nbr not in known:
-                raise LFIViolation(
-                    f"router {router!r}: successor {nbr!r} has no reported "
-                    f"distance to {destination!r}"
-                )
-            if not known[nbr] < fd:
-                raise LFIViolation(
-                    f"router {router!r}: successor {nbr!r} has "
-                    f"D_jk = {known[nbr]!r} >= FD = {fd!r} "
-                    f"(Eq. 17 violated for destination {destination!r})"
-                )
-    cycle = find_successor_cycle(
-        {router: list(succ) for router, succ in successors.items()}
-    )
-    if cycle is not None:
-        raise LFIViolation(
-            f"successor graph for {destination!r} has cycle {cycle!r} "
-            "(Theorem 1 violated)"
-        )
 
 
 def lfi_successors(

@@ -143,11 +143,11 @@ class TopologyTable:
     - ``_in_links[n]``: the links *into* ``n`` (in a main table, each
       node's tree link, which :func:`~repro.core.pda.repair_tree`
       reads);
-    - ``_node_refs[n]``: how many link endpoints mention ``n`` (so
-      :meth:`nodes` needs no scan).
+    - ``_node_refs[n]``: how many link endpoints mention ``n`` (so the
+      node set needs no scan).
 
-    :meth:`in_links_view` and :meth:`link_groups_view` expose the two
-    link indexes read-only.
+    :meth:`in_links_view`, :meth:`link_groups_view` and
+    :meth:`nodes_map_view` expose the three indexes read-only.
     """
 
     def __init__(self, links: Mapping[LinkId, float] | None = None) -> None:
@@ -212,26 +212,12 @@ class TopologyTable:
                 )
         return changed
 
-    def clear(self) -> None:
-        self._links.clear()
-        self._by_head.clear()
-        self._node_refs.clear()
-        self._in_links.clear()
-
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
-    def cost(self, head: NodeId, tail: NodeId) -> float:
-        """Cost of the link, or infinity when absent."""
-        return self._links.get((head, tail), INFINITY)
-
     def links(self) -> dict[LinkId, float]:
         """All links as a plain cost map (a copy)."""
         return dict(self._links)
-
-    def links_with_head(self, head: NodeId) -> dict[LinkId, float]:
-        """The links leaving ``head`` — what MTU copies per node."""
-        return dict(self._by_head.get(head, ()))
 
     def links_with_head_view(self, head: NodeId) -> Mapping[LinkId, float]:
         """Read-only view of the links leaving ``head`` (no copy).
@@ -261,14 +247,6 @@ class TopologyTable:
         entry, its predecessor.
         """
         return self._in_links
-
-    def nodes(self) -> set[NodeId]:
-        """Every node appearing as a head or tail."""
-        return set(self._node_refs)
-
-    def nodes_view(self):
-        """Iterable view of the node set (no copy; do not hold)."""
-        return self._node_refs.keys()
 
     def nodes_map_view(self) -> Mapping[NodeId, object]:
         """The node set as a mapping (values meaningless; no copy).
@@ -406,9 +384,6 @@ class FrozenTree:
 
     def link_groups_view(self) -> Mapping[NodeId, Mapping[LinkId, float]]:
         return self._by_head
-
-    def nodes_view(self):
-        return self._nodes.keys()
 
     def nodes_map_view(self):
         return self._nodes

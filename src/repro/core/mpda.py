@@ -21,7 +21,12 @@ at every instant* (Theorem 3):
 
 :func:`check_safety` verifies the LFI conditions across a whole network
 of live routers, including in-flight states; the simulation drivers call
-it after every event to machine-check Theorem 3.
+it after every event to machine-check Theorem 3.  It is the only
+Theorem-3 checker in ``repro.core``: it reads each router's dicts in
+place, one pass per destination, and decides acyclicity with the peeling
+pass of :func:`repro.graph.validation.find_successor_cycle`.  The
+test-only :mod:`repro.testing.safety_reference` keeps the naive
+map-building form it is differentially tested against.
 """
 
 from __future__ import annotations
@@ -29,11 +34,12 @@ from __future__ import annotations
 import enum
 from collections.abc import Mapping
 
-from repro.core.lfi import check_lfi
+from repro.core.lfi import LFIViolation
 from repro.core.linkstate import INFINITY, LSUMessage
 from repro.core.pda import PDARouter
 from repro.exceptions import LoopError
 from repro.graph.topology import NodeId
+from repro.graph.validation import find_successor_cycle
 
 
 class RouterState(enum.Enum):
@@ -324,80 +330,94 @@ def check_safety(
 ) -> None:
     """Machine-check Theorem 3 over live router states.
 
-    Verifies, for each destination (or just ``destination``):
+    Verifies, for each destination *j* (or just ``destination``), in
+    this order:
 
     1. Eq. (17): every successor's reported distance is below the
-       router's feasible distance;
-    2. Eq. (16), in its reported-value form: each router's feasible
+       router's feasible distance, router by router;
+    2. the global successor graph is acyclic;
+    3. Eq. (16), in its reported-value form: each router's feasible
        distance never exceeds the copy of *its own* distance held by any
-       neighbor (that copy is what neighbors base their choices on);
-    3. the global successor graph is acyclic.
+       neighbor (that copy is what neighbors base their choices on).
+
+    One pass per destination reads each router's ``feasible_distance``,
+    ``nbr_distances``, ``link_costs`` and ``successor_sets`` in place.
+    No router state is copied: per destination the check builds only
+    the map of non-empty successor sets that
+    :func:`~repro.graph.validation.find_successor_cycle` peels.  A
+    successor must be an up neighbor; one whose row lacks *j* reports
+    an infinite distance.  The first violation found is raised, so the
+    order above decides which one a broken state reports.
 
     Raises:
         LFIViolation / LoopError: if the invariant is broken.
     """
-    destinations: set[NodeId] = set()
-    if destination is not None:
-        destinations.add(destination)
-    else:
+    if destination is None:
+        destinations: set[NodeId] = set()
         for router in routers.values():
             destinations.update(router.successor_sets)
+    else:
+        destinations = {destination}
+    states = []
+    # Eq. (16) inputs: per router, the rows that its up neighbors (those
+    # in ``routers`` that hold it as a neighbor too) keep for it.
+    held_rows = []
+    for i, router in routers.items():
+        links = router.link_costs
+        feasible = router.feasible_distance
+        states.append(
+            (i, router.successor_sets, feasible, router.nbr_distances, links)
+        )
+        held = []
+        for k in links:
+            peer = routers.get(k)
+            if peer is not None and i in peer.link_costs:
+                row = peer.nbr_distances.get(i)
+                if row is not None:
+                    held.append((k, row))
+        if held:
+            held_rows.append((i, feasible, held))
 
     for j in destinations:
-        feasible = {
-            i: router.feasible_distance.get(j, INFINITY)
-            for i, router in routers.items()
-            if i != j
-        }
-        reported = {
-            i: {
-                k: router.neighbor_distance(k, j)
-                for k in router.up_neighbors()
-            }
-            for i, router in routers.items()
-        }
-        successors = {
-            i: router.successors(j) for i, router in routers.items()
-        }
-        check_destination(j, feasible, reported, successors)
-
-
-def check_destination(
-    j: NodeId,
-    feasible: Mapping[NodeId, float],
-    reported: Mapping[NodeId, Mapping[NodeId, float]],
-    successors: Mapping[NodeId, set[NodeId]],
-) -> None:
-    """The per-destination body of :func:`check_safety`.
-
-    Takes the extracted state maps instead of live routers, so callers
-    that cache those maps (the incremental invariant auditor) can verify
-    a single destination without touching every router:
-
-    - ``feasible[i]``: :math:`FD^i_j` (no entry for ``i == j``);
-    - ``reported[i][k]``: :math:`D^i_{jk}` for each up neighbor ``k``;
-    - ``successors[i]``: :math:`S^i_j`.
-
-    Raises:
-        LFIViolation / LoopError: if the invariant is broken.
-    """
-    check_lfi(j, feasible, reported, successors)
-
-    # Eq. (16) cross-check: FD_j^i <= (i's distance to j as held at
-    # every neighbor k).  reported[i]'s keys are exactly i's up
-    # neighbors, so the neighbor walk needs no router access.
-    for i, fd in feasible.items():
-        if fd == INFINITY:
-            continue
-        for k in reported.get(i, ()):
-            peer_view = reported.get(k)
-            if peer_view is None:
+        graph = {}
+        for i, successor_sets, feasible, rows, links in states:
+            succ = successor_sets.get(j)
+            if not succ:
                 continue
-            held = peer_view.get(i)
-            if held is None:
+            graph[i] = succ
+            if i == j:
                 continue
-            if fd > held + 1e-12:
-                raise LoopError(
-                    f"router {i!r}: FD to {j!r} is {fd!r} but neighbor "
-                    f"{k!r} holds distance {held!r} (Eq. 16 violated)"
-                )
+            fd = feasible.get(j, INFINITY)
+            for k in succ:
+                if k not in links:
+                    raise LFIViolation(
+                        f"router {i!r}: successor {k!r} has no reported "
+                        f"distance to {j!r}"
+                    )
+                row = rows.get(k)
+                dist_kj = INFINITY if row is None else row.get(j, INFINITY)
+                if not dist_kj < fd:
+                    raise LFIViolation(
+                        f"router {i!r}: successor {k!r} has "
+                        f"D_jk = {dist_kj!r} >= FD = {fd!r} "
+                        f"(Eq. 17 violated for destination {j!r})"
+                    )
+        cycle = find_successor_cycle(graph)
+        if cycle is not None:
+            raise LFIViolation(
+                f"successor graph for {j!r} has cycle {cycle!r} "
+                "(Theorem 1 violated)"
+            )
+        for i, feasible, held in held_rows:
+            if i == j:
+                continue
+            fd = feasible.get(j, INFINITY)
+            if fd == INFINITY:
+                continue
+            for k, row in held:
+                dist = row.get(j)
+                if dist is not None and fd > dist + 1e-12:
+                    raise LoopError(
+                        f"router {i!r}: FD to {j!r} is {fd!r} but neighbor "
+                        f"{k!r} holds distance {dist!r} (Eq. 16 violated)"
+                    )

@@ -5,6 +5,13 @@ define the routing graph :math:`SG_j`.  Theorem 1 of the paper proves the
 LFI conditions keep :math:`SG_j` loop-free at every instant; the functions
 here are the *checkers* the test-suite and the simulation safety monitors
 use to verify that claim on every event.
+
+:func:`find_successor_cycle` is the one acyclicity routine behind all of
+them: the per-delivery Theorem-3 check
+(:func:`repro.core.mpda.check_safety`), :func:`assert_loop_free` and the
+routing-policy audits.  It peels the graph in linear time and searches
+for a cycle only when something is left unpeeled, which in a passing run
+never happens.
 """
 
 from __future__ import annotations
@@ -20,14 +27,54 @@ SuccessorSets = Mapping[NodeId, Iterable[NodeId]]
 def find_successor_cycle(successors: SuccessorSets) -> list[NodeId] | None:
     """Find a cycle in a successor graph, or None if it is acyclic.
 
+    A linear peeling pass decides acyclicity: a node peels once every
+    successor it has among the keys has peeled, so nodes without such
+    successors peel first, and the graph is a DAG exactly when every
+    node peels.  Only a graph left with unpeeled nodes goes on to the
+    depth-first search that names a cycle, so a cyclic graph yields the
+    same cycle the search alone would.
+
     Args:
         successors: for each router, the successor set toward one
-            destination (``successors[i]`` = :math:`S_j^i`).
+            destination (``successors[i]`` = :math:`S_j^i`).  A set may
+            be walked twice, so it must be a collection, not a one-shot
+            iterator.  Successors that are not keys have no out-edges.
 
     Returns:
         A list of nodes forming a directed cycle (first node repeated at
         the end), or None when the graph is a DAG.
     """
+    # waiting[i]: successors of i (among the keys) not peeled yet.
+    waiting: dict[NodeId, int] = {}
+    predecessors: dict[NodeId, list[NodeId]] = {}
+    peeled: list[NodeId] = []
+    for node, succ in successors.items():
+        count = 0
+        for nxt in succ:
+            if nxt in successors:
+                count += 1
+                preds = predecessors.get(nxt)
+                if preds is None:
+                    predecessors[nxt] = [node]
+                else:
+                    preds.append(node)
+        if count:
+            waiting[node] = count
+        else:
+            peeled.append(node)
+    for node in peeled:  # grows while it is walked
+        for prev in predecessors.get(node, ()):
+            left = waiting[prev] - 1
+            waiting[prev] = left
+            if not left:
+                peeled.append(prev)
+    if len(peeled) == len(successors):
+        return None
+    return _dfs_cycle(successors)
+
+
+def _dfs_cycle(successors: SuccessorSets) -> list[NodeId] | None:
+    """Name a cycle by depth-first search (roots in key order)."""
     WHITE, GRAY, BLACK = 0, 1, 2
     color: dict[NodeId, int] = {node: WHITE for node in successors}
 

@@ -12,9 +12,8 @@ observed run:
   (``sample_every=1`` verifies after literally every event; larger
   values amortize the cost toward zero for long production runs);
 - each sampled check runs :func:`repro.core.mpda.check_safety` — Eqs.
-  (16)-(17) via :func:`repro.core.lfi.check_lfi` plus global successor
-  acyclicity via :func:`repro.graph.validation.find_successor_cycle` —
-  over the live router states, *including* in-flight ACTIVE states;
+  (16)-(17) plus global successor acyclicity — over the live router
+  states, *including* in-flight ACTIVE states;
 - outcomes land in the ``lfi_audit`` metric family (checks, violations,
   per-check wall time) and violations additionally become
   ``audit_violation`` trace events, so a run report can state an audit
@@ -24,17 +23,18 @@ Unlike ``check_invariants`` (which raises and kills the run on the
 first violation), the auditor records and continues: an observability
 instrument must never change the run it is observing.
 
-Sampled checks are **incremental**: each per-destination verification is
-a pure function of per-router state rows (feasible distance, reported
-neighbor distances, successor set), and one protocol event only mutates
-the one router that processed it.  The auditor therefore caches the rows
+Sampled checks are **incremental**: the check for one destination reads
+only per-router state rows (feasible distance, reported neighbor
+distances, successor set), and one protocol event only mutates the one
+router that processed it.  The auditor therefore caches the rows
 between samples, uses the routers' ``route_version`` counters to find
 which routers may have changed, rebuilds only their rows, and re-checks
-only the destinations whose rows actually differ — everything else keeps
-its cached verdict.  Quiescent audits (:meth:`audit` with
-``context="quiescent"``) always discard the cache and verify everything
-from scratch, so every convergence window ends with a ground-truth
-check.
+only the destinations whose rows actually differ, each with
+``check_safety(routers, j)`` on the live routers — everything else
+keeps its cached verdict.  The rows serve only that diff.  Quiescent
+audits (:meth:`audit` with ``context="quiescent"``) always discard the
+cache and verify everything from scratch, so every convergence window
+ends with a ground-truth check.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from typing import TYPE_CHECKING, Any
 
 from repro.core.lfi import LFIViolation
 from repro.core.linkstate import INFINITY
-from repro.core.mpda import MPDARouter, check_destination
+from repro.core.mpda import MPDARouter, check_safety
 from repro.exceptions import LoopError
 from repro.graph.topology import NodeId
 
@@ -54,57 +54,42 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 _AUDIT_ERRORS = (LFIViolation, LoopError)
 
+#: One router's inputs to the check for one destination: its feasible
+#: distance (None for the destination itself), the distance each up
+#: neighbor reports, and its successor set.
+Row = tuple[float | None, dict[NodeId, float], frozenset[NodeId]]
+
 
 class _SafetyCache:
     """Per-destination state rows carried between sampled checks.
 
-    ``feasible[j][i]`` / ``reported[j][i]`` / ``successors[j][i]`` are
-    the :func:`~repro.core.mpda.check_destination` inputs; ``versions``
-    maps router ``_uid`` to the ``route_version`` the rows were built
-    from; ``contributed[uid]`` is the destination set the router's
-    successor sets contributed (so destinations disappear from the audit
-    exactly when the last router drops them); ``violating`` keeps the
-    verdicts of broken destinations so a quiet (all-clean-diff) sample
-    still reports a persisting violation.
+    The rows only tell which destinations changed since the last
+    sample; the check itself reads the live routers.  ``rows[j][i]`` is
+    router ``i``'s :data:`Row` for ``j``; ``versions`` maps router
+    ``_uid`` to the ``route_version`` the rows were built from;
+    ``contributed[uid]`` is the destination set the router's successor
+    sets contributed (so destinations disappear from the audit exactly
+    when the last router drops them); ``violating`` keeps the verdicts
+    of broken destinations so a quiet (all-clean-diff) sample still
+    reports a persisting violation.
     """
 
-    __slots__ = (
-        "versions",
-        "feasible",
-        "reported",
-        "successors",
-        "contributed",
-        "dest_refs",
-        "violating",
-    )
+    __slots__ = ("versions", "rows", "contributed", "dest_refs", "violating")
 
     def __init__(self) -> None:
         self.versions: dict[int, int] = {}
-        self.feasible: dict[NodeId, dict[NodeId, float]] = {}
-        self.reported: dict[NodeId, dict[NodeId, dict[NodeId, float]]] = {}
-        self.successors: dict[NodeId, dict[NodeId, set[NodeId]]] = {}
+        self.rows: dict[NodeId, dict[NodeId, Row]] = {}
         self.contributed: dict[int, set[NodeId]] = {}
         self.dest_refs: dict[NodeId, int] = {}
         self.violating: dict[NodeId, Exception] = {}
 
 
-def _rows(
-    router: MPDARouter, j: NodeId
-) -> tuple[float | None, dict[NodeId, float], set[NodeId]]:
-    """Router ``i``'s state rows for destination ``j``.
-
-    The feasible entry is None for ``i == j`` (check_safety builds the
-    feasible map without the destination itself).
-    """
-    feasible = (
-        None
-        if router.node_id == j
-        else router.feasible_distance.get(j, INFINITY)
-    )
-    reported = {
-        k: router.neighbor_distance(k, j) for k in router.link_costs
-    }
-    return feasible, reported, router.successors(j)
+def _row(router: MPDARouter, j: NodeId) -> Row:
+    """A router's state row for destination ``j``."""
+    fd = None if router.node_id == j else router.feasible_distance.get(j, INFINITY)
+    rows = router.nbr_distances
+    reported = {k: rows.get(k, {}).get(j, INFINITY) for k in router.link_costs}
+    return fd, reported, frozenset(router.successor_sets.get(j, ()))
 
 
 class InvariantAuditor:
@@ -227,41 +212,27 @@ class InvariantAuditor:
     ) -> Exception | None:
         """Rebuild the cache from scratch, checking every destination."""
         cache = _SafetyCache()
-        destinations: set[NodeId] = set()
         for router in mpda.values():
             contributed = set(router.successor_sets)
             cache.versions[router._uid] = router.route_version
             cache.contributed[router._uid] = contributed
-            destinations.update(contributed)
             for j in contributed:
                 cache.dest_refs[j] = cache.dest_refs.get(j, 0) + 1
-        for j in destinations:
-            feasible: dict[NodeId, float] = {}
-            reported: dict[NodeId, dict[NodeId, float]] = {}
-            successors: dict[NodeId, set[NodeId]] = {}
-            for i, router in mpda.items():
-                fd, rep, succ = _rows(router, j)
-                if fd is not None:
-                    feasible[i] = fd
-                reported[i] = rep
-                successors[i] = succ
-            cache.feasible[j] = feasible
-            cache.reported[j] = reported
-            cache.successors[j] = successors
+        for j in cache.dest_refs:
+            cache.rows[j] = {i: _row(router, j) for i, router in mpda.items()}
         self._cache = cache
-        return self._check_destinations(cache, destinations)
+        return self._check_destinations(mpda, cache, set(cache.dest_refs))
 
     def _incremental_check(
         self, mpda: Mapping[NodeId, MPDARouter], metrics
     ) -> Exception | None:
         """Refresh only changed routers' rows; re-check changed rows.
 
-        Correctness rests on two facts: a per-destination check is a
-        pure function of the row maps (see
-        :func:`~repro.core.mpda.check_destination`), and each row is a
-        pure function of one router's state, guarded by its
-        ``route_version``.  A destination none of whose rows changed
-        therefore keeps its previous verdict.
+        Correctness rests on two facts: a per-destination check reads
+        only the state the rows capture, and each row is a pure function
+        of one router's state, guarded by its ``route_version``.  A
+        destination none of whose rows changed therefore keeps its
+        previous verdict.
         """
         cache = self._cache
         assert cache is not None
@@ -292,75 +263,49 @@ class InvariantAuditor:
                     cache.dest_refs[j] = refs
                 else:
                     del cache.dest_refs[j]
-                    cache.feasible.pop(j, None)
-                    cache.reported.pop(j, None)
-                    cache.successors.pop(j, None)
+                    cache.rows.pop(j, None)
                     cache.violating.pop(j, None)
                     fresh.discard(j)
             cache.contributed[uid] = contributed
 
         # A destination just contributed for the first time needs rows
         # from every router; existing destinations only from the dirty.
-        for j in fresh:
-            feasible: dict[NodeId, float] = {}
-            reported: dict[NodeId, dict[NodeId, float]] = {}
-            successors: dict[NodeId, set[NodeId]] = {}
-            for i, router in mpda.items():
-                fd, rep, succ = _rows(router, j)
-                if fd is not None:
-                    feasible[i] = fd
-                reported[i] = rep
-                successors[i] = succ
-            cache.feasible[j] = feasible
-            cache.reported[j] = reported
-            cache.successors[j] = successors
-            affected.add(j)
-
         for j in cache.dest_refs:
             if j in fresh:
+                cache.rows[j] = {
+                    i: _row(router, j) for i, router in mpda.items()
+                }
+                affected.add(j)
                 continue
-            feasible = cache.feasible[j]
-            reported = cache.reported[j]
-            successors = cache.successors[j]
+            rows = cache.rows[j]
             for i, router in dirty:
-                fd, rep, succ = _rows(router, j)
-                if (
-                    feasible.get(i) != fd
-                    or reported[i] != rep
-                    or successors[i] != succ
-                ):
-                    if fd is None:
-                        feasible.pop(i, None)
-                    else:
-                        feasible[i] = fd
-                    reported[i] = rep
-                    successors[i] = succ
+                row = _row(router, j)
+                if rows[i] != row:
+                    rows[i] = row
                     affected.add(j)
 
         metrics.counter("lfi_audit.destinations_checked").inc(len(affected))
         # Re-check what changed, plus anything still marked broken (its
         # verdict must be refreshed even if today's diff missed it).
         error = self._check_destinations(
-            cache, affected | set(cache.violating)
+            mpda, cache, affected | set(cache.violating)
         )
         if error is not None:
             return error
         return self._cached_verdict(cache)
 
     def _check_destinations(
-        self, cache: _SafetyCache, destinations: set[NodeId]
+        self,
+        mpda: Mapping[NodeId, MPDARouter],
+        cache: _SafetyCache,
+        destinations: set[NodeId],
     ) -> Exception | None:
-        """Verify ``destinations`` against the cached rows; returns the
-        first violation (in deterministic destination order)."""
+        """Verify ``destinations`` on the live routers; returns the first
+        violation (in deterministic destination order)."""
         first: Exception | None = None
         for j in sorted(destinations, key=repr):
             try:
-                check_destination(
-                    j,
-                    cache.feasible[j],
-                    cache.reported[j],
-                    cache.successors[j],
-                )
+                check_safety(mpda, j)
             except _AUDIT_ERRORS as violation:
                 cache.violating[j] = violation
                 if first is None:

@@ -617,6 +617,17 @@ def write_artifact(path: str, case: FuzzCase, failure: dict) -> None:
 
 
 def load_artifact(path: str) -> tuple[FuzzCase, dict]:
+    """The case a document holds and the verdict it records.
+
+    The verdict has :func:`examine_case`'s shape: a ``failure`` record
+    (replay artifacts, ``violation`` corpus entries) loads as
+    ``{"status": "violation", "failure": ...}`` and pinned ``metrics``
+    (``pass`` corpus entries) as ``{"status": "pass", "metrics": ...}``.
+
+    Raises:
+        ValueError: the version is not :data:`ARTIFACT_VERSION`, or the
+            document records neither a failure nor metrics.
+    """
     with open(path) as fh:
         doc = json.load(fh)
     if doc.get("version") != ARTIFACT_VERSION:
@@ -624,39 +635,73 @@ def load_artifact(path: str) -> tuple[FuzzCase, dict]:
             f"artifact {path!r} has version {doc.get('version')!r}, "
             f"expected {ARTIFACT_VERSION}"
         )
-    return FuzzCase.from_dict(doc["case"]), doc["failure"]
+    if "failure" in doc:
+        recorded = {"status": "violation", "failure": doc["failure"]}
+    elif "metrics" in doc:
+        recorded = {"status": "pass", "metrics": doc["metrics"]}
+    else:
+        raise ValueError(
+            f"artifact {path!r} records neither a 'failure' nor 'metrics'"
+        )
+    return FuzzCase.from_dict(doc["case"]), recorded
+
+
+def _describe(verdict: dict) -> str:
+    if verdict["status"] == "pass":
+        return "pass"
+    return "{type}: {message}".format(**verdict["failure"])
+
+
+def _metric_diff(recorded: dict, observed: dict, prefix: str = "") -> list:
+    """``name: recorded -> observed`` for every metric that differs."""
+    lines = []
+    for key in sorted(recorded.keys() | observed.keys(), key=str):
+        want, got = recorded.get(key), observed.get(key)
+        if isinstance(want, dict) and isinstance(got, dict):
+            lines += _metric_diff(want, got, f"{prefix}{key}.")
+        elif want != got:
+            lines.append(f"{prefix}{key}: {want!r} -> {got!r}")
+    return lines
 
 
 @dataclass(frozen=True)
 class ReplayResult:
-    """Outcome of re-executing an artifact."""
+    """Outcome of re-executing an artifact: both verdicts have
+    :func:`examine_case`'s shape."""
 
     reproduced: bool
     recorded: dict
-    observed: dict | None  # None: the replay ran clean
+    observed: dict
 
     def render(self) -> str:
         if self.reproduced:
-            return (
-                "reproduced: {type}: {message}".format(**self.recorded)
-            )
-        observed = (
-            "{type}: {message}".format(**self.observed)
-            if self.observed
-            else "clean run"
-        )
-        return (
-            "NOT reproduced\n"
-            "  recorded: {type}: {message}\n".format(**self.recorded)
-            + f"  observed: {observed}"
-        )
+            if self.recorded["status"] == "pass":
+                return "reproduced: pass with the pinned metrics"
+            return f"reproduced: {_describe(self.recorded)}"
+        lines = [
+            "NOT reproduced",
+            f"  recorded: {_describe(self.recorded)}",
+            f"  observed: {_describe(self.observed)}",
+        ]
+        if self.recorded["status"] == self.observed["status"] == "pass":
+            lines += [
+                f"    {line}"
+                for line in _metric_diff(
+                    self.recorded["metrics"], self.observed["metrics"]
+                )
+            ]
+        return "\n".join(lines)
 
 
 def replay(path: str) -> ReplayResult:
-    """Re-execute an artifact; deterministic, so the recorded failure
-    must come back verbatim unless the code under test changed."""
+    """Re-execute an artifact or corpus entry through :func:`examine_case`.
+
+    Deterministic, so the recorded verdict — the failure, or ``pass``
+    with the pinned metrics — must come back verbatim unless the code
+    under test changed.
+    """
     case, recorded = load_artifact(path)
-    observed = check_case(case)
+    observed = examine_case(case)
     return ReplayResult(
         reproduced=observed == recorded,
         recorded=recorded,

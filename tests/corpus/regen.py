@@ -99,13 +99,13 @@ def _pass_doc(row: dict, note: str) -> dict:
 
 
 def _violation_doc(artifact_path: str, note: str) -> dict:
-    case, failure = load_artifact(artifact_path)
+    case, recorded = load_artifact(artifact_path)
     return {
         "version": ARTIFACT_VERSION,
         "expect": "violation",
         "note": note,
         "case": case.as_dict(),
-        "failure": failure,
+        "failure": recorded["failure"],
     }
 
 

@@ -1,47 +1,11 @@
-"""The LFI conditions (Theorem 1) and converged successor sets."""
+"""Converged LFI successor sets (Theorem 4).
 
-import pytest
+The Theorem-3 check of live router states is tested in
+``test_safety_check.py``.
+"""
 
-from repro.core.lfi import LFIViolation, check_lfi, lfi_successors
+from repro.core.lfi import lfi_successors
 from repro.graph.validation import is_loop_free
-
-
-class TestCheckLFI:
-    def test_valid_state_passes(self):
-        check_lfi(
-            "j",
-            feasible_distance={"a": 2.0, "b": 1.0},
-            reported={"a": {"b": 1.0}, "b": {"j": 0.0}},
-            successors={"a": {"b"}, "b": {"j"}},
-        )
-
-    def test_eq17_violation_detected(self):
-        with pytest.raises(LFIViolation):
-            check_lfi(
-                "j",
-                feasible_distance={"a": 1.0},
-                reported={"a": {"b": 2.0}},  # successor not strictly closer
-                successors={"a": {"b"}},
-            )
-
-    def test_missing_reported_distance_detected(self):
-        with pytest.raises(LFIViolation):
-            check_lfi(
-                "j",
-                feasible_distance={"a": 5.0},
-                reported={"a": {}},
-                successors={"a": {"b"}},
-            )
-
-    def test_cycle_detected_even_if_distances_consistent(self):
-        # Internally inconsistent state that a broken impl could reach.
-        with pytest.raises(LFIViolation):
-            check_lfi(
-                "j",
-                feasible_distance={"a": 10.0, "b": 10.0},
-                reported={"a": {"b": 1.0}, "b": {"a": 1.0}},
-                successors={"a": {"b"}, "b": {"a"}},
-            )
 
 
 class TestLfiSuccessors:

@@ -2,7 +2,6 @@
 
 from repro.core.linkstate import (
     EntryOp,
-    INFINITY,
     LinkEntry,
     LSUMessage,
     TopologyTable,
@@ -36,8 +35,8 @@ class TestTopologyTable:
     def test_set_and_cost(self):
         table = TopologyTable()
         table.set_link("a", "b", 2.0)
-        assert table.cost("a", "b") == 2.0
-        assert table.cost("b", "a") == INFINITY
+        assert table.links() == {("a", "b"): 2.0}
+        assert ("b", "a") not in table
 
     def test_apply_entries(self):
         table = TopologyTable()
@@ -49,8 +48,7 @@ class TestTopologyTable:
                 LinkEntry(EntryOp.DELETE, "b", "c"),
             ]
         )
-        assert table.cost("a", "b") == 5.0
-        assert ("b", "c") not in table
+        assert table.links() == {("a", "b"): 5.0}
 
     def test_delete_missing_is_noop(self):
         table = TopologyTable()
@@ -59,19 +57,22 @@ class TestTopologyTable:
 
     def test_links_with_head(self):
         table = TopologyTable({("a", "b"): 1.0, ("a", "c"): 2.0, ("b", "c"): 3.0})
-        assert table.links_with_head("a") == {("a", "b"): 1.0, ("a", "c"): 2.0}
+        assert table.links_with_head_view("a") == {
+            ("a", "b"): 1.0,
+            ("a", "c"): 2.0,
+        }
+        assert table.links_with_head_view("c") == {}
 
     def test_nodes(self):
+        """The node index counts link endpoints, so a node leaves with
+        its last link."""
         table = TopologyTable({("a", "b"): 1.0, ("b", "c"): 1.0})
-        assert table.nodes() == {"a", "b", "c"}
+        assert set(table.nodes_map_view()) == {"a", "b", "c"}
+        table.delete_link("b", "c")
+        assert set(table.nodes_map_view()) == {"a", "b"}
 
     def test_full_dump(self):
         table = TopologyTable({("a", "b"): 1.0, ("b", "c"): 2.0})
         fresh = TopologyTable()
         fresh.apply(table.full_dump())
         assert fresh == table
-
-    def test_clear(self):
-        table = TopologyTable({("a", "b"): 1.0})
-        table.clear()
-        assert len(table) == 0

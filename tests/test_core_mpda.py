@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.driver import ProtocolDriver
-from repro.core.linkstate import INFINITY
 from repro.core.mpda import MPDARouter, RouterState, check_safety
 from repro.graph.generators import random_connected, ring
 from repro.graph.topologies import net1

@@ -23,7 +23,7 @@ class TestRouterEvents:
         router.link_up("b", 1.0)
         # new router with empty table: only the MTU diff goes out
         assert router.outbox
-        assert router.main_table.cost("a", "b") == 1.0
+        assert router.main_table.links() == {("a", "b"): 1.0}
 
     def test_invalid_cost_rejected(self):
         router = PDARouter("a")
@@ -109,8 +109,9 @@ class TestConvergence:
         driver = converge(small_grid, small_grid.uniform_costs(1.0))
         for router in driver.routers.values():
             # a tree over n reachable nodes has n-1 links
-            nodes = router.main_table.nodes()
-            assert len(router.main_table) == len(nodes) - 1
+            links = router.main_table.links()
+            nodes = {node for link in links for node in link}
+            assert len(links) == len(nodes) - 1
 
     def test_quiescent_after_convergence(self, diamond):
         driver = converge(diamond, diamond.uniform_costs(1.0))

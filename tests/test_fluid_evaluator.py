@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import AllocationError, LoopError, RoutingError
-from repro.fluid.delay import DelayModel
 from repro.fluid.evaluator import (
     destination_successors,
     evaluate,

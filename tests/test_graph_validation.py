@@ -101,3 +101,36 @@ def test_detector_agrees_with_networkx(edges):
             g.add_edge(a, b)
     # Self-loops are excluded above; detector must agree with networkx.
     assert is_loop_free(succ) == nx.is_directed_acyclic_graph(g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    keys=st.sets(st.integers(0, 9), max_size=10),
+    edges=st.lists(
+        st.tuples(st.integers(0, 9), st.integers(0, 12)),
+        max_size=40,
+    ),
+)
+def test_peeling_agrees_with_networkx_and_the_reference_search(keys, edges):
+    """Self-loops, repeated successors and successors that are not keys
+    (nodes 10-12 never are) included: the peel finds no cycle exactly
+    when networkx calls the graph acyclic, and a cyclic graph yields the
+    cycle the reference depth-first search names."""
+    import networkx as nx
+
+    from repro.testing.safety_reference import dfs_cycle
+
+    succ: dict[int, list[int]] = {node: [] for node in sorted(keys)}
+    g = nx.DiGraph()
+    g.add_nodes_from(succ)
+    for a, b in edges:
+        if a in succ:
+            succ[a].append(b)
+            g.add_edge(a, b)
+    cycle = find_successor_cycle(succ)
+    assert (cycle is None) == nx.is_directed_acyclic_graph(g)
+    assert cycle == dfs_cycle(succ)
+    if cycle is not None:
+        assert cycle[0] == cycle[-1]
+        for a, b in zip(cycle, cycle[1:]):
+            assert b in succ[a]

@@ -5,10 +5,11 @@ import pytest
 from repro import obs
 from repro.core.driver import ProtocolDriver
 from repro.core.lfi import LFIViolation
-from repro.core.mpda import MPDARouter, check_safety
+from repro.core.mpda import MPDARouter
 from repro.exceptions import LoopError
 from repro.graph.topologies import net1
 from repro.obs.audit import InvariantAuditor
+from repro.testing import safety_reference
 
 
 @pytest.fixture
@@ -149,7 +150,13 @@ class TestViolationDetection:
 
 
 class _DifferentialAuditor(InvariantAuditor):
-    """Runs the ground-truth check next to every audit and compares."""
+    """Runs the naive reference check next to every audit and compares.
+
+    The auditor itself calls ``check_safety`` on the destinations its
+    cache marks as changed, so the comparison is against
+    :mod:`repro.testing.safety_reference`, which shares no checking code
+    with it.
+    """
 
     def __init__(self, **kwargs):
         super().__init__(**kwargs)
@@ -161,12 +168,12 @@ class _DifferentialAuditor(InvariantAuditor):
         }
         expect_clean = True
         try:
-            check_safety(mpda)
+            safety_reference.check_safety(mpda)
         except (LFIViolation, LoopError):
             expect_clean = False
         got_clean = super().audit(routers, observation, **kwargs)
         assert got_clean == expect_clean, (
-            f"incremental audit disagrees with check_safety "
+            f"incremental audit disagrees with the reference check "
             f"(incremental={got_clean}, full={expect_clean}, "
             f"context={kwargs.get('context')!r})"
         )
@@ -175,7 +182,7 @@ class _DifferentialAuditor(InvariantAuditor):
 
 
 class TestIncrementalAudit:
-    """The cached per-destination audit must equal a full check_safety."""
+    """The cached per-destination audit must equal a full reference check."""
 
     def _differential_run(self, topo):
         with obs.observe(audit=True) as observation:

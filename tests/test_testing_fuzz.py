@@ -1,6 +1,7 @@
 """The schedule-fuzzing harness and its replay artifacts."""
 
 import json
+import os
 
 import pytest
 
@@ -23,6 +24,11 @@ from repro.testing.fuzz import (
     run_case,
     run_policy_case,
     write_artifact,
+)
+
+#: The deepest passing ``mp`` corpus entry (CAIRN, 1,266 deliveries).
+PASS_ENTRY = os.path.join(
+    os.path.dirname(__file__), "corpus", "pass-mp-100.json"
 )
 
 #: The zoo members with a dynamic lifecycle (everything fuzzable except
@@ -127,7 +133,7 @@ class TestArtifacts:
         write_artifact(path, case, failure)
         loaded_case, recorded = load_artifact(path)
         assert loaded_case.as_dict() == case.as_dict()
-        assert recorded == failure
+        assert recorded == {"status": "violation", "failure": failure}
         result = replay(path)
         assert result.reproduced
         assert "reproduced" in result.render()
@@ -138,13 +144,20 @@ class TestArtifacts:
         write_artifact(path, case, {"type": "Phantom", "message": "nope"})
         result = replay(path)
         assert not result.reproduced
-        assert result.observed == failure
+        assert result.observed == {"status": "violation", "failure": failure}
         assert "NOT reproduced" in result.render()
 
     def test_version_mismatch_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"version": ARTIFACT_VERSION + 1}))
         with pytest.raises(ValueError):
+            load_artifact(str(path))
+
+    def test_document_without_a_verdict_rejected(self, tmp_path):
+        path = tmp_path / "empty.json"
+        case = generate_case(1).as_dict()
+        path.write_text(json.dumps({"version": ARTIFACT_VERSION, "case": case}))
+        with pytest.raises(ValueError, match="neither a 'failure' nor 'metrics'"):
             load_artifact(str(path))
 
 
@@ -376,3 +389,38 @@ class TestCLI:
         capsys.readouterr()
         assert main(["replay", str(artifacts[0])]) == 0
         assert "reproduced" in capsys.readouterr().out
+
+    def test_pass_corpus_entry_reproduces(self, capsys):
+        """A ``pass`` entry replays to ``pass`` with its pinned metrics."""
+        assert main(["replay", PASS_ENTRY]) == 0
+        assert capsys.readouterr().out == (
+            "reproduced: pass with the pinned metrics\n"
+        )
+
+    def test_pass_entry_with_a_changed_metric_is_not_reproduced(
+        self, tmp_path, capsys
+    ):
+        with open(PASS_ENTRY) as fh:
+            doc = json.load(fh)
+        delivered = doc["metrics"]["delivered"]
+        doc["metrics"]["delivered"] = delivered + 1
+        path = tmp_path / "drifted.json"
+        path.write_text(json.dumps(doc))
+        assert main(["replay", str(path)]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "NOT reproduced",
+            "  recorded: pass",
+            "  observed: pass",
+            f"    delivered: {delivered + 1} -> {delivered}",
+        ]
+
+    def test_document_without_a_verdict_is_a_usage_error(
+        self, tmp_path, capsys
+    ):
+        path = tmp_path / "empty.json"
+        case = generate_case(1).as_dict()
+        path.write_text(json.dumps({"version": ARTIFACT_VERSION, "case": case}))
+        with pytest.raises(SystemExit) as exit_info:
+            main(["replay", str(path)])
+        assert exit_info.value.code == 2
+        assert str(path) in capsys.readouterr().err
