@@ -58,10 +58,12 @@ from repro.bench.convergence import (
 from repro.bench.figures import FigureResult
 from repro.bench.overhead import overhead_experiment, render_overhead_table
 from repro.bench.reporting import render_flow_table, render_series
+from repro.exceptions import ReproError
 from repro.obs.convergence import read_trace
 from repro.obs.export import render_timings, write_metrics
 from repro.obs.report import build_report, render_report, write_report
-from repro.policy import available_policies
+from repro.policy import available_policies, create_policy, policy_class
+from repro.sim.control import RunConfig
 
 #: Experiment registry: id -> (factory, description).
 EXPERIMENTS: dict[str, tuple[Callable[[], FigureResult], str]] = {
@@ -1024,6 +1026,45 @@ def _run_overhead(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_values(parser, flag: str, values, build) -> None:
+    """Reject, as a usage error naming ``--flag``, the first value that
+    ``build`` — the constructor the run hands it to — raises on."""
+    for value in values:
+        try:
+            build(value)
+        except ReproError as error:
+            parser.error(f"--{flag} {value}: {error}")
+
+
+def _mp_with_loss(loss: float):
+    """``mp`` over a lossy wire: its constructor owns the loss range."""
+    return create_policy("mp", loss=loss)
+
+
+def _check_fleet_values(parser, args: argparse.Namespace) -> None:
+    """Values a fleet cell would reject are usage errors, raised by the
+    constructors those cells call before any cell runs."""
+    if args.fleet_command == "fuzz":
+        _check_values(parser, "policies", args.policies or (), policy_class)
+        return
+    if args.fleet_command == "zoo":
+        _check_values(parser, "policy", args.policy or (), policy_class)
+    else:
+        # The same builds a sweep cell makes: Ts = Tl/5, damping = eta.
+        for flag, values, build in (
+            ("etas", args.etas, lambda eta: RunConfig(damping=eta)),
+            ("tls", args.tls, lambda tl: RunConfig(tl=tl, ts=tl / 5.0)),
+            ("losses", args.losses, _mp_with_loss),
+        ):
+            _check_values(parser, flag, values or (), build)
+    try:
+        RunConfig(duration=args.duration, warmup=args.warmup)
+    except ReproError as error:
+        parser.error(
+            f"--duration {args.duration} --warmup {args.warmup}: {error}"
+        )
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -1050,6 +1091,7 @@ def main(argv: list[str] | None = None) -> int:
             parser.error(
                 f"--audit-sample must be at least 1, got {args.audit_sample}"
             )
+        _check_values(parser, "loss", args.loss or (), _mp_with_loss)
         return _run_converge(args)
 
     if args.command == "fleet":
@@ -1063,6 +1105,7 @@ def main(argv: list[str] | None = None) -> int:
             parser.error(
                 f"--timeout must be finite and positive, got {args.timeout}"
             )
+        _check_fleet_values(parser, args)
         return _run_fleet(args)
 
     if args.command == "replay":

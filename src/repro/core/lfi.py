@@ -20,14 +20,15 @@ This module holds :class:`LFIViolation`, which the Theorem-3 check
 :func:`repro.core.mpda.check_safety` raises when live MPDA router states
 break the conditions, and the *converged* successor-set computation
 :func:`lfi_successors` (by Theorem 4, what MPDA produces once quiet:
-:math:`S^i_j = \\{k : D^k_j < D^i_j\\}`).
+:math:`S^i_j = \\{k : D^k_j < D^i_j\\}`) over distances the caller
+computes, one :class:`~repro.graph.shortest_paths.SharedSPF` per cost map.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
 
-from repro.graph.shortest_paths import CostMap, bellman_ford
+from repro.graph.shortest_paths import CostMap
 from repro.graph.topology import NodeId, Topology
 
 
@@ -44,7 +45,7 @@ def lfi_successors(
     costs: CostMap,
     destination: NodeId,
     *,
-    dist: Mapping[NodeId, float] | None = None,
+    dist: Mapping[NodeId, float],
 ) -> dict[NodeId, list[NodeId]]:
     """Converged multipath successor sets for one destination.
 
@@ -52,11 +53,11 @@ def lfi_successors(
     set is :math:`S^i_j = \\{k \\in N^i : D^k_j < D^i_j\\}` — neighbors
     strictly closer to the destination, regardless of the cost of the
     link to them ("multiple paths of unequal cost").  This is the steady
-    state MPDA converges to (Theorem 4).  ``dist`` may supply the
-    precomputed all-sources distances to ``destination``.
+    state MPDA converges to (Theorem 4).  ``dist`` holds the all-sources
+    distances to ``destination`` under ``costs``
+    (:meth:`SharedSPF.distances_to
+    <repro.graph.shortest_paths.SharedSPF.distances_to>`).
     """
-    if dist is None:
-        dist = bellman_ford(costs, destination, nodes=topo.nodes)
     successors: dict[NodeId, list[NodeId]] = {}
     for node in topo.nodes:
         if node == destination:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 
-from repro.graph.shortest_paths import CostMap, bellman_ford
+from repro.graph.shortest_paths import CostMap
 from repro.graph.topology import NodeId, Topology
 
 
@@ -27,7 +27,7 @@ def ecmp_successors(
     costs: CostMap,
     destination: NodeId,
     *,
-    dist: Mapping[NodeId, float] | None = None,
+    dist: Mapping[NodeId, float],
 ) -> dict[NodeId, list[NodeId]]:
     """Equal-cost multipath successor sets (the OSPF rule).
 
@@ -35,12 +35,10 @@ def ecmp_successors(
     multiple paths to a destination only when they have the same length"
     — i.e. neighbor *k* qualifies only when :math:`D^k_j + l_{ik}`
     *equals* the shortest distance :math:`D^i_j`.  Always a subset of
-    the LFI multipath set, so it is loop-free too.  ``dist`` may supply
-    precomputed all-sources distances to ``destination`` (one shared-SPF
-    pass amortized over destinations); when None it is computed here.
+    the LFI multipath set, so it is loop-free too.  ``dist`` holds the
+    all-sources distances to ``destination`` under ``costs``, as for
+    :func:`~repro.core.lfi.lfi_successors`.
     """
-    if dist is None:
-        dist = bellman_ford(costs, destination, nodes=topo.nodes)
     successors: dict[NodeId, list[NodeId]] = {}
     for node in topo.nodes:
         if node == destination:

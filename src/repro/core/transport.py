@@ -11,9 +11,9 @@ assumption can be *tested* instead of trusted:
   in-order, immediate).  The default; byte-identical to the historical
   driver behavior.
 - :class:`FaultyChannel` — a seeded adversarial wire: configurable loss,
-  duplication, bounded reordering, delivery-delay jitter, and partitions
-  (explicit or timed).  Running MPDA directly over it violates the
-  paper's assumptions and is expected to break convergence.
+  duplication, bounded reordering, delivery-delay jitter, and partitions.
+  Running MPDA directly over it violates the paper's assumptions and is
+  expected to break convergence.
 - :class:`ReliableTransport` — a shim that *enforces* the paper's
   delivery assumption over any channel: per-link sequence numbers,
   cumulative ACKs, timeout-driven retransmission with exponential
@@ -201,15 +201,13 @@ class FaultyChannel(Transport):
         delay: maximum delivery-delay, in channel ticks, added per copy;
             a queued frame becomes deliverable at most ``delay`` ticks
             after it was sent.
-        partitions: timed duplex partitions ``((a, b), start, end)`` in
-            channel ticks — while ``start <= now < end`` both directions
-            of ``a <-> b`` drop every frame (queued and newly sent).
 
-    Explicit :meth:`partition` / :meth:`heal` calls do the same thing
-    under schedule control (the fuzz harness uses them).  Partitions
-    differ from :meth:`link_down` in that the routers are *not*
-    notified — the paper's model has no such state, which is exactly
-    why it breaks bare MPDA and why :class:`ReliableTransport` exists.
+    :meth:`partition` makes both directions of a link drop every frame,
+    queued and newly sent, until :meth:`heal`; the fuzz harness drives
+    both from its schedule.  Partitions differ from :meth:`link_down` in
+    that the routers are *not* notified — the paper's model has no such
+    state, which is exactly why it breaks bare MPDA and why
+    :class:`ReliableTransport` exists.
     """
 
     def __init__(
@@ -221,7 +219,6 @@ class FaultyChannel(Transport):
         reorder: float = 0.0,
         jitter: int = 3,
         delay: int = 0,
-        partitions: tuple[tuple[LinkId, int, int], ...] = (),
     ) -> None:
         for name, p in (("loss", loss), ("dup", dup), ("reorder", reorder)):
             if not 0.0 <= p < 1.0:
@@ -234,7 +231,6 @@ class FaultyChannel(Transport):
         self.jitter = jitter
         self.delay = delay
         self._rng = random.Random(seed)
-        self._timed = tuple(partitions)
         self._partitioned: set[LinkId] = set()
         self._queues: dict[LinkId, list[_Frame]] = {}
         self._next_seq: dict[LinkId, int] = {}
@@ -260,19 +256,15 @@ class FaultyChannel(Transport):
         self._partitioned.discard((a, b))
         self._partitioned.discard((b, a))
 
-    def _timed_active(self, link: LinkId) -> bool:
-        for (a, b), start, end in self._timed:
-            if start <= self.now < end and link in ((a, b), (b, a)):
-                return True
-        return False
-
-    def _is_partitioned(self, link: LinkId) -> bool:
-        return link in self._partitioned or self._timed_active(link)
-
     def _purge_partitioned(self) -> None:
-        """Drop queued frames sitting on a partitioned link."""
+        """Drop queued frames sitting on a partitioned link.
+
+        Only :meth:`partition` needs this: :meth:`send` drops a frame for
+        a partitioned link before queueing it, so a purged queue stays
+        empty until :meth:`heal`.
+        """
         for link, queue in self._queues.items():
-            if queue and self._is_partitioned(link):
+            if queue and link in self._partitioned:
                 for frame in queue:
                     self._note_fault(
                         "partition_drop", link, frame.key[1], frame.message
@@ -292,7 +284,7 @@ class FaultyChannel(Transport):
         rng = self._rng
         seq = self._next_seq[link]
         self._next_seq[link] = seq + 1
-        if self._is_partitioned(link):
+        if link in self._partitioned:
             self.partition_drops += 1
             self._note_fault("partition_drop", link, seq, message)
             return
@@ -319,7 +311,6 @@ class FaultyChannel(Transport):
             self.sent += 1
 
     def busy_links(self) -> list[LinkId]:
-        self._purge_partitioned()
         return [
             link
             for link, queue in self._queues.items()
@@ -337,7 +328,6 @@ class FaultyChannel(Transport):
         return []  # pragma: no cover - driver only pops busy links
 
     def pending(self) -> int:
-        self._purge_partitioned()
         return sum(len(queue) for queue in self._queues.values())
 
     def tick(self) -> None:

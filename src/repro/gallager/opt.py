@@ -50,7 +50,7 @@ from repro.fluid.evaluator import (
 from repro.fluid.flows import TrafficMatrix
 from repro.gallager.blocking import blocked_nodes
 from repro.gallager.marginals import marginal_distances
-from repro.graph.shortest_paths import CostMap, bellman_ford, rank_nodes
+from repro.graph.shortest_paths import CostMap, SharedSPF, rank_nodes
 from repro.graph.topology import NodeId, Topology
 
 INFINITY = float("inf")
@@ -70,8 +70,9 @@ def shortest_path_phi(
     """
     cost_map = dict(costs) if costs is not None else topo.idle_marginal_costs()
     phi: MutablePhi = {node: {} for node in topo.nodes}
+    spf = SharedSPF(cost_map, nodes=topo.nodes)
     for dest in destinations:
-        dist = bellman_ford(cost_map, dest, nodes=topo.nodes)
+        dist = spf.distances_to(dest)
         for node in topo.nodes:
             if node == dest or dist.get(node, INFINITY) == INFINITY:
                 continue

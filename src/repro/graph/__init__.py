@@ -7,15 +7,17 @@ and provides:
   directed links with capacity and propagation delay);
 - :mod:`repro.graph.topologies` — the paper's CAIRN and NET1 networks;
 - :mod:`repro.graph.generators` — synthetic topology generators;
-- :mod:`repro.graph.shortest_paths` — Dijkstra / Bellman-Ford built from
-  scratch (networkx is used only as a test oracle);
+- :mod:`repro.graph.shortest_paths` — forward Dijkstra (with Yen's k
+  shortest paths on its loop) and the destination-rooted
+  :class:`~repro.graph.shortest_paths.SharedSPF`, built from scratch
+  (networkx is used only as a test oracle);
 - :mod:`repro.graph.validation` — loop checks on successor graphs.
 """
 
 from repro.graph.topology import Link, Topology
 from repro.graph.topologies import cairn, net1
 from repro.graph.shortest_paths import (
-    bellman_ford,
+    SharedSPF,
     dijkstra,
     path_cost,
 )
@@ -31,7 +33,7 @@ __all__ = [
     "cairn",
     "net1",
     "dijkstra",
-    "bellman_ford",
+    "SharedSPF",
     "path_cost",
     "is_loop_free",
     "find_successor_cycle",

@@ -241,45 +241,3 @@ def waxman(
         )
     _join_components(topo, points, capacity, delay_per_unit)
     return topo
-
-
-def barabasi_albert(
-    n: int,
-    *,
-    m: int = 2,
-    seed: int = 0,
-    capacity: float = DEFAULT_CAPACITY,
-    prop_delay: float = DEFAULT_PROP_DELAY,
-) -> Topology:
-    """A Barabási–Albert preferential-attachment graph.
-
-    Starts from a star on ``m + 1`` nodes, then attaches each new node
-    to ``m`` distinct existing nodes with probability proportional to
-    their degree.  The power-law degree distribution this produces —
-    a few highly connected hubs, many leaves — is the other canonical
-    Internet-topology model, and stresses MPDA differently from Waxman:
-    hub routers carry most of the update fan-out.  Always connected by
-    construction.
-    """
-    if m < 1:
-        raise TopologyError("m must be at least 1")
-    if n < m + 1:
-        raise TopologyError(f"need at least m + 1 = {m + 1} nodes")
-    rng = random.Random(seed)
-    topo = Topology(f"ba{n}-m{m}-{seed}")
-    # One endpoint entry per link end; sampling from it is sampling
-    # proportionally to degree.
-    endpoints: list[int] = []
-    for leaf in range(1, m + 1):
-        topo.add_duplex_link(0, leaf, capacity=capacity, prop_delay=prop_delay)
-        endpoints += [0, leaf]
-    for node in range(m + 1, n):
-        targets: set[int] = set()
-        while len(targets) < m:
-            targets.add(rng.choice(endpoints))
-        for target in sorted(targets):
-            topo.add_duplex_link(
-                node, target, capacity=capacity, prop_delay=prop_delay
-            )
-            endpoints += [node, target]
-    return topo

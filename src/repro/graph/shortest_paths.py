@@ -1,10 +1,13 @@
-"""Shortest-path algorithms built from scratch.
+"""Shortest-path searches built from scratch.
 
 The routing protocols in :mod:`repro.core` run Dijkstra's algorithm on
 partial topologies represented as plain ``{(head, tail): cost}`` mappings,
 so the functions here operate on such mappings rather than on
-:class:`~repro.graph.topology.Topology` objects.  Helpers convert between
-the two.
+:class:`~repro.graph.topology.Topology` objects.  There is one forward
+search, :func:`dijkstra`, whose label-setting loop Yen's
+:func:`k_shortest_paths` reuses for every spur search, and one
+destination-rooted search, :class:`SharedSPF`, which answers the
+framework's :math:`D^i_j` (Eq. 13) for every destination of one cost map.
 
 Tie-breaking matters: the paper's PDA requires that "ties should be broken
 consistently during the run of Dijkstra's algorithm" so that all routers
@@ -16,25 +19,31 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 
-from repro.exceptions import RoutingError, TopologyError
-from repro.graph.topology import LinkId, NodeId, Topology
+from repro.exceptions import RoutingError
+from repro.graph.topology import LinkId, NodeId
 
 INFINITY = float("inf")
 
 CostMap = Mapping[LinkId, float]
 
 
+def _bad_cost(head: NodeId, tail: NodeId, cost: float) -> RoutingError:
+    """The error for a link cost no search can use: negative or NaN."""
+    return RoutingError(
+        f"link {head!r}->{tail!r} has cost {cost!r}; link costs must be "
+        "non-negative numbers (infinity marks an unusable link)"
+    )
+
+
 def _adjacency(costs: CostMap) -> dict[NodeId, list[tuple[NodeId, float]]]:
     """Out-adjacency lists from a link-cost map."""
     adj: dict[NodeId, list[tuple[NodeId, float]]] = {}
     for (head, tail), cost in costs.items():
-        if cost < 0:
-            raise RoutingError(
-                f"negative link cost {cost!r} on {head!r}->{tail!r}; "
-                "marginal delays are always positive"
-            )
+        # ``not >=`` rather than ``<``: a NaN fails every comparison.
+        if not cost >= 0:
+            raise _bad_cost(head, tail, cost)
         adj.setdefault(head, []).append((tail, cost))
         adj.setdefault(tail, [])
     return adj
@@ -83,7 +92,22 @@ def dijkstra(
         ``(dist, pred)`` where ``dist[j]`` is the cost of the shortest path
         ``source -> j`` and ``pred[j]`` the predecessor of ``j`` on it.
     """
-    adj = _adjacency(costs)
+    return _settle(_adjacency(costs), source, nodes)
+
+
+def _settle(
+    adj: dict[NodeId, list[tuple[NodeId, float]]],
+    source: NodeId,
+    nodes: list[NodeId] | None,
+    banned: Sequence[NodeId] = (),
+) -> tuple[dict[NodeId, float], dict[NodeId, NodeId | None]]:
+    """Dijkstra's label-setting loop over a prebuilt out-adjacency.
+
+    ``banned`` nodes start labelled ``-inf``, which no relaxation can
+    lower or tie, so the search neither enters nor leaves them: the
+    result is the one their links' removal would give.  Yen's spur
+    searches ban the root path's interior this way.
+    """
     # dict.fromkeys + update run at C speed, so the O(V) setup stays
     # small next to the heap loop.
     dist: dict[NodeId, float] = {source: INFINITY}
@@ -91,6 +115,7 @@ def dijkstra(
     if nodes is not None:
         dist.update(dict.fromkeys(nodes, INFINITY))
     pred: dict[NodeId, NodeId | None] = dict.fromkeys(dist)
+    dist.update(dict.fromkeys(banned, -INFINITY))
     dist[source] = 0.0
 
     # Lazy deletion: every push strictly lowers a node's label, so the
@@ -127,20 +152,15 @@ def dijkstra(
 
 
 class SharedSPF:
-    """Shared-heap multi-destination shortest paths *to* each destination.
+    """Shortest distances *to* each destination over one cost map.
 
     The routing framework is destination-oriented (Eq. 13): it needs
-    :math:`D^i_j` for every source *i* and each active destination *j*.
-    :func:`bellman_ford` answers that one destination at a time, but
-    rebuilds the reversed adjacency and the node universe on every call —
-    |D| times the same O(E) setup.  This class builds both once and runs
-    only the label-setting pass per destination, so ``update_routes``
-    costs one traversal's worth of setup rather than |D|.
-
-    Results are bit-for-bit identical to :func:`bellman_ford`: the heap
-    pop order among equal labels differs, but label-setting with strict
-    improvement assigns every node the same float distance (the same
-    additive chain along its shortest path) regardless of that order.
+    :math:`D^i_j = \\min_k (D^k_j + l^i_k)` for every source *i* and each
+    active destination *j*.  With non-negative costs the label-setting
+    pass below solves that equation exactly.  The reversed adjacency and
+    the node universe are built once, here, so a caller holds one
+    instance per cost map and asks it for every destination: each
+    :meth:`distances_to` is one heap pass, not another O(E) setup.
     """
 
     def __init__(
@@ -149,10 +169,8 @@ class SharedSPF:
         adj_in: dict[NodeId, list[tuple[NodeId, float]]] = {}
         universe: dict[NodeId, None] = {}
         for (head, tail), cost in costs.items():
-            if cost < 0:
-                raise RoutingError(
-                    f"negative link cost {cost!r} on {head!r}->{tail!r}"
-                )
+            if not cost >= 0:
+                raise _bad_cost(head, tail, cost)
             adj_in.setdefault(tail, []).append((head, cost))
             universe[head] = None
             universe[tail] = None
@@ -163,7 +181,11 @@ class SharedSPF:
         self._universe = universe
 
     def distances_to(self, destination: NodeId) -> dict[NodeId, float]:
-        """All-sources distance to ``destination`` (one heap pass)."""
+        """All-sources distance to ``destination`` (one heap pass).
+
+        Nodes of the universe that cannot reach ``destination`` map to
+        :data:`INFINITY`.
+        """
         dist = dict.fromkeys(self._universe, INFINITY)
         dist[destination] = 0.0
         adj_in = self._adj_in
@@ -181,41 +203,6 @@ class SharedSPF:
                     dist[nbr] = alt
                     heapq.heappush(heap, (alt, next(counter), nbr))
         return dist
-
-
-def multi_destination_distances(
-    costs: CostMap,
-    destinations,
-    *,
-    nodes: list[NodeId] | None = None,
-) -> dict[NodeId, dict[NodeId, float]]:
-    """``dist[j][i]`` = distance i -> j for each destination ``j``.
-
-    One :class:`SharedSPF` setup amortized over all destinations.
-    """
-    spf = SharedSPF(costs, nodes=nodes)
-    return {dest: spf.distances_to(dest) for dest in destinations}
-
-
-def bellman_ford(
-    costs: CostMap,
-    destination: NodeId,
-    *,
-    nodes: list[NodeId] | None = None,
-) -> dict[NodeId, float]:
-    """All-sources distance *to* ``destination`` (Eq. 13 of the paper).
-
-    This is the destination-oriented form :math:`D_j^i = \\min_k
-    (D_j^k + l_k^i)` that the routing framework is written in.  With
-    non-negative costs the label-setting (Dijkstra) method used by
-    :class:`SharedSPF` solves the same equation exactly; callers that
-    need many destinations over one cost map should hold a
-    :class:`SharedSPF` instead of calling this in a loop.
-    """
-    spf = SharedSPF(costs, nodes=nodes)
-    dist = spf.distances_to(destination)
-    dist.setdefault(destination, 0.0)
-    return dist
 
 
 def k_shortest_paths(
@@ -240,7 +227,8 @@ def k_shortest_paths(
         raise RoutingError(f"k must be >= 1, got {k!r}")
     if source == target:
         return [[source]]
-    dist, pred = dijkstra(costs, source, nodes=nodes)
+    adj = _adjacency(costs)
+    dist, pred = _settle(adj, source, nodes)
     if dist.get(target, INFINITY) == INFINITY:
         return []
     paths: list[list[NodeId]] = [extract_path(pred, source, target)]
@@ -253,23 +241,17 @@ def k_shortest_paths(
         prev = paths[-1]
         for i in range(len(prev) - 1):
             spur, root = prev[i], prev[: i + 1]
-            # Remove the edges any already-found path with this root
-            # prefix takes out of the spur node, and the root's interior
-            # nodes, then look for the best deviation.
-            banned_edges = {
-                (path[i], path[i + 1])
-                for path in paths
-                if len(path) > i and path[: i + 1] == root
-            }
-            banned_nodes = set(root[:-1])
-            spur_costs = {
-                link_id: cost
-                for link_id, cost in costs.items()
-                if link_id not in banned_edges
-                and link_id[0] not in banned_nodes
-                and link_id[1] not in banned_nodes
-            }
-            spur_dist, spur_pred = dijkstra(spur_costs, spur, nodes=nodes)
+            # The best deviation at the spur node avoids the root's
+            # interior nodes and every first hop an already-found path
+            # with this root prefix takes.  The spur's links minus those
+            # hops stand in for its own during the search and the loop
+            # bans the interior, so the remaining links are relaxed in
+            # their cost-map order and no cost map is copied.
+            taken = {path[i + 1] for path in paths if path[: i + 1] == root}
+            spur_links = adj[spur]
+            adj[spur] = [link for link in spur_links if link[0] not in taken]
+            spur_dist, spur_pred = _settle(adj, spur, nodes, root[:-1])
+            adj[spur] = spur_links
             if spur_dist.get(target, INFINITY) == INFINITY:
                 continue
             total = root[:-1] + extract_path(spur_pred, spur, target)
@@ -289,12 +271,6 @@ def k_shortest_paths(
             break
         paths.append(heapq.heappop(candidates)[2])
     return paths
-
-
-def all_pairs_distances(costs: CostMap) -> dict[NodeId, dict[NodeId, float]]:
-    """``dist[i][j]`` for every ordered pair, via repeated Dijkstra."""
-    adj = _adjacency(costs)
-    return {node: dijkstra(costs, node)[0] for node in adj}
 
 
 def path_cost(costs: CostMap, path: list[NodeId]) -> float:
@@ -328,23 +304,3 @@ def extract_path(
         node = parent
     path.reverse()
     return path
-
-
-def topology_costs(
-    topo: Topology, costs: CostMap | None = None
-) -> dict[LinkId, float]:
-    """Materialize a cost map for every link of ``topo``.
-
-    Missing entries default to the idle marginal delay ``1/C + tau``; extra
-    entries for links absent from the topology are rejected.
-    """
-    out = topo.idle_marginal_costs()
-    if costs is not None:
-        for link_id, cost in costs.items():
-            if link_id not in out:
-                head, tail = link_id
-                raise TopologyError(
-                    f"cost given for missing link {head!r}->{tail!r}"
-                )
-            out[link_id] = cost
-    return out

@@ -19,7 +19,7 @@ cost maps, so one immutable topology can back many concurrent experiments.
 from __future__ import annotations
 
 import math
-from collections.abc import Hashable, Iterable, Iterator
+from collections.abc import Hashable, Iterator
 from dataclasses import dataclass
 
 from repro.exceptions import TopologyError
@@ -86,7 +86,6 @@ class Topology:
         self.name = name
         self._nodes: dict[NodeId, None] = {}
         self._succ: dict[NodeId, dict[NodeId, Link]] = {}
-        self._pred: dict[NodeId, dict[NodeId, Link]] = {}
 
     # ------------------------------------------------------------------
     # construction
@@ -96,7 +95,6 @@ class Topology:
         if node not in self._nodes:
             self._nodes[node] = None
             self._succ[node] = {}
-            self._pred[node] = {}
 
     def add_link(
         self,
@@ -113,7 +111,6 @@ class Topology:
         self.add_node(head)
         self.add_node(tail)
         self._succ[head][tail] = link
-        self._pred[tail][head] = link
         return link
 
     def add_duplex_link(
@@ -132,7 +129,6 @@ class Topology:
         """Remove the directed link ``head -> tail``."""
         try:
             del self._succ[head][tail]
-            del self._pred[tail][head]
         except KeyError:
             raise TopologyError(f"no link {head!r}->{tail!r}") from None
 
@@ -140,17 +136,6 @@ class Topology:
         """Remove both directions of the link ``a <-> b``."""
         self.remove_link(a, b)
         self.remove_link(b, a)
-
-    def remove_node(self, node: NodeId) -> None:
-        """Remove ``node`` and every link touching it."""
-        self._require_node(node)
-        for nbr in list(self._succ[node]):
-            self.remove_link(node, nbr)
-        for nbr in list(self._pred[node]):
-            self.remove_link(nbr, node)
-        del self._nodes[node]
-        del self._succ[node]
-        del self._pred[node]
 
     # ------------------------------------------------------------------
     # queries
@@ -190,11 +175,6 @@ class Topology:
         """Out-neighbors of ``node`` (the set :math:`N^i` of the paper)."""
         self._require_node(node)
         return list(self._succ[node])
-
-    def in_neighbors(self, node: NodeId) -> list[NodeId]:
-        """Nodes with a link into ``node``."""
-        self._require_node(node)
-        return list(self._pred[node])
 
     def out_links(self, node: NodeId) -> list[Link]:
         """Links leaving ``node``."""
@@ -293,16 +273,3 @@ class Topology:
             f"Topology({self.name!r}, nodes={self.num_nodes}, "
             f"links={self.num_links})"
         )
-
-
-def subtopology(topo: Topology, nodes: Iterable[NodeId]) -> Topology:
-    """The sub-topology induced by ``nodes`` (links among them only)."""
-    keep = set(nodes)
-    sub = Topology(f"{topo.name}-sub")
-    for node in topo.nodes:
-        if node in keep:
-            sub.add_node(node)
-    for ln in topo.links():
-        if ln.head in keep and ln.tail in keep:
-            sub.add_link(ln.head, ln.tail, ln.capacity, ln.prop_delay)
-    return sub

@@ -1,12 +1,9 @@
 """Simulated links: FIFO queue, transmission, propagation.
 
 A :class:`SimLink` is one *direction* of a physical link.  Service times
-default to exponential with mean :math:`1/C` so a Poisson-fed link is an
-M/M/1 queue — matching the delay law the paper's cost function assumes
-(Eq. 24); ``service="deterministic"`` turns it into M/D/1 for studying
-how sensitive the framework is to that assumption (the paper notes the
-M/M/1 assumption "does not hold in practice in the presence of very
-bursty traffic").
+are exponential with mean :math:`1/C`, so a Poisson-fed link is an M/M/1
+queue — matching the delay law the paper's cost function assumes
+(Eq. 24).
 """
 
 from __future__ import annotations
@@ -15,7 +12,6 @@ import random
 from collections.abc import Callable
 from functools import partial
 
-from repro.exceptions import SimulationError
 from repro.graph.topology import Link
 from repro.netsim.engine import Engine
 from repro.netsim.monitor import LinkMonitor
@@ -23,8 +19,6 @@ from repro.netsim.packet import Packet
 from repro.netsim.queueing import FIFOQueue
 
 DeliverFn = Callable[[Packet], None]
-
-SERVICE_MODELS = ("exponential", "deterministic")
 
 
 class SimLink:
@@ -35,8 +29,7 @@ class SimLink:
         link: the topology link (capacity in packets/s, prop delay in s).
         deliver: callback invoked at the receiving node when a packet
             finishes propagation.
-        rng: random source for service times.
-        service: "exponential" (M/M/1) or "deterministic" (M/D/1).
+        rng: random source for the exponential service times.
         queue_capacity: None for the paper's lossless model.
         on_drop: invoked once per packet this link destroys (queue
             overflow or link failure), so end-to-end accounting stays
@@ -50,14 +43,9 @@ class SimLink:
         deliver: DeliverFn,
         rng: random.Random,
         *,
-        service: str = "exponential",
         queue_capacity: int | None = None,
         on_drop: Callable[[], None] | None = None,
     ) -> None:
-        if service not in SERVICE_MODELS:
-            raise SimulationError(
-                f"unknown service model {service!r}; pick from {SERVICE_MODELS}"
-            )
         self.engine = engine
         self.link = link
         self.deliver = deliver
@@ -70,11 +58,7 @@ class SimLink:
         self._service_started = 0.0
         # A link's attributes never change: read them once, not per packet.
         self._prop_delay = link.prop_delay
-        if service == "deterministic":
-            mean = 1.0 / link.capacity
-            self._service_time: Callable[[], float] = lambda: mean
-        else:
-            self._service_time = partial(rng.expovariate, link.capacity)
+        self._service_time = partial(rng.expovariate, link.capacity)
 
     # ------------------------------------------------------------------
     def send(self, packet: Packet) -> None:

@@ -38,7 +38,6 @@ class PacketNetwork:
         topo: the network.
         routing: routing-parameter provider consulted per packet.
         seed: master seed; per-component RNGs derive from it.
-        service: link service model ("exponential" or "deterministic").
         estimator: link-cost estimator kind ("mm1" uses true capacities,
             "online" is the capacity-free estimator).
         queue_capacity: per-link output buffer in packets (None for the
@@ -52,7 +51,6 @@ class PacketNetwork:
         routing: RoutingProvider,
         *,
         seed: int = 0,
-        service: str = "exponential",
         estimator: str = "mm1",
         queue_capacity: int | None = None,
     ) -> None:
@@ -88,7 +86,6 @@ class PacketNetwork:
                 ln,
                 self._deliver_to(self.nodes[ln.tail]),
                 random.Random(master.getrandbits(64)),
-                service=service,
                 queue_capacity=queue_capacity,
                 on_drop=self.flow_monitor.note_queue_drop,
             )

@@ -34,7 +34,7 @@ from collections.abc import Mapping
 
 from repro import obs
 from repro.exceptions import RoutingError
-from repro.graph.shortest_paths import CostMap, bellman_ford, rank_nodes
+from repro.graph.shortest_paths import CostMap, SharedSPF, rank_nodes
 from repro.graph.topology import NodeId
 from repro.policy.base import RoutingPolicy, RoutingTables
 from repro.policy.registry import register
@@ -130,8 +130,9 @@ class BackpressureLRPolicy(RoutingPolicy):
         """Initial heights: boot shortest-path levels, rank tie-break."""
         self._heights = {}
         nodes = list(self.topo.nodes)
+        spf = SharedSPF(costs, nodes=nodes)
         for dest in self.destinations:
-            dist = bellman_ford(costs, dest, nodes=nodes)
+            dist = spf.distances_to(dest)
             self._heights[dest] = {
                 node: (dist.get(node, float("inf")), self._rank[node])
                 for node in nodes

@@ -30,7 +30,7 @@ from repro import obs
 from repro.exceptions import ConfigError
 from repro.graph.shortest_paths import (
     CostMap,
-    bellman_ford,
+    SharedSPF,
     k_shortest_paths,
 )
 from repro.graph.topology import NodeId
@@ -73,8 +73,9 @@ class ECMPKPolicy(RoutingPolicy):
         fractions: dict[NodeId, dict[NodeId, dict[NodeId, float]]] = {
             node: {} for node in nodes
         }
+        spf = SharedSPF(costs, nodes=nodes)
         for dest in self.destinations:
-            dist = bellman_ford(costs, dest, nodes=nodes)
+            dist = spf.distances_to(dest)
             by_node: dict[NodeId, list[NodeId]] = {}
             for node in nodes:
                 if node == dest:

@@ -327,9 +327,8 @@ class MPOraclePolicy(MPFamilyPolicy):
     )
 
     def _route(self, long_costs: CostMap) -> None:
-        # One reversed-adjacency setup shared by every destination (and
-        # by the successor rule, which takes the distances instead of
-        # re-running its own bellman_ford per destination).
+        # One reversed-adjacency setup shared by every destination; the
+        # successor rule takes each destination's distances from it.
         spf = SharedSPF(long_costs, nodes=self.topo.nodes)
         for dest in self.destinations:
             dist = spf.distances_to(dest)

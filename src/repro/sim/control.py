@@ -40,6 +40,7 @@ precomputed on/off schedule through either plane.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Protocol
 
@@ -76,7 +77,7 @@ class RunConfig:
         ts: short-term (allocation) update interval, seconds.
         duration: simulated time.
         warmup: epochs before this time are excluded from averages.
-        damping: AH step damping.
+        damping: AH step damping, in (0, 1].
         seed: protocol-mode delivery interleaving (and packet-plane
             service/arrival) seed.
         policy: registry name of the routing policy to run (see
@@ -102,6 +103,13 @@ class RunConfig:
     label_suffix = ""
 
     def __post_init__(self) -> None:
+        # Every check fails loudly here, naming the field, rather than
+        # as a loop that never ends (an infinite duration), a run of
+        # zero epochs (a NaN one) or an error at the first AH step.
+        for name in ("tl", "ts", "duration", "warmup"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise SimulationError(f"{name} must be finite, got {value!r}")
         if self.ts <= 0 or self.tl <= 0:
             raise SimulationError("Tl and Ts must be positive")
         if self.tl < self.ts:
@@ -115,8 +123,16 @@ class RunConfig:
                 "Tl must be an integer multiple of Ts "
                 f"(got Tl={self.tl}, Ts={self.ts})"
             )
+        if self.warmup < 0:
+            raise SimulationError(
+                f"warmup must be non-negative, got {self.warmup!r}"
+            )
         if self.duration <= self.warmup:
             raise SimulationError("duration must exceed warmup")
+        if not 0.0 < self.damping <= 1.0:
+            raise SimulationError(
+                f"damping must be in (0, 1], got {self.damping!r}"
+            )
         policy_class(self.policy)
 
     @property

@@ -400,13 +400,14 @@ class TestPolicyCommands:
         assert "avg_ms" in report["summary"]["networks"]["cairn"]["sp"]
         assert "cairn avg (ms)" in capsys.readouterr().out
 
-    def test_zoo_rejects_unknown_policy(self, tmp_path):
-        from repro.exceptions import ConfigError
-
-        with pytest.raises(ConfigError, match="known policies"):
+    def test_zoo_rejects_unknown_policy(self, tmp_path, capsys):
+        """A usage error (exit 2) listing the known policies."""
+        with pytest.raises(SystemExit) as exc:
             main(["fleet", "zoo", "--topo", "cairn", "--policy", "nonesuch",
                   "--duration", "24", "--warmup", "8", "--inline",
                   "--out", str(tmp_path / "zoo-out")])
+        assert exc.value.code == 2
+        assert "known policies" in capsys.readouterr().err
         assert not (tmp_path / "zoo-out").exists()
 
 
@@ -548,12 +549,74 @@ class TestCountAndBudgetFlags:
         ],
     )
     def test_fleet_rejects(self, argv, message, tmp_path, capsys):
+        self._assert_usage_error(argv, message, tmp_path, capsys)
+
+    #: One short inline sweep cell, for the same reason as ONE_CELL.
+    ONE_SWEEP = [
+        "fleet", "sweep", "--tls", "10", "--duration", "20",
+        "--warmup", "0", "--inline",
+    ]
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            pytest.param(
+                [*ONE_SWEEP, "--etas", "0.5", "--losses", "1.5"],
+                "--losses 1.5: mp needs a loss probability in [0, 1)",
+                id="sweep-loss-above-one",
+            ),
+            pytest.param(
+                [*ONE_SWEEP, "--etas", "0", "--losses", "0"],
+                "--etas 0.0: damping must be in (0, 1]",
+                id="sweep-eta-zero",
+            ),
+            pytest.param(
+                ["fleet", "zoo", "--policy", "sp", "--topo", "cairn",
+                 "--duration", "-5", "--inline"],
+                "--duration -5.0 --warmup 60.0: duration must exceed warmup",
+                id="zoo-duration-negative",
+            ),
+            pytest.param(
+                ["fleet", "zoo", "--policy", "nonesuch"],
+                "--policy nonesuch: unknown routing policy 'nonesuch'",
+                id="zoo-unknown-policy",
+            ),
+            pytest.param(
+                ["fleet", "fuzz", "--policies", "nonesuch"],
+                "--policies nonesuch: unknown routing policy 'nonesuch'",
+                id="fuzz-unknown-policy",
+            ),
+        ],
+    )
+    def test_fleet_rejects_values(self, argv, message, tmp_path, capsys):
+        """A value the cells' own constructors reject fails before any
+        cell runs, with that constructor's message."""
+        self._assert_usage_error(argv, message, tmp_path, capsys)
+
+    @staticmethod
+    def _assert_usage_error(argv, message, tmp_path, capsys):
         out = tmp_path / "fleet-out"
         with pytest.raises(SystemExit) as exc:
             main([*argv, "--out", str(out)])
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("loss", ["1.5", "nan"])
+    def test_converge_rejects_loss_outside_unit_interval(
+        self, loss, tmp_path, capsys
+    ):
+        """Rejected before the trace file is opened (and truncated)."""
+        trace = tmp_path / "kept.jsonl"
+        trace.write_text("kept\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["converge", "--loss", loss, "--trace", str(trace)])
+        assert exc.value.code == 2
+        assert (
+            f"--loss {float(loss)}: mp needs a loss probability in [0, 1)"
+            in capsys.readouterr().err
+        )
+        assert trace.read_text() == "kept\n"
 
     def test_converge_rejects_audit_sample_below_one(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -5,13 +5,19 @@ The Theorem-3 check of live router states is tested in
 """
 
 from repro.core.lfi import lfi_successors
+from repro.graph.shortest_paths import SharedSPF
 from repro.graph.validation import is_loop_free
+
+
+def _lfi(topo, costs, dest):
+    dist = SharedSPF(costs, nodes=topo.nodes).distances_to(dest)
+    return lfi_successors(topo, costs, dest, dist=dist)
 
 
 class TestLfiSuccessors:
     def test_diamond_multipath(self, diamond):
         costs = diamond.uniform_costs(1.0)
-        succ = lfi_successors(diamond, costs, "t")
+        succ = _lfi(diamond, costs, "t")
         assert set(succ["s"]) == {"a", "b"}  # both are closer than s
         assert succ["a"] == ["t"]
         assert succ["t"] == []
@@ -21,7 +27,7 @@ class TestLfiSuccessors:
         difference from OSPF's ECMP)."""
         costs = diamond.uniform_costs(1.0)
         costs[("a", "t")] = 5.0  # path via a now costs 6, via b costs 2
-        succ = lfi_successors(diamond, costs, "t")
+        succ = _lfi(diamond, costs, "t")
         # a (distance 5 via its own link... a->t direct is 5, a->b->t is 2)
         # both a (D=2 via b) and b (D=1) are closer than s (D=2)? s: D=2
         # via b. a has D=2 which is NOT < 2, so only b qualifies.
@@ -35,13 +41,13 @@ class TestLfiSuccessors:
             ln.link_id: rng.uniform(0.1, 3.0) for ln in small_grid.links()
         }
         for dest in small_grid.nodes:
-            succ = lfi_successors(small_grid, costs, dest)
+            succ = _lfi(small_grid, costs, dest)
             assert is_loop_free(succ)
 
     def test_every_node_has_route_when_connected(self, small_grid):
         costs = small_grid.uniform_costs(1.0)
         dest = (2, 2)
-        succ = lfi_successors(small_grid, costs, dest)
+        succ = _lfi(small_grid, costs, dest)
         for node in small_grid.nodes:
             if node != dest:
                 assert succ[node], f"{node} has no successor"

@@ -130,20 +130,6 @@ class TestFaultyChannelPartition:
         channel.send(("a", "b"), "x")
         assert drain(channel) == ["x"]
 
-    def test_timed_partition_follows_channel_clock(self):
-        channel = FaultyChannel(seed=1, partitions=((("a", "b"), 2, 4),))
-        channel.attach(DUPLEX)
-        channel.send(("a", "b"), "early")  # now=0: before the window
-        assert drain(channel) == ["early"]
-        while channel.now < 2:
-            channel.tick()
-        channel.send(("a", "b"), "during")
-        assert channel.partition_drops == 1
-        while channel.now < 4:
-            channel.tick()
-        channel.send(("a", "b"), "after")
-        assert drain(channel) == ["after"]
-
 
 class TestFaultyChannelBounds:
     def test_reordering_displacement_bounded_by_jitter(self):

@@ -4,34 +4,40 @@ import math
 
 import pytest
 
+from repro.core.lfi import lfi_successors
 from repro.core.spf import ecmp_successors
 from repro.exceptions import ConfigError, SimulationError
 from repro.fluid.flows import Flow, TrafficMatrix
+from repro.graph.shortest_paths import SharedSPF
 from repro.graph.validation import is_loop_free
 from repro.policy import create_policy
 from repro.sim.control import QuasiStaticConfig, run
 from repro.sim.scenario import Scenario, net1_scenario, with_failures
 
 
+def _dist(topo, costs, dest):
+    return SharedSPF(costs, nodes=topo.nodes).distances_to(dest)
+
+
 class TestEcmpSuccessors:
     def test_equal_cost_paths_only(self, diamond):
         costs = diamond.uniform_costs(1.0)
-        succ = ecmp_successors(diamond, costs, "t")
+        succ = ecmp_successors(
+            diamond, costs, "t", dist=_dist(diamond, costs, "t")
+        )
         assert set(succ["s"]) == {"a", "b"}  # both cost 2
 
     def test_unequal_cost_path_excluded(self, diamond):
         costs = diamond.uniform_costs(1.0)
         costs[("b", "t")] = 1.5  # via b now costs 2.5
-        succ = ecmp_successors(diamond, costs, "t")
+        dist = _dist(diamond, costs, "t")
+        succ = ecmp_successors(diamond, costs, "t", dist=dist)
         assert succ["s"] == ["a"]  # ECMP drops it; LFI would keep it
-        from repro.core.lfi import lfi_successors
-
-        assert set(lfi_successors(diamond, costs, "t")["s"]) == {"a", "b"}
+        lfi = lfi_successors(diamond, costs, "t", dist=dist)
+        assert set(lfi["s"]) == {"a", "b"}
 
     def test_subset_of_lfi_and_loop_free(self, small_grid):
         import random
-
-        from repro.core.lfi import lfi_successors
 
         rng = random.Random(2)
         costs = {
@@ -39,8 +45,9 @@ class TestEcmpSuccessors:
             for ln in small_grid.links()
         }
         for dest in [(0, 0), (2, 2)]:
-            ecmp = ecmp_successors(small_grid, costs, dest)
-            lfi = lfi_successors(small_grid, costs, dest)
+            dist = _dist(small_grid, costs, dest)
+            ecmp = ecmp_successors(small_grid, costs, dest, dist=dist)
+            lfi = lfi_successors(small_grid, costs, dest, dist=dist)
             assert is_loop_free(ecmp)
             for node in small_grid.nodes:
                 if node != dest:

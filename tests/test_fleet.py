@@ -452,11 +452,14 @@ class TestFleetCLI:
         assert code == 1
         assert "FAIL" in capsys.readouterr().out
 
-    def test_fleet_fuzz_rejects_unknown_policy_before_running(self, tmp_path):
-        """A typo'd policy fails before the campaign starts instead of
-        being filed as a Theorem-3 violation with a replay artifact."""
+    def test_fleet_fuzz_rejects_unknown_policy_before_running(
+        self, tmp_path, capsys
+    ):
+        """A typo'd policy is a usage error (exit 2) before the campaign
+        starts instead of being filed as a Theorem-3 violation with a
+        replay artifact."""
         out = tmp_path / "fleet-out"
-        with pytest.raises(ConfigError, match="nonesuch"):
+        with pytest.raises(SystemExit) as exc:
             main(
                 [
                     "fleet",
@@ -470,4 +473,6 @@ class TestFleetCLI:
                     str(out),
                 ]
             )
+        assert exc.value.code == 2
+        assert "nonesuch" in capsys.readouterr().err
         assert not out.exists()

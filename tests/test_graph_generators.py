@@ -4,7 +4,6 @@ import pytest
 
 from repro.exceptions import TopologyError
 from repro.graph.generators import (
-    barabasi_albert,
     complete,
     grid,
     line,
@@ -129,34 +128,3 @@ class TestWaxman:
             waxman(10, beta=0.0)
         with pytest.raises(TopologyError):
             waxman(10, target_degree=0.0)
-
-
-class TestBarabasiAlbert:
-    @pytest.mark.parametrize("seed", range(8))
-    def test_always_connected_and_symmetric(self, seed):
-        topo = barabasi_albert(40, m=2, seed=seed)
-        assert topo.is_connected()
-        assert topo.is_symmetric()
-
-    def test_deterministic_per_seed(self):
-        a = barabasi_albert(50, m=2, seed=9)
-        b = barabasi_albert(50, m=2, seed=9)
-        assert [(l.head, l.tail) for l in a.links()] == [
-            (l.head, l.tail) for l in b.links()
-        ]
-
-    def test_link_count(self):
-        # m links per attached node on top of the m-link seed star.
-        topo = barabasi_albert(30, m=2, seed=0)
-        assert topo.num_links == 2 * (2 + (30 - 3) * 2)
-
-    def test_hubs_emerge(self):
-        topo = barabasi_albert(100, m=2, seed=4)
-        degrees = [topo.degree(n) for n in topo.nodes]
-        assert max(degrees) >= 4 * (sum(degrees) / len(degrees))
-
-    def test_rejects_bad_parameters(self):
-        with pytest.raises(TopologyError):
-            barabasi_albert(2, m=2)
-        with pytest.raises(TopologyError):
-            barabasi_albert(10, m=0)

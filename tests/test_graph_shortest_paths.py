@@ -1,5 +1,8 @@
 """Shortest-path algorithms, checked against networkx as an oracle."""
 
+import heapq
+import math
+
 import networkx as nx
 import pytest
 from hypothesis import given, settings
@@ -9,12 +12,11 @@ from repro.exceptions import RoutingError
 from repro.graph.generators import random_connected
 from repro.graph.shortest_paths import (
     INFINITY,
-    all_pairs_distances,
-    bellman_ford,
+    SharedSPF,
     dijkstra,
     extract_path,
+    k_shortest_paths,
     path_cost,
-    topology_costs,
 )
 from repro.graph.topology import Topology
 
@@ -73,25 +75,28 @@ class TestDijkstra:
 
 
 class TestBellmanFord:
+    """``SharedSPF.distances_to`` solves the Bellman-Ford equation of the
+    destination-oriented framework (Eq. 13)."""
+
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_reverse_dijkstra_oracle(self, seed):
         costs = _random_costs(seed)
         g = _to_nx(costs).reverse()
         dest = 1
-        ours = bellman_ford(costs, dest)
+        ours = SharedSPF(costs).distances_to(dest)
         theirs = nx.single_source_dijkstra_path_length(g, dest)
         for node, want in theirs.items():
             assert ours[node] == pytest.approx(want)
 
     def test_destination_distance_is_zero(self):
         costs = _random_costs(0)
-        assert bellman_ford(costs, 3)[3] == 0.0
+        assert SharedSPF(costs).distances_to(3)[3] == 0.0
 
     def test_satisfies_bf_equation(self):
         """D_j^i = min_k (D_j^k + l_ik) — Eq. 13 of the paper."""
         costs = _random_costs(7)
         dest = 2
-        dist = bellman_ford(costs, dest)
+        dist = SharedSPF(costs).distances_to(dest)
         out = {}
         for (h, t), c in costs.items():
             out.setdefault(h, []).append((t, c))
@@ -100,16 +105,6 @@ class TestBellmanFord:
                 continue
             expect = min(dist.get(t, INFINITY) + c for t, c in nbrs)
             assert dist[node] == pytest.approx(expect)
-
-
-class TestAllPairs:
-    def test_matches_networkx(self):
-        costs = _random_costs(9, n=8, extra=6)
-        ours = all_pairs_distances(costs)
-        theirs = dict(nx.all_pairs_dijkstra_path_length(_to_nx(costs)))
-        for src, row in theirs.items():
-            for dst, want in row.items():
-                assert ours[src][dst] == pytest.approx(want)
 
 
 class TestPathHelpers:
@@ -126,20 +121,6 @@ class TestPathHelpers:
             extract_path({"b": None}, "a", "b")
 
 
-class TestTopologyCosts:
-    def test_defaults_to_idle_marginals(self, triangle):
-        costs = topology_costs(triangle)
-        assert costs == triangle.idle_marginal_costs()
-
-    def test_override_and_reject_unknown(self, triangle):
-        costs = topology_costs(triangle, {("a", "b"): 9.0})
-        assert costs[("a", "b")] == 9.0
-        from repro.exceptions import TopologyError
-
-        with pytest.raises(TopologyError):
-            topology_costs(triangle, {("a", "zzz"): 1.0})
-
-
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 10_000))
 def test_dijkstra_triangle_inequality(seed):
@@ -154,41 +135,32 @@ class TestKShortestPaths:
     """Yen's k shortest loopless paths (the ecmp-k policy's engine)."""
 
     def _costs(self, triangle):
-        return topology_costs(
-            triangle,
+        costs = triangle.idle_marginal_costs()
+        costs.update(
             {
                 ("a", "b"): 1.0, ("b", "a"): 1.0,
                 ("b", "c"): 1.0, ("c", "b"): 1.0,
                 ("a", "c"): 2.5, ("c", "a"): 2.5,
-            },
+            }
         )
+        return costs
 
     def test_orders_paths_by_cost(self, triangle):
-        from repro.graph.shortest_paths import k_shortest_paths
-
         paths = k_shortest_paths(self._costs(triangle), "a", "c", 3)
         assert paths == [["a", "b", "c"], ["a", "c"]]
 
     def test_k_one_is_the_shortest_path(self, triangle):
-        from repro.graph.shortest_paths import k_shortest_paths
-
         paths = k_shortest_paths(self._costs(triangle), "a", "c", 1)
         assert paths == [["a", "b", "c"]]
 
     def test_source_equals_target(self, triangle):
-        from repro.graph.shortest_paths import k_shortest_paths
-
         assert k_shortest_paths(self._costs(triangle), "a", "a", 4) == [["a"]]
 
     def test_unreachable_returns_empty(self):
-        from repro.graph.shortest_paths import k_shortest_paths
-
         costs = {("a", "b"): 1.0}
         assert k_shortest_paths(costs, "b", "a", 3) == []
 
     def test_rejects_nonpositive_k(self, triangle):
-        from repro.graph.shortest_paths import k_shortest_paths
-
         with pytest.raises(RoutingError):
             k_shortest_paths(self._costs(triangle), "a", "c", 0)
 
@@ -197,8 +169,6 @@ class TestKShortestPaths:
     def test_matches_networkx_simple_paths(self, seed):
         """Same path costs, in the same nondecreasing order, as nx's
         shortest_simple_paths (also Yen), for k=4."""
-        from repro.graph.shortest_paths import k_shortest_paths
-
         costs = _random_costs(seed, n=8, extra=6)
         ours = k_shortest_paths(costs, 0, 5, 4)
         g = _to_nx(costs)
@@ -218,9 +188,127 @@ class TestKShortestPaths:
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 10_000))
     def test_deterministic(self, seed):
-        from repro.graph.shortest_paths import k_shortest_paths
-
         costs = _random_costs(seed, n=8, extra=6)
         assert k_shortest_paths(costs, 0, 5, 3) == k_shortest_paths(
             costs, 0, 5, 3
         )
+
+
+class TestNaNCosts:
+    """A NaN cost is rejected by every search, naming the link; before,
+    it failed every comparison and silently removed the link."""
+
+    COSTS = {("a", "b"): math.nan, ("b", "c"): 1.0, ("a", "c"): 5.0}
+
+    def test_dijkstra_rejects_nan(self):
+        with pytest.raises(RoutingError, match=r"'a'->'b' has cost nan"):
+            dijkstra(self.COSTS, "a")
+
+    def test_shared_spf_rejects_nan(self):
+        with pytest.raises(RoutingError, match=r"'a'->'b' has cost nan"):
+            SharedSPF(self.COSTS)
+
+    def test_k_shortest_paths_rejects_nan(self):
+        with pytest.raises(RoutingError, match=r"'a'->'b' has cost nan"):
+            k_shortest_paths(self.COSTS, "a", "c", 3)
+
+    def test_shared_spf_rejects_negative(self):
+        with pytest.raises(RoutingError, match=r"'b'->'c' has cost -1"):
+            SharedSPF({("a", "b"): 1.0, ("b", "c"): -1.0})
+
+    def test_infinite_cost_still_means_unusable(self):
+        costs = {("a", "b"): math.inf, ("b", "c"): 1.0, ("a", "c"): 5.0}
+        assert dijkstra(costs, "a")[0]["b"] == INFINITY
+        assert SharedSPF(costs).distances_to("c")["a"] == 5.0
+        assert k_shortest_paths(costs, "a", "c", 3) == [["a", "c"]]
+
+
+def _copying_k_shortest_paths(costs, source, target, k, nodes=None):
+    """Yen's loop as it ran when every spur search filtered a copy of
+    the cost map and handed it to a fresh ``dijkstra``: the reference
+    the shared-adjacency spur searches must match path for path."""
+    if source == target:
+        return [[source]]
+    dist, pred = dijkstra(costs, source, nodes=nodes)
+    if dist.get(target, INFINITY) == INFINITY:
+        return []
+    paths = [extract_path(pred, source, target)]
+    seen = {tuple(paths[0])}
+    candidates = []
+    while len(paths) < k:
+        prev = paths[-1]
+        for i in range(len(prev) - 1):
+            spur, root = prev[i], prev[: i + 1]
+            banned_edges = {
+                (path[i], path[i + 1])
+                for path in paths
+                if len(path) > i and path[: i + 1] == root
+            }
+            banned_nodes = set(root[:-1])
+            spur_costs = {
+                link_id: cost
+                for link_id, cost in costs.items()
+                if link_id not in banned_edges
+                and link_id[0] not in banned_nodes
+                and link_id[1] not in banned_nodes
+            }
+            spur_dist, spur_pred = dijkstra(spur_costs, spur, nodes=nodes)
+            if spur_dist.get(target, INFINITY) == INFINITY:
+                continue
+            total = root[:-1] + extract_path(spur_pred, spur, target)
+            if tuple(total) in seen:
+                continue
+            seen.add(tuple(total))
+            heapq.heappush(
+                candidates,
+                (
+                    path_cost(costs, total),
+                    tuple(repr(node) for node in total),
+                    total,
+                ),
+            )
+        if not candidates:
+            break
+        paths.append(heapq.heappop(candidates)[2])
+    return paths
+
+
+@st.composite
+def _small_digraphs(draw):
+    """A random digraph on 3-7 nodes: integer costs in {1, 2, 3}, so
+    equal-cost ties are everywhere, or idle marginal delays."""
+    n = draw(st.integers(3, 7))
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    links = draw(
+        st.lists(st.sampled_from(pairs), min_size=n, max_size=len(pairs),
+                 unique=True)
+    )
+    if draw(st.booleans()):
+        return n, {link: draw(st.sampled_from([1.0, 2.0, 3.0]))
+                   for link in links}
+    topo = Topology("drawn")
+    for head, tail in links:
+        topo.add_link(
+            head,
+            tail,
+            capacity=draw(st.sampled_from([10.0, 100.0, 1000.0])),
+            prop_delay=draw(st.sampled_from([0.0, 1e-3, 5e-3])),
+        )
+    return n, topo.idle_marginal_costs()
+
+
+@settings(deadline=None)
+@given(graph=_small_digraphs(), k=st.integers(1, 5))
+def test_k_shortest_paths_matches_the_copying_search(graph, k):
+    """Every (source, target) pair, with and without ``nodes=``, gets
+    exactly the path lists of the per-spur-copy reference."""
+    n, costs = graph
+    universe = list(range(n))
+    for source in universe:
+        for target in universe:
+            for nodes in (None, universe):
+                assert k_shortest_paths(
+                    costs, source, target, k, nodes=nodes
+                ) == _copying_k_shortest_paths(
+                    costs, source, target, k, nodes=nodes
+                )

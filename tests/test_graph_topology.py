@@ -5,7 +5,7 @@ import math
 import pytest
 
 from repro.exceptions import TopologyError
-from repro.graph.topology import Link, Topology, subtopology
+from repro.graph.topology import Link, Topology
 
 
 class TestLink:
@@ -75,15 +75,6 @@ class TestTopologyConstruction:
         with pytest.raises(TopologyError):
             topo.remove_link("a", "b")
 
-    def test_remove_node_drops_incident_links(self):
-        topo = Topology()
-        topo.add_duplex_link("a", "b")
-        topo.add_duplex_link("b", "c")
-        topo.remove_node("b")
-        assert not topo.has_node("b")
-        assert topo.num_links == 0
-        assert topo.has_node("a") and topo.has_node("c")
-
 
 class TestTopologyQueries:
     def test_neighbors_insertion_order(self):
@@ -91,12 +82,6 @@ class TestTopologyQueries:
         topo.add_link("a", "c")
         topo.add_link("a", "b")
         assert topo.neighbors("a") == ["c", "b"]
-
-    def test_in_neighbors(self):
-        topo = Topology()
-        topo.add_link("a", "b")
-        topo.add_link("c", "b")
-        assert set(topo.in_neighbors("b")) == {"a", "c"}
 
     def test_unknown_node_raises(self):
         topo = Topology()
@@ -169,9 +154,3 @@ class TestDerivedMaps:
         topo.add_link("a", "b", capacity=100.0, prop_delay=0.5)
         costs = topo.idle_marginal_costs()
         assert costs[("a", "b")] == pytest.approx(1.0 / 100.0 + 0.5)
-
-    def test_subtopology(self, diamond):
-        sub = subtopology(diamond, ["s", "a", "t"])
-        assert set(sub.nodes) == {"s", "a", "t"}
-        assert sub.has_link("s", "a") and sub.has_link("a", "t")
-        assert not sub.has_node("b")

@@ -4,7 +4,6 @@ import random
 
 import pytest
 
-from repro.exceptions import SimulationError
 from repro.graph.topology import Link
 from repro.netsim.engine import Engine
 from repro.netsim.link import SimLink
@@ -13,14 +12,14 @@ from repro.netsim.traffic import PoissonSource
 from repro.fluid.flows import Flow
 
 
-def poisson_fed_link(rate, capacity, duration, service="exponential", seed=1):
+def poisson_fed_link(rate, capacity, duration, seed=1):
     """Feed a link with Poisson arrivals; return (delays, link, engine)."""
     engine = Engine()
     arrivals = []
     link_obj = Link("a", "b", capacity=capacity, prop_delay=0.0)
     link = SimLink(
         engine, link_obj, lambda p: arrivals.append(engine.now - p.created_at),
-        random.Random(seed), service=service,
+        random.Random(seed),
     )
     PoissonSource(
         engine,
@@ -44,13 +43,6 @@ class TestMM1Theory:
         measured = sum(delays) / len(delays)
         assert measured == pytest.approx(expect, rel=0.1)
 
-    def test_md1_is_faster_than_mm1(self):
-        """M/D/1 waits half as long as M/M/1 at equal utilization."""
-        capacity, rate = 200.0, 140.0
-        mm1, _, _ = poisson_fed_link(rate, capacity, 400.0, "exponential")
-        md1, _, _ = poisson_fed_link(rate, capacity, 400.0, "deterministic")
-        assert sum(md1) / len(md1) < sum(mm1) / len(mm1)
-
     def test_utilization_matches_rho(self):
         capacity, rate = 200.0, 120.0
         duration = 300.0
@@ -61,6 +53,14 @@ class TestMM1Theory:
         assert link.utilization(engine.now) == pytest.approx(expected, rel=0.1)
 
 
+class _MeanDraws:
+    """An RNG stand-in whose every exponential draw is its mean, so each
+    packet's service takes exactly 1/C."""
+
+    def expovariate(self, rate):
+        return 1.0 / rate
+
+
 class TestMechanics:
     def _make(self, capacity=100.0, prop=5e-3):
         engine = Engine()
@@ -69,8 +69,7 @@ class TestMechanics:
             engine,
             Link("a", "b", capacity=capacity, prop_delay=prop),
             lambda p: delivered.append(engine.now),
-            random.Random(0),
-            service="deterministic",
+            _MeanDraws(),
         )
         return engine, link, delivered
 
@@ -129,14 +128,3 @@ class TestMechanics:
         link.send(Packet("f", "a", "b", 0.0))
         engine.run()
         assert len(delivered) == 1
-
-    def test_unknown_service_model(self):
-        engine = Engine()
-        with pytest.raises(SimulationError):
-            SimLink(
-                engine,
-                Link("a", "b"),
-                lambda p: None,
-                random.Random(0),
-                service="quantum",
-            )

@@ -22,7 +22,7 @@ from repro.fluid.flows import Flow, TrafficMatrix
 from repro.gallager.marginals import marginal_distances
 from repro.gallager.opt import optimize, shortest_path_phi
 from repro.graph.generators import random_connected
-from repro.graph.shortest_paths import dijkstra, rank_nodes
+from repro.graph.shortest_paths import SharedSPF, dijkstra, rank_nodes
 from repro.graph.validation import is_loop_free
 from repro.testing.fuzz import check_case, generate_case
 from repro.testing.oracle import lockstep_case
@@ -50,8 +50,10 @@ def test_lfi_sets_loop_free_under_random_costs(seed, bind_policy):
     sp.on_costs(costs)
     mp.on_costs(costs)
     single, multi = sp.routing(), mp.routing()
+    spf = SharedSPF(costs, nodes=topo.nodes)
     for dest in dests:
-        assert is_loop_free(lfi_successors(topo, costs, dest))
+        dist = spf.distances_to(dest)
+        assert is_loop_free(lfi_successors(topo, costs, dest, dist=dist))
         for node in topo.nodes:
             if node != dest:
                 chosen = single[dest][node]
@@ -98,11 +100,10 @@ def test_gallager_marginal_distance_bounds_shortest_path(seed):
     phi = shortest_path_phi(topo, traffic.destinations())
     model = DelayModel.for_topology(topo)
     costs = model.marginals(link_flows(phi, traffic))
-    from repro.graph.shortest_paths import bellman_ford
-
+    spf = SharedSPF(costs, nodes=topo.nodes)
     for dest in traffic.destinations():
         delta = marginal_distances(phi, dest, costs)
-        best = bellman_ford(costs, dest, nodes=topo.nodes)
+        best = spf.distances_to(dest)
         for node, value in delta.items():
             if value != float("inf"):
                 assert value >= best[node] - 1e-9

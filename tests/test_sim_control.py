@@ -11,6 +11,7 @@ CAIRN workload through the *same* controller.
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
@@ -77,6 +78,32 @@ class TestSharedValidation:
     def test_duration_within_warmup(self, config_cls):
         with pytest.raises(SimulationError, match="exceed warmup"):
             config_cls(tl=2.0, ts=2.0, duration=10.0, warmup=10.0)
+
+    @pytest.mark.parametrize("config_cls", CONFIG_CLASSES)
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("duration", math.inf),
+            ("duration", math.nan),
+            ("warmup", math.nan),
+            ("tl", math.inf),
+            ("ts", math.nan),
+        ],
+    )
+    def test_non_finite_times(self, config_cls, field, value):
+        with pytest.raises(SimulationError, match=f"^{field} must be finite"):
+            config_cls(**{field: value})
+
+    @pytest.mark.parametrize("config_cls", CONFIG_CLASSES)
+    def test_negative_warmup(self, config_cls):
+        with pytest.raises(SimulationError, match="warmup must be non-neg"):
+            config_cls(warmup=-1.0)
+
+    @pytest.mark.parametrize("config_cls", CONFIG_CLASSES)
+    @pytest.mark.parametrize("damping", [0.0, math.nan, -1.0, 1.5])
+    def test_damping_outside_unit_interval(self, config_cls, damping):
+        with pytest.raises(SimulationError, match=r"damping must be in \(0, 1"):
+            config_cls(damping=damping)
 
     def test_messages_identical_across_planes(self):
         """The exact text comes from the shared base class."""
