@@ -43,6 +43,36 @@ RouterFactory = Callable[[NodeId], PDARouter]
 _UNSET = object()
 
 
+def _timed_step(method, name: str):
+    def timed(self, *args):
+        with self._timers.phase(name):
+            return method(self, *args)
+
+    return timed
+
+
+def _profile_routers(routers, timers) -> None:
+    """Time each router's ``PROFILED_STEPS`` as phases of ``timers``.
+
+    Each router's class is swapped for a subclass whose listed methods
+    run inside a timed phase, the way ``observe(profile=True)`` swaps in
+    :class:`~repro.obs.timing.ProfilingTimers`: an unprofiled run never
+    reaches this code, and its routers keep their plain methods.
+    """
+    swapped: dict[type, type] = {}
+    for router in routers:
+        cls = type(router)
+        sub = swapped.get(cls)
+        if sub is None:
+            steps = {
+                method: _timed_step(getattr(cls, method), name)
+                for method, name in cls.PROFILED_STEPS.items()
+            }
+            sub = swapped[cls] = type(cls.__name__, (cls,), steps)
+        router.__class__ = sub
+        router._timers = timers
+
+
 class ProtocolDriver:
     """Runs a network of protocol routers to quiescence.
 
@@ -75,6 +105,9 @@ class ProtocolDriver:
         self.routers: dict[NodeId, PDARouter] = {
             node: router_factory(node) for node in topo.nodes
         }
+        ob = obs.current()
+        if ob is not None and ob.profiler is not None:
+            _profile_routers(self.routers.values(), ob.timers)
         self.transport = transport if transport is not None else PerfectChannel()
         self.transport.attach([ln.link_id for ln in topo.links()])
         #: The MPDA subset, computed once — the per-event hot path asks

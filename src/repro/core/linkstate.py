@@ -5,10 +5,15 @@ or more entries, each the triplet ``[h, t, d]`` (head, tail, cost of link
 ``h -> t``) tagged *add*, *change* or *delete*, plus an ACK flag used by
 MPDA to acknowledge the previous LSU from that neighbor.
 
-A :class:`TopologyTable` stores one router's view of some set of links.
 Each router keeps a *main* table ``T_i`` (its own shortest-path tree after
 MTU) and one *neighbor* table ``T_k_i`` per neighbor — a time-delayed copy
-of that neighbor's main table.
+of that neighbor's main table.  The main table is a :class:`FrozenTree`,
+the immutable snapshot the router floods; a neighbor table is the
+sender's snapshot itself, shared by reference, until a delivery the
+snapshot cannot stand for turns it into a mutable :class:`TopologyTable`.
+Both store links in *groups*, ``{head: {tail: cost}}``, that are never
+edited in place, so MTU's candidate graph holds the winning neighbor's
+groups by reference instead of copying them.
 """
 
 from __future__ import annotations
@@ -131,30 +136,27 @@ class LSUMessage:
 
 
 class TopologyTable:
-    """A set of directed links with costs — one router's view of a graph.
+    """A mutable set of directed links with costs.
 
-    Alongside the flat link map the table maintains three derived
-    indexes, updated O(1) per mutation, that the protocol hot path leans
-    on:
+    A receiver edits one only on NTU's replay path: an LSU that cannot
+    adopt the sender's snapshot is applied entry by entry to a thawed
+    copy of the neighbor's table.  Besides the flat link map (what
+    Dijkstra reads) it keeps two indexes, updated per mutation:
 
-    - ``_by_head[h]``: the links leaving ``h`` (MTU copies a node's
-      outgoing links from its preferred neighbor's table — a full link
-      scan per node would make MTU quadratic);
-    - ``_in_links[n]``: the links *into* ``n`` (in a main table, each
-      node's tree link, which :func:`~repro.core.pda.repair_tree`
-      reads);
+    - ``groups[h]``: ``{tail: cost}`` for the links leaving ``h``, the
+      *link group* MTU's candidate graph holds by reference.  A group
+      is never edited in place: every write installs a fresh copy
+      (O(out-degree) on this rare path), so a reference taken earlier
+      keeps its content.  Read-only to callers, as on
+      :class:`FrozenTree`;
     - ``_node_refs[n]``: how many link endpoints mention ``n`` (so the
       node set needs no scan).
-
-    :meth:`in_links_view`, :meth:`link_groups_view` and
-    :meth:`nodes_map_view` expose the three indexes read-only.
     """
 
     def __init__(self, links: Mapping[LinkId, float] | None = None) -> None:
         self._links: dict[LinkId, float] = {}
-        self._by_head: dict[NodeId, dict[LinkId, float]] = {}
+        self.groups: dict[NodeId, dict[NodeId, float]] = {}
         self._node_refs: dict[NodeId, int] = {}
-        self._in_links: dict[NodeId, dict[NodeId, float]] = {}
         if links:
             for (head, tail), cost in links.items():
                 self.set_link(head, tail, cost)
@@ -170,8 +172,9 @@ class TopologyTable:
         if old is not None and old == cost:
             return False
         links[link_id] = cost
-        self._by_head.setdefault(head, {})[link_id] = cost
-        self._in_links.setdefault(tail, {})[head] = cost
+        group = dict(self.groups.get(head, _EMPTY_LINKS))
+        group[tail] = cost
+        self.groups[head] = group
         if old is None:
             refs = self._node_refs
             refs[head] = refs.get(head, 0) + 1
@@ -183,10 +186,12 @@ class TopologyTable:
         link_id = (head, tail)
         if self._links.pop(link_id, None) is None:
             return False
-        outgoing = self._by_head[head]
-        del outgoing[link_id]
-        if not outgoing:
-            del self._by_head[head]
+        group = dict(self.groups[head])
+        del group[tail]
+        if group:
+            self.groups[head] = group
+        else:
+            del self.groups[head]
         refs = self._node_refs
         for node in (head, tail):
             left = refs[node] - 1
@@ -194,10 +199,6 @@ class TopologyTable:
                 refs[node] = left
             else:
                 del refs[node]
-        incoming = self._in_links[tail]
-        del incoming[head]
-        if not incoming:
-            del self._in_links[tail]
         return True
 
     def apply(self, entries: Iterable[LinkEntry]) -> bool:
@@ -219,49 +220,13 @@ class TopologyTable:
         """All links as a plain cost map (a copy)."""
         return dict(self._links)
 
-    def links_with_head_view(self, head: NodeId) -> Mapping[LinkId, float]:
-        """Read-only view of the links leaving ``head`` (no copy).
-
-        The MTU inner loop only iterates the result; callers must not
-        mutate it or hold it across table mutations.
-        """
-        return self._by_head.get(head, _EMPTY_LINKS)
-
     def links_view(self) -> Mapping[LinkId, float]:
         """The live link map (read-only; do not hold across mutations)."""
         return self._links
 
-    def link_groups_view(self) -> Mapping[NodeId, Mapping[LinkId, float]]:
-        """The links grouped by head, ``{head: {(head, tail): cost}}``.
-
-        The live index (no copy): read-only, and not to be held across
-        mutations.  On a tree, ``head``'s group lists its children.
-        """
-        return self._by_head
-
-    def in_links_view(self) -> Mapping[NodeId, Mapping[NodeId, float]]:
-        """The links grouped by tail, ``{tail: {head: cost}}``.
-
-        The live index (no copy): read-only, and not to be held across
-        mutations.  On a tree, every node but the root has exactly one
-        entry, its predecessor.
-        """
-        return self._in_links
-
     def nodes_map_view(self) -> Mapping[NodeId, object]:
-        """The node set as a mapping (values meaningless; no copy).
-
-        Lets callers merge node sets with one C-level ``dict.update``
-        instead of materializing an intermediate ``dict.fromkeys``.
-        """
+        """The node set as a mapping (values meaningless; no copy)."""
         return self._node_refs
-
-    def full_dump(self) -> tuple[LinkEntry, ...]:
-        """ADD entries for every link — sent to a newly-up neighbor."""
-        return tuple(
-            LinkEntry(EntryOp.ADD, head, tail, cost)
-            for (head, tail), cost in self._links.items()
-        )
 
     def __len__(self) -> int:
         return len(self._links)
@@ -282,12 +247,13 @@ class TopologyTable:
 
 
 class FrozenTree:
-    """An immutable tree snapshot flooded alongside an LSU.
+    """An immutable shortest-path tree: a router's main table, as flooded.
 
-    Built once by the sender when MTU changes its tree, and shared by
-    reference with every receiver of the flood.  A receiver may adopt it
-    in place of replaying the LSU entries exactly when its current copy
-    of the sender's table equals the state the entries were diffed
+    A router's main table *is* its latest snapshot.  A changed MTU
+    builds the next one and floods it alongside the LSU entries, and
+    every receiver of the flood shares it by reference.  A receiver may
+    adopt it in place of replaying the entries exactly when its current
+    copy of the sender's table equals the state the entries were diffed
     against — either the copy *is* the sender's previous snapshot (same
     object, recognized by version), or the copy is empty and the entries
     rebuild the tree from scratch (``applies_to_empty``).  In both cases
@@ -301,8 +267,8 @@ class FrozenTree:
     Instances are shared across routers and must never be mutated; a
     receiver that needs to edit its copy materializes a mutable
     :class:`TopologyTable` with :meth:`thaw` first.  A sender's next
-    snapshot shares every per-head link group that did not change with
-    this one and holds fresh dicts for the rest.
+    snapshot shares every link group that did not change with this one
+    and holds fresh dicts for the rest.
 
     Attributes:
         version: the sender's table version this snapshot captures.
@@ -313,9 +279,15 @@ class FrozenTree:
             and diffs taken against an empty tree).
         dist: distances from the sender within the tree (tree nodes
             plus the sender) — what the receiver's NTU would compute.
+            Its keys are also the tree's node set.
         changed_rows: destinations whose ``dist`` entry differs from
             the predecessor state's, i.e. the row diff the receiver's
             NTU would report.
+        joined / left: the tree nodes (never the sender) that entered
+            or left ``dist`` since ``prev_version`` — what a receiver
+            holding that version folds into its known-node counts.
+        groups: ``{head: {tail: cost}}``, the tree's links grouped by
+            head; on a tree, ``head``'s group lists its children.
     """
 
     __slots__ = (
@@ -324,8 +296,9 @@ class FrozenTree:
         "applies_to_empty",
         "dist",
         "changed_rows",
-        "_by_head",
-        "_nodes",
+        "joined",
+        "left",
+        "groups",
         "_n_links",
     )
 
@@ -337,8 +310,9 @@ class FrozenTree:
         applies_to_empty: bool,
         dist: dict[NodeId, float],
         changed_rows: set[NodeId],
-        by_head: dict[NodeId, dict[LinkId, float]],
-        nodes: dict[NodeId, None],
+        joined: tuple[NodeId, ...],
+        left: tuple[NodeId, ...],
+        groups: dict[NodeId, dict[NodeId, float]],
         n_links: int,
     ) -> None:
         self.version = version
@@ -346,9 +320,25 @@ class FrozenTree:
         self.applies_to_empty = applies_to_empty
         self.dist = dist
         self.changed_rows = changed_rows
-        self._by_head = by_head
-        self._nodes = nodes
+        self.joined = joined
+        self.left = left
+        self.groups = groups
         self._n_links = n_links
+
+    @classmethod
+    def empty(cls, root: NodeId) -> "FrozenTree":
+        """Version 0: the tree of a router that knows no links yet."""
+        return cls(
+            version=0,
+            prev_version=None,
+            applies_to_empty=True,
+            dist={root: 0.0},
+            changed_rows=set(),
+            joined=(),
+            left=(),
+            groups={},
+            n_links=0,
+        )
 
     def as_full(self, root: NodeId) -> "FrozenTree":
         """A full-dump variant of this snapshot (greeting messages).
@@ -365,34 +355,47 @@ class FrozenTree:
             applies_to_empty=True,
             dist=self.dist,
             changed_rows=changed,
-            by_head=self._by_head,
-            nodes=self._nodes,
+            joined=(),
+            left=(),
+            groups=self.groups,
             n_links=self._n_links,
         )
 
+    def full_dump(self) -> tuple[LinkEntry, ...]:
+        """ADD entries for every link — sent to a newly-up neighbor."""
+        return tuple(
+            LinkEntry(EntryOp.ADD, head, tail, cost)
+            for head, group in self.groups.items()
+            for tail, cost in group.items()
+        )
+
     def thaw(self) -> TopologyTable:
-        """A mutable :class:`TopologyTable` with this snapshot's links."""
+        """A mutable :class:`TopologyTable` with this snapshot's links.
+
+        The table starts out sharing this snapshot's link groups; it
+        copies a group before writing it.
+        """
         table = TopologyTable()
-        for group in self._by_head.values():
-            for (head, tail), cost in group.items():
-                table.set_link(head, tail, cost)
+        links = table._links
+        refs = table._node_refs
+        for head, group in self.groups.items():
+            for tail, cost in group.items():
+                links[(head, tail)] = cost
+                refs[head] = refs.get(head, 0) + 1
+                refs[tail] = refs.get(tail, 0) + 1
+        table.groups = dict(self.groups)
         return table
 
     # Read-only surface shared with TopologyTable (what MTU touches).
-    def links_with_head_view(self, head: NodeId) -> Mapping[LinkId, float]:
-        return self._by_head.get(head, _EMPTY_LINKS)
-
-    def link_groups_view(self) -> Mapping[NodeId, Mapping[LinkId, float]]:
-        return self._by_head
-
-    def nodes_map_view(self):
-        return self._nodes
+    def nodes_map_view(self) -> Mapping[NodeId, object]:
+        return self.dist
 
     def links(self) -> dict[LinkId, float]:
-        out: dict[LinkId, float] = {}
-        for group in self._by_head.values():
-            out.update(group)
-        return out
+        return {
+            (head, tail): cost
+            for head, group in self.groups.items()
+            for tail, cost in group.items()
+        }
 
     def __len__(self) -> int:
         return self._n_links

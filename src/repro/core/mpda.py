@@ -58,6 +58,13 @@ class MPDARouter(PDARouter):
     synchronization state with the set of neighbors whose ACK is pending.
     """
 
+    PROFILED_STEPS = {
+        **PDARouter.PROFILED_STEPS,
+        "_lower_feasible_distances": "protocol.mpda.fd",
+        "_reset_feasible_distances": "protocol.mpda.fd",
+        "_recompute_successors": "protocol.mpda.successors",
+    }
+
     def __init__(self, node_id: NodeId) -> None:
         super().__init__(node_id)
         self.state = RouterState.PASSIVE
@@ -66,7 +73,7 @@ class MPDARouter(PDARouter):
         #: full-table dump in addition to the regular diff floods.
         self.pending_acks: dict[NodeId, int] = {}
         self.feasible_distance: dict[NodeId, float] = {}
-        self._successor_sets: dict[NodeId, set[NodeId]] = {}
+        self._successor_sets: dict[NodeId, frozenset[NodeId]] = {}
         #: True while a recorded input change has not been folded into
         #: ``_successor_sets`` yet; the property flushes on read.
         self._succ_stale = False
@@ -78,10 +85,15 @@ class MPDARouter(PDARouter):
         #: When True the next recomputation rebuilds every destination
         #: (initial state, or the adjacent-link set itself changed).
         self._dirty_all = True
-        #: True while ``FD_j = min(FD_j, D_j)`` is known to be a no-op:
-        #: set after each lowering/reset, cleared when MTU recomputes
-        #: the distances it folds in.
-        self._fd_clean = False
+        #: The destinations whose FD is below D (``D = inf`` outside the
+        #: universe, so this includes every FD entry a node left behind
+        #: when it quit the universe).  Elsewhere FD equals D, or both
+        #: are infinite, which is why the FD updates need visit only
+        #: these and the nodes MTU repaired.
+        self._fd_below: set[NodeId] = set()
+        #: One frozenset per distinct successor set, so destinations
+        #: with the same choice share it.
+        self._succ_intern: dict[frozenset, frozenset] = {}
 
     def _note_rows_changed(self, destinations) -> None:
         if not self._dirty_all:
@@ -93,9 +105,6 @@ class MPDARouter(PDARouter):
         self._dirty_all = True
         super()._links_changed()
 
-    def _distances_recomputed(self) -> None:
-        self._fd_clean = False
-
     def _outstanding(self) -> bool:
         """True while any sent LSU still awaits its acknowledgment."""
         return any(count > 0 for count in self.pending_acks.values())
@@ -104,17 +113,12 @@ class MPDARouter(PDARouter):
         self.pending_acks[neighbor] = self.pending_acks.get(neighbor, 0) + 1
         self.state = RouterState.ACTIVE
 
-    def _greet(self, neighbor: NodeId) -> None:
-        dump = self.main_table.full_dump()
-        if dump:
-            self._send(
-                neighbor,
-                LSUMessage(
-                    self.node_id, dump, snapshot=self._full_snapshot()
-                ),
-            )
-            self._note_sent(neighbor)
-            self.transitions += 1
+    def _greet(self, neighbor: NodeId) -> bool:
+        if not super()._greet(neighbor):
+            return False
+        self._note_sent(neighbor)
+        self.transitions += 1
+        return True
 
     # ------------------------------------------------------------------
     # events (PDA entry points reuse _after_ntu, overridden below)
@@ -151,14 +155,16 @@ class MPDARouter(PDARouter):
         changes: tuple = ()
         if self.state is RouterState.PASSIVE:
             # Step 2: update T and lower the feasible distances.
-            changes = self._mtu()
-            self._lower_feasible_distances()
+            changes, repaired = self._mtu()
+            self._lower_feasible_distances(repaired)
         elif not self._outstanding():
-            # Step 3: the last ACK arrived — leave the ACTIVE phase.
-            before = dict(self.distances)
+            # Step 3: the last ACK arrived — leave the ACTIVE phase.  The
+            # tree about to be replaced holds D_before: its distance
+            # view is every finite D_j.
+            before = self.main_table.dist
             self.state = RouterState.PASSIVE
-            changes = self._mtu()
-            self._reset_feasible_distances(before)
+            changes, repaired = self._mtu()
+            self._reset_feasible_distances(before, repaired)
         # else: ACTIVE with ACKs outstanding — MTU is deferred.
 
         # Step 4: successor sets from the LFI rule.  The sets feed only
@@ -178,71 +184,65 @@ class MPDARouter(PDARouter):
         elif lsu_sender is not None:
             self._send(lsu_sender, LSUMessage(self.node_id, (), ack=True))
 
-    def _lower_feasible_distances(self) -> None:
+    def _lower_feasible_distances(self, repaired) -> None:
         """Fig. 4 step 2b: ``FD_j = min(FD_j, D_j)`` for every known j.
 
-        Lowering only reads ``self.distances``; once it has run, it stays
-        a no-op until MTU actually recomputes those distances (pure-ACK
-        events leave them untouched), so ``_fd_clean`` short-circuits it.
+        D moved since the last FD update only at the nodes MTU just
+        ``repaired`` (none when it was skipped): everywhere else FD is
+        already at most D, so the lowering visits just those.
         """
-        if self._fd_clean:
-            return
         dirty = self._dirty_dests
-        me = self.node_id
+        below = self._fd_below
         feasible = self.feasible_distance
-        for j, d in self.distances.items():
-            if j == me or d == INFINITY:
-                continue
+        distances = self.distances
+        for j in repaired:
+            d = distances.get(j, INFINITY)
             fd = feasible.get(j, INFINITY)
             if d < fd:
                 feasible[j] = d
                 dirty.add(j)
-        self._fd_clean = True
+                below.discard(j)
+            elif fd < d:
+                below.add(j)
+            else:
+                below.discard(j)
 
     def _reset_feasible_distances(
-        self, before: Mapping[NodeId, float]
+        self, before: Mapping[NodeId, float], repaired
     ) -> None:
         """Fig. 4 step 3c: ``FD_j = min(D_j^before, D_j^after)``.
 
         Unlike step 2b this may *raise* FD: every neighbor has ACKed the
         last LSU, so only the just-reported and the about-to-be-reported
-        distances can still be in any neighbor's tables.
+        distances can still be in any neighbor's tables.  ``before``
+        maps the nodes whose D_before was finite (the previous tree's
+        distance view); a missing node had D_before = infinity, and a
+        node outside both universes loses its FD entry, as it would
+        under ``FD = min(inf, inf)``.
+
+        A destination that MTU did not repair and whose FD equals D
+        keeps it, so the reset visits the ``repaired`` nodes and the
+        ``_fd_below`` set only.
         """
         dirty = self._dirty_dests
         feasible = self.feasible_distance
         distances = self.distances
-        me = self.node_id
-        before_get = before.get
-        for j, d in distances.items():
-            if j == me:
-                continue
-            b = before_get(j, INFINITY)
-            fd = b if b < d else d
-            if fd == INFINITY:
-                if feasible.pop(j, None) is not None:
-                    dirty.add(j)
-            else:
-                if feasible.get(j) != fd:
-                    dirty.add(j)
-                feasible[j] = fd
-        for j, fd in before.items():
-            if j == me or j in distances:
-                continue
-            if fd == INFINITY:
-                if feasible.pop(j, None) is not None:
-                    dirty.add(j)
-            else:
-                if feasible.get(j) != fd:
-                    dirty.add(j)
-                feasible[j] = fd
-        for j in [
-            j for j in feasible if j not in distances and j not in before
-        ]:
-            del feasible[j]
-            dirty.add(j)
-        # The reset already folded the current distances in (FD <= D for
-        # every entry), so the next step-2b lowering is a no-op.
-        self._fd_clean = True
+        visit = self._fd_below
+        self._fd_below = below = set()
+        for group in (repaired, visit):
+            for j in group:
+                b = before.get(j, INFINITY)
+                d = distances.get(j, INFINITY)
+                fd = b if b < d else d
+                if fd == INFINITY:
+                    if feasible.pop(j, None) is not None:
+                        dirty.add(j)
+                else:
+                    if feasible.get(j) != fd:
+                        dirty.add(j)
+                    feasible[j] = fd
+                    if fd < d:
+                        below.add(j)
 
     def _recompute_successors(self) -> None:
         """Fig. 4 step 4: :math:`S_j = \\{k : D^i_{jk} < FD^i_j\\}`.
@@ -262,6 +262,7 @@ class MPDARouter(PDARouter):
         if self._dirty_all:
             self._dirty_all = False
             self._successor_sets = {}
+            self._succ_intern = {}
             dirty = set(self.feasible_distance)
             for dists in self.nbr_distances.values():
                 dirty.update(dists)
@@ -273,23 +274,25 @@ class MPDARouter(PDARouter):
         me = self.node_id
         feasible = self.feasible_distance
         successors = self._successor_sets
+        intern = self._succ_intern
         nbr_distances = self.nbr_distances
         rows = [(k, nbr_distances.get(k)) for k in self.link_costs]
         for j in dirty:
             if j == me:
                 continue
             fd = feasible.get(j, INFINITY)
-            chosen = set()
+            chosen = []
             for k, row in rows:
                 if k == j:
                     if fd > 0.0:
-                        chosen.add(k)
+                        chosen.append(k)
                 elif row is not None:
                     dist_kj = row.get(j)
                     if dist_kj is not None and dist_kj < fd:
-                        chosen.add(k)
+                        chosen.append(k)
             if chosen:
-                successors[j] = chosen
+                chosen = frozenset(chosen)
+                successors[j] = intern.setdefault(chosen, chosen)
             else:
                 successors.pop(j, None)
 
@@ -297,8 +300,12 @@ class MPDARouter(PDARouter):
     # forwarding-layer queries
     # ------------------------------------------------------------------
     @property
-    def successor_sets(self) -> dict[NodeId, set[NodeId]]:
-        """:math:`S^i_j` per destination, recomputed lazily on read."""
+    def successor_sets(self) -> dict[NodeId, frozenset[NodeId]]:
+        """:math:`S^i_j` per destination, recomputed lazily on read.
+
+        The stored sets are frozen and shared between destinations with
+        the same choice; recomputation replaces them, never edits them.
+        """
         if self._succ_stale:
             self._succ_stale = False
             self._recompute_successors()
@@ -308,12 +315,11 @@ class MPDARouter(PDARouter):
         """:math:`S^i_j` — may be empty when no loop-free route is known."""
         return set(self.successor_sets.get(destination, ()))
 
-    def successor_snapshot(self) -> dict[NodeId, set[NodeId]]:
+    def successor_snapshot(self) -> dict[NodeId, frozenset[NodeId]]:
         """A diffable copy of the current successor sets.
 
-        A shallow copy suffices: recomputation installs fresh set
-        objects (or pops the key) and never mutates a stored set in
-        place, so the snapshot's values stay frozen-in-time.
+        A shallow copy suffices: the stored sets are frozensets, so the
+        snapshot's values stay frozen-in-time.
         """
         return dict(self.successor_sets)
 

@@ -22,6 +22,15 @@ adjacent-link change) the router runs:
   step is :func:`repair_tree`: it re-settles only the nodes below the
   candidate links that moved since the last run, with the same result.
 
+A changed MTU costs what changed, not the size of the network.  The
+"copy" of step 4 holds the preferred neighbor's link group by
+reference, since groups are never edited in place.  The main table is
+the frozen tree the router floods, plus a private predecessor map; the
+next tree is built from the repaired nodes and shares every unchanged
+group.  The known-node universe is a reference count fed by the node
+deltas the adopted trees carry, and MPDA's feasible-distance updates
+visit only the repaired nodes and the destinations whose FD is below D.
+
 PDA converges to correct shortest paths a finite time after the last
 change (Theorem 2, proved via n-hop minimum trees).  Routers here are
 transport-agnostic: outgoing messages accumulate in ``outbox`` and a
@@ -57,7 +66,8 @@ _NO_LINKS: Mapping = {}
 
 
 def repair_tree(
-    tree: TopologyTable,
+    pred: Mapping[NodeId, NodeId],
+    children: Mapping[NodeId, Mapping[NodeId, float]],
     dist: dict[NodeId, float],
     adj: Mapping[NodeId, Mapping[NodeId, float]],
     adj_in: Mapping[NodeId, Mapping[NodeId, float]],
@@ -67,14 +77,18 @@ def repair_tree(
 ) -> tuple[list[LinkEntry], dict[NodeId, NodeId | None]]:
     """MTU steps 6-8: bring a shortest-path tree up to date after edits.
 
-    ``tree`` (a :class:`TopologyTable`) and ``dist`` must hold exactly
+    The previous tree is given twice: ``pred`` maps each tree node to
+    its predecessor, and ``children`` (head -> {tail: cost}) holds the
+    tree links, so the old cost of tree link ``(pred[n], n)`` is
+    ``children[pred[n]][n]``.  The tree and ``dist`` must hold exactly
     what :func:`~repro.graph.shortest_paths.dijkstra` gave for the
     previous candidate graph, with ``dist`` covering the current node
     universe (nodes new to it at infinity).  ``adj`` (head -> {tail:
     cost}) and ``adj_in`` (tail -> {head: cost}) describe the current
-    candidate graph, ``rank`` is :func:`rank_nodes` over the universe,
-    and ``moved`` lists every link (head, tail) added, removed or
-    re-costed since — or is None to settle everything from ``root``.
+    candidate graph, ``rank`` is :func:`rank_nodes` order over (at
+    least) the universe, and ``moved`` lists every link (head, tail)
+    added, removed or re-costed since — or is None to settle everything
+    from ``root``.
 
     The subtrees below removed or costlier tree links are dropped, and
     those nodes plus the tails of cheaper or new links are re-settled by
@@ -86,22 +100,18 @@ def repair_tree(
     candidate graph and the universe, and the tree to its predecessor
     links.
 
-    ``dist`` is updated in place; ``tree`` is only read.  Returns
-    ``(entries, repaired)``: the ADD/CHANGE entries then the DELETE
-    entries that turn ``tree`` into the new tree (each touches a
-    distinct link), and ``repaired`` mapping every node whose tree link
-    or distance may have moved to its new predecessor (None when
-    unreachable).  Nodes absent from ``repaired`` kept both.
+    ``dist`` is updated in place; ``pred`` and ``children`` are only
+    read.  Returns ``(entries, repaired)``: the ADD/CHANGE entries then
+    the DELETE entries that turn the old tree into the new one (each
+    touches a distinct link), and ``repaired`` mapping every node whose
+    tree link or distance may have moved to its new predecessor (None
+    when unreachable).  Nodes absent from ``repaired`` kept both.
     """
-    # Each tree node but the root has exactly one in-link,
-    # {predecessor: cost}.
-    tree_in = tree.in_links_view()
-    children = tree.link_groups_view()
     repaired: dict = {}
     heap: list = []
     push = heapq.heappush
     if moved is None:
-        for node in tree_in:
+        for node in pred:
             repaired[node] = None
             dist[node] = INFINITY
         dist[root] = 0.0
@@ -111,11 +121,11 @@ def repair_tree(
         stack = []
         for head, tail in moved:
             cost = adj.get(head, _NO_LINKS).get(tail)
-            link = tree_in.get(tail)
-            if link is not None and head in link:
-                if cost is None or cost > link[head]:
+            if pred.get(tail) == head:
+                old = children[head][tail]
+                if cost is None or cost > old:
                     stack.append(tail)
-                elif cost < link[head]:
+                elif cost < old:
                     seeds.append((head, tail, cost))
             elif cost is not None:
                 seeds.append((head, tail, cost))
@@ -126,8 +136,7 @@ def repair_tree(
                 continue
             repaired[node] = None
             dist[node] = INFINITY
-            for _, child in children.get(node, ()):
-                stack.append(child)
+            stack.extend(children.get(node, ()))
         # Re-label each dropped node from its in-links (in-links from
         # dropped nodes still at infinity add nothing; those nodes relax
         # their out-links when they settle).
@@ -160,7 +169,7 @@ def repair_tree(
             elif alt == cur < INFINITY:
                 prev = repaired.get(tail)
                 if prev is None:
-                    (prev,) = tree_in[tail]
+                    prev = pred[tail]
                 if rank[head] <= rank[prev]:
                     repaired[tail] = head
     # Label-setting from the seeds: every label is the cost of a real
@@ -181,18 +190,17 @@ def repair_tree(
             elif alt == cur:
                 prev = repaired.get(tail)
                 if prev is None:
-                    (prev,) = tree_in[tail]
+                    prev = pred[tail]
                 if node_rank < rank[prev]:
                     repaired[tail] = node
     entries = []
     deletes = []
     for node, head in repaired.items():
-        link = tree_in.get(node)
-        if link is not None:
-            ((old_head, old_cost),) = link.items()
+        old_head = pred.get(node)
+        if old_head is not None:
             if old_head == head:
                 cost = adj[head][node]
-                if cost != old_cost:
+                if cost != children[head][node]:
                     entries.append(LinkEntry(EntryOp.CHANGE, head, node, cost))
                 continue
             deletes.append(LinkEntry(EntryOp.DELETE, old_head, node))
@@ -215,6 +223,8 @@ class PDARouter:
     - :meth:`receive` — an LSU message arrived from a neighbor.
 
     Attributes:
+        main_table: this router's tree ``T_i`` — the
+            :class:`~repro.core.linkstate.FrozenTree` it last flooded.
         outbox: queued ``(neighbor, LSUMessage)`` pairs for the driver.
         mtu_runs / lsu_sent / lsu_received: protocol statistics.
 
@@ -226,13 +236,26 @@ class PDARouter:
     deliveries.  Otherwise steps 3-5 re-source only the link groups
     whose inputs moved and report the candidate links that changed, and
     :func:`repair_tree` re-settles only the nodes those links affect;
-    the LSU diff, ``distances`` and the flooded snapshot are patched
-    from the repaired nodes alone.  An adjacent-link event, or an LSU
-    replayed onto an out-of-sync neighbor table, rebuilds steps 3-5 and
-    settles the tree from the root.
+    the LSU diff, ``distances`` and the next snapshot are built from the
+    repaired nodes alone.  An adjacent-link event, or an LSU replayed
+    onto an out-of-sync neighbor table, rebuilds steps 3-5 and settles
+    the tree from the root.
     :mod:`repro.testing.oracle` checks every such shortcut against a
     naive router that recomputes everything per event.
     """
+
+    #: The internal steps a profiling run times, as sub-phases of the
+    #: protocol run: method name -> phase name.  The driver swaps each
+    #: router's class for a subclass wrapping exactly these under
+    #: ``observe(profile=True)``, so other runs execute the plain methods.
+    PROFILED_STEPS = {
+        "_ntu_adopt": "protocol.ntu.adopt",
+        "_ntu_replay": "protocol.ntu.replay",
+        "_mtu_refresh": "protocol.mtu.refresh",
+        "_mtu_rebuild": "protocol.mtu.rebuild",
+        "_repair": "protocol.mtu.repair",
+        "_snapshot": "protocol.mtu.snapshot",
+    }
 
     def __init__(self, node_id: NodeId) -> None:
         self.node_id = node_id
@@ -242,8 +265,10 @@ class PDARouter:
         #: auditor) use it to tell which routers may have changed state
         #: since they last looked.
         self.route_version = 0
-        self.main_table = TopologyTable()
-        self.neighbor_tables: dict[NodeId, TopologyTable] = {}
+        self.main_table = FrozenTree.empty(node_id)
+        #: The main table's predecessor map: each tree node's head.
+        self._pred: dict[NodeId, NodeId] = {}
+        self.neighbor_tables: dict[NodeId, TopologyTable | FrozenTree] = {}
         self.link_costs: dict[NodeId, float] = {}
         self.distances: dict[NodeId, float] = {}
         #: nbr_distances[k][j] = D^i_jk, distance k -> j in this router's
@@ -256,31 +281,29 @@ class PDARouter:
         self.entries_sent = 0
         #: True when MTU's inputs changed since its last recomputation.
         self._tables_dirty = True
-        #: Cached tie-break ranks over the known-node universe, rebuilt
-        #: only when the universe's membership changes.
+        #: The known-node universe as reference counts: this router,
+        #: each up neighbor, and each node of a neighbor table other than
+        #: that table's root (the root counts through ``link_costs``).
+        self._known: dict[NodeId, int] = {node_id: 1}
+        #: Nodes whose membership may have flipped since the last MTU.
+        self._known_moved: dict[NodeId, None] = {node_id: None}
+        #: Tie-break ranks over (at least) the universe, rebuilt only
+        #: when a node without a rank joins it.
         self._rank: dict[NodeId, int] = {}
-        self._rank_nodes: frozenset[NodeId] = frozenset()
-        #: Main-table version (bumped once per changed MTU) and the
-        #: frozen snapshot of the current tree, attached to outgoing
-        #: LSUs so in-sync receivers adopt the new tree by reference.
-        self._table_version = 0
-        self._snap: FrozenTree | None = None
-        #: Restricted distance view of the current main table (tree
-        #: nodes plus self) — what a receiver's NTU computes from it.
-        self._flood_dist: dict[NodeId, float] = {node_id: 0.0}
         #: Per-neighbor version of the frozen snapshot currently held
         #: in ``neighbor_tables`` (absent = mutable or out-of-sync).
         self._nbr_versions: dict[NodeId, int] = {}
         #: MTU steps 3-5 state carried across runs: per-destination
         #: preferred neighbor and its merged value, and the candidate
-        #: graph as out-adjacency (head -> {tail: cost}) and in-adjacency
+        #: graph as out-adjacency (head -> {tail: cost}, each group the
+        #: winning neighbor table's own, by reference) and in-adjacency
         #: (tail -> {head: cost}).  Valid while ``_mtu_full`` is False;
         #: ``_best_dirty`` lists destinations whose neighbor rows moved
-        #: and ``_group_dirty`` the heads whose copied link group must
-        #: be re-sourced.
+        #: and ``_group_dirty`` the heads whose link group must be
+        #: re-sourced.
         self._best_val: dict[NodeId, float] = {}
         self._best_nbr: dict[NodeId, NodeId] = {}
-        self._adj: dict[NodeId, dict[NodeId, float]] = {}
+        self._adj: dict[NodeId, Mapping[NodeId, float]] = {}
         self._adj_in: dict[NodeId, dict[NodeId, float]] = {}
         self._best_dirty: set[NodeId] = set()
         self._group_dirty: set[NodeId] = set()
@@ -296,6 +319,8 @@ class PDARouter:
     def link_up(self, neighbor: NodeId, cost: float) -> None:
         """Adjacent link to ``neighbor`` came up with measured cost ``cost``."""
         self._check_cost(neighbor, cost)
+        if neighbor not in self.link_costs:
+            self._know((neighbor,))
         self.link_costs[neighbor] = cost
         self.neighbor_tables.setdefault(neighbor, TopologyTable())
         self.nbr_distances.setdefault(neighbor, {neighbor: 0.0})
@@ -304,22 +329,20 @@ class PDARouter:
         self._greet(neighbor)
         self._after_ntu(lsu_sender=None)
 
-    def _greet(self, neighbor: NodeId) -> None:
-        """NTU step 2: greet a new neighbor with the full main table."""
-        dump = self.main_table.full_dump()
-        if dump:
-            self._send(
-                neighbor,
-                LSUMessage(
-                    self.node_id, dump, snapshot=self._full_snapshot()
-                ),
-            )
+    def _greet(self, neighbor: NodeId) -> bool:
+        """NTU step 2: greet a new neighbor with the full main table.
 
-    def _full_snapshot(self) -> FrozenTree | None:
-        """The current tree as a full-dump snapshot (greeting messages)."""
-        if self._snap is None:
-            return None
-        return self._snap.as_full(self.node_id)
+        Returns whether a greeting was sent (an empty tree sends none).
+        """
+        tree = self.main_table
+        dump = tree.full_dump()
+        if not dump:
+            return False
+        self._send(
+            neighbor,
+            LSUMessage(self.node_id, dump, snapshot=tree.as_full(self.node_id)),
+        )
+        return True
 
     def link_cost_change(self, neighbor: NodeId, cost: float) -> None:
         """The measured cost of the adjacent link changed (NTU step 3)."""
@@ -338,8 +361,13 @@ class PDARouter:
 
     def link_down(self, neighbor: NodeId) -> None:
         """Adjacent link failed (NTU step 4): clear the neighbor's table."""
-        self.link_costs.pop(neighbor, None)
-        self.neighbor_tables.pop(neighbor, None)
+        if self.link_costs.pop(neighbor, None) is not None:
+            self._forget((neighbor,))
+        table = self.neighbor_tables.pop(neighbor, None)
+        if table is not None:
+            self._forget(
+                [node for node in table.nodes_map_view() if node != neighbor]
+            )
         self.nbr_distances.pop(neighbor, None)
         self._nbr_versions.pop(neighbor, None)
         self._tables_dirty = True
@@ -359,6 +387,31 @@ class PDARouter:
         self._after_ntu(lsu_sender=sender)
 
     # ------------------------------------------------------------------
+    # the known-node universe
+    # ------------------------------------------------------------------
+    def _know(self, nodes) -> None:
+        """Count one more mention of each of ``nodes``."""
+        known = self._known
+        for node in nodes:
+            count = known.get(node)
+            if count is None:
+                known[node] = 1
+                self._known_moved[node] = None
+            else:
+                known[node] = count + 1
+
+    def _forget(self, nodes) -> None:
+        """Count one mention less of each of ``nodes``."""
+        known = self._known
+        for node in nodes:
+            count = known[node] - 1
+            if count:
+                known[node] = count
+            else:
+                del known[node]
+                self._known_moved[node] = None
+
+    # ------------------------------------------------------------------
     # NTU / MTU internals
     # ------------------------------------------------------------------
     def _ntu_apply_lsu(self, message: LSUMessage) -> None:
@@ -367,37 +420,57 @@ class PDARouter:
         ``link_up`` seeds the sender's table and distances, and
         ``receive`` drops messages from non-neighbors, so both exist.
         """
-        sender = message.sender
-        table = self.neighbor_tables[sender]
         snap = message.snapshot
         if snap is not None:
-            stored = self._nbr_versions.get(sender)
-            if (stored is not None and stored == snap.prev_version) or (
-                snap.applies_to_empty and len(table) == 0
-            ):
-                # The held table is exactly the state the entries were
-                # diffed against (it *is* the sender's previous
-                # snapshot, or both are empty and the entries rebuild
-                # the whole tree), so adopting the sender's frozen
-                # result is identical to replaying the entries.
-                self.neighbor_tables[sender] = snap
-                self.nbr_distances[sender] = snap.dist
-                self._nbr_versions[sender] = snap.version
-                self._tables_dirty = True
-                self._note_mtu_dirty(sender, snap.changed_rows, message.entries)
-                self._note_rows_changed(snap.changed_rows)
+            sender = message.sender
+            if self._nbr_versions.get(sender, -1) == snap.prev_version:
+                # The held table *is* the sender's previous snapshot.
+                self._ntu_adopt(message, snap.joined, snap.left)
                 return
-        # Replay (Fig. 2 as written): apply the entries to a mutable
-        # copy and rerun Dijkstra from the sender — taken on duplicated
-        # or reordered delivery over a raw channel, where the snapshot's
-        # baseline doesn't match.
+            if snap.applies_to_empty and len(self.neighbor_tables[sender]) == 0:
+                # Both are empty and the entries rebuild the whole tree.
+                self._ntu_adopt(
+                    message, [node for node in snap.dist if node != sender], ()
+                )
+                return
+        self._ntu_replay(message)
+
+    def _ntu_adopt(self, message: LSUMessage, joined, left) -> None:
+        """NTU by reference: the held table is exactly the state the
+        entries were diffed against, so adopting the sender's frozen
+        result is identical to replaying them.  ``joined`` and ``left``
+        are the tree nodes the swap adds to and drops from the table."""
+        sender = message.sender
+        snap = message.snapshot
+        self.neighbor_tables[sender] = snap
+        self.nbr_distances[sender] = snap.dist
+        self._nbr_versions[sender] = snap.version
+        self._tables_dirty = True
+        if joined:
+            self._know(joined)
+        if left:
+            self._forget(left)
+        self._note_mtu_dirty(sender, snap.changed_rows, message.entries)
+        self._note_rows_changed(snap.changed_rows)
+
+    def _ntu_replay(self, message: LSUMessage) -> None:
+        """NTU as Fig. 2 writes it: apply the entries to a mutable copy
+        and rerun Dijkstra from the sender — taken on duplicated or
+        reordered delivery over a raw channel, where the snapshot's
+        baseline doesn't match."""
+        sender = message.sender
+        table = self.neighbor_tables[sender]
         if isinstance(table, FrozenTree):
             table = self.neighbor_tables[sender] = table.thaw()
             self._nbr_versions.pop(sender, None)
+        before = set(table.nodes_map_view())
         if not table.apply(message.entries):
             # Every entry was a no-op on the table, so the sender's
             # distances — and MTU's inputs — are exactly as before.
             return
+        after = table.nodes_map_view()
+        self._know([n for n in after if n not in before and n != sender])
+        self._forget([n for n in before if n not in after and n != sender])
         self._tables_dirty = True
         old = self.nbr_distances[sender]
         new = dijkstra(table.links_view(), sender)[0]
@@ -414,9 +487,9 @@ class PDARouter:
 
         ``rows`` (destinations whose distance through ``sender`` moved)
         re-open the preferred-neighbor choice; entry heads whose current
-        preferred neighbor *is* the sender had their copied link group
-        edited in place, so the group is re-sourced even when the choice
-        itself stands.
+        preferred neighbor *is* the sender now have a new link group in
+        the sender's table, so the group is re-sourced even when the
+        choice itself stands.
         """
         if not self._best_dirty:
             self._dirty_sender = sender
@@ -440,42 +513,19 @@ class PDARouter:
         successor sets)."""
         self._mtu_full = True
 
-    def _distances_recomputed(self) -> None:
-        """Hook: MTU recomputed ``self.distances`` (MPDA re-arms FD)."""
-
     def _after_ntu(self, lsu_sender: NodeId | None) -> None:
         """The tail of procedure PDA: MTU, then flood any differences."""
         self.route_version += 1
-        changes = self._mtu()
+        changes, _ = self._mtu()
         if changes:
             self._broadcast(changes)
 
-    def _universe(self) -> list[NodeId]:
-        """Every node this router has heard of."""
-        # Only the keys (and their first-seen order) matter; merging the
-        # tables' internal mappings directly skips per-table dict
-        # materialization on this per-MTU path.
-        known: dict[NodeId, object] = {self.node_id: None}
-        known.update(self.link_costs)
-        for table in self.neighbor_tables.values():
-            known.update(table.nodes_map_view())
-        return list(known)
-
-    def _universe_rank(self, universe) -> dict[NodeId, int]:
-        """Tie-break ranks for ``universe``, cached across MTU runs.
-
-        Rank comparison is equivalent to the repr order the paper's
-        "lower address" tie rule uses (see :func:`rank_nodes`); the map
-        is rebuilt only when the universe gains or loses nodes.
-        """
-        nodes = frozenset(universe)
-        if nodes != self._rank_nodes:
-            self._rank = rank_nodes(nodes)
-            self._rank_nodes = nodes
-        return self._rank
-
     def _mtu(self):
-        """MTU (Fig. 3): update the main table; return the LSU diff.
+        """MTU (Fig. 3): update the main table.
+
+        Returns ``(changes, repaired)``: the LSU diff, and the nodes
+        whose distance or predecessor may have moved (what
+        :func:`repair_tree` returns; empty when MTU was skipped).
 
         MTU is a pure function of the adjacent-link costs and the
         neighbor tables, and running it twice on the same inputs yields
@@ -485,10 +535,8 @@ class PDARouter:
         """
         self.mtu_runs += 1
         if not self._tables_dirty:
-            return ()
+            return (), _NO_LINKS
         self._tables_dirty = False
-        old = self.main_table
-        me = self.node_id
         link_costs = self.link_costs
         up = [n for n in link_costs if link_costs[n] < INFINITY]
         # ``distances`` covers exactly the known-node universe: nodes
@@ -496,73 +544,119 @@ class PDARouter:
         # mentions them, so no candidate link reaches them) are dropped
         # after the repair.
         dist = self.distances
-        prev_nodes = self._rank_nodes
-        rank = self._universe_rank(self._universe())
-        gone = ()
-        if self._rank_nodes is not prev_nodes:
-            for node in self._rank_nodes - prev_nodes:
-                dist[node] = INFINITY
-            gone = prev_nodes - self._rank_nodes
+        gone = []
+        if self._known_moved:
+            known = self._known
+            rank = self._rank
+            stale = False
+            for node in self._known_moved:
+                if node in known:
+                    if node not in dist:
+                        dist[node] = INFINITY
+                        stale = stale or node not in rank
+                elif node in dist:
+                    gone.append(node)
+            self._known_moved = {}
+            if stale:
+                self._rank = rank_nodes(known)
+        rank = self._rank
 
         if self._mtu_full:
             self._mtu_rebuild(up, rank)
             moved = None
         else:
             moved = self._mtu_refresh(up, rank)
-        entries, repaired = repair_tree(
-            old, dist, self._adj, self._adj_in, me, rank, moved
-        )
+        entries, repaired = self._repair(moved, rank)
         for node in gone:
             del dist[node]
         changes = tuple(entries)
         if changes:
-            # Patching the main table with its own diff entries (all
-            # touching distinct links) lands it exactly at the tree.
-            old.apply(changes)
-            # Freeze the new tree for flooding.  Receivers share the
-            # snapshot by reference, so its distance view and every link
-            # group it changes are fresh objects; the rest are shared
-            # with the previous snapshot.  The previous view had one
-            # entry (self) iff the previous tree was empty, in which case
-            # the diff entries also reconstruct the tree from scratch.
-            prev_flood = self._flood_dist
-            flood = dict(prev_flood)
-            changed_rows = set()
-            for node, head in repaired.items():
-                if head is None:
-                    flood.pop(node, None)
-                else:
-                    flood[node] = dist[node]
-                if prev_flood.get(node) != flood.get(node):
+            self._snapshot(changes, repaired)
+        return changes, repaired
+
+    def _repair(self, moved, rank):
+        """MTU steps 6-8 on the main table (:func:`repair_tree`)."""
+        return repair_tree(
+            self._pred,
+            self.main_table.groups,
+            self.distances,
+            self._adj,
+            self._adj_in,
+            self.node_id,
+            rank,
+            moved,
+        )
+
+    def _snapshot(self, changes, repaired) -> None:
+        """Install the tree ``changes`` lead to as the next main table.
+
+        Receivers share the snapshot by reference, so its distance view
+        and every link group the diff touches are fresh objects; the
+        rest are shared with the previous snapshot.  The previous view
+        had one entry (self) iff the previous tree was empty, in which
+        case the diff entries also reconstruct the tree from scratch.
+        """
+        prev = self.main_table
+        prev_groups = prev.groups
+        dist = self.distances
+        pred = self._pred
+        flood = dict(prev.dist)
+        changed_rows = set()
+        joined = []
+        left = []
+        for node, head in repaired.items():
+            if head is None:
+                if node in pred:
+                    del pred[node]
+                    del flood[node]
+                    left.append(node)
                     changed_rows.add(node)
-            prev = self._snap
-            by_head = dict(prev.link_groups_view()) if prev is not None else {}
-            for head in {entry.head for entry in changes}:
-                group = old.links_with_head_view(head)
-                if group:
-                    by_head[head] = dict(group)
-                else:
-                    by_head.pop(head, None)
-            prev_version = self._table_version
-            self._table_version += 1
-            self._snap = FrozenTree(
-                version=self._table_version,
-                prev_version=prev_version,
-                applies_to_empty=len(prev_flood) == 1,
-                dist=flood,
-                changed_rows=changed_rows,
-                by_head=by_head,
-                nodes=flood,
-                n_links=len(old),
-            )
-            self._flood_dist = flood
-        self._distances_recomputed()
-        return changes
+            else:
+                d = dist[node]
+                old = flood.get(node)
+                if old is None:
+                    joined.append(node)
+                flood[node] = d
+                pred[node] = head
+                if old != d:
+                    changed_rows.add(node)
+        # Each touched group is copied once, then edited in entry order.
+        touched: dict[NodeId, dict[NodeId, float]] = {}
+        n_links = prev._n_links
+        for entry in changes:
+            head = entry.head
+            group = touched.get(head)
+            if group is None:
+                group = touched[head] = dict(prev_groups.get(head, _NO_LINKS))
+            if entry.op is EntryOp.DELETE:
+                del group[entry.tail]
+                n_links -= 1
+            else:
+                if entry.op is EntryOp.ADD:
+                    n_links += 1
+                group[entry.tail] = entry.cost
+        groups = dict(prev_groups)
+        for head, group in touched.items():
+            if group:
+                groups[head] = group
+            else:
+                del groups[head]
+        self.main_table = FrozenTree(
+            version=prev.version + 1,
+            prev_version=prev.version,
+            applies_to_empty=len(prev.dist) == 1,
+            dist=flood,
+            changed_rows=changed_rows,
+            joined=tuple(joined),
+            left=tuple(left),
+            groups=groups,
+            n_links=n_links,
+        )
 
     def _mtu_rebuild(self, up, rank) -> None:
         """MTU steps 3-5 from scratch; prime the incremental state.
 
-        Steps 3-4: preferred neighbor per head node, copy its links.
+        Steps 3-4: preferred neighbor per head node, take its links.
         Iterating each up neighbor's distance rows (instead of probing
         every neighbor for every universe node) gives the same
         (min value, then lowest-address neighbor) winner per node.
@@ -586,16 +680,15 @@ class PDARouter:
                     best_val[j] = val
                     best_nbr[j] = k
 
-        adj: dict[NodeId, dict[NodeId, float]] = {}
+        adj: dict[NodeId, Mapping[NodeId, float]] = {}
         adj_in: dict[NodeId, dict[NodeId, float]] = {}
         me = self.node_id
         tables = self.neighbor_tables
         for j, k in best_nbr.items():
             if j == me or best_val[j] == INFINITY:
                 continue
-            group = adj[j] = {}
-            for (_, tail), cost in tables[k].links_with_head_view(j).items():
-                group[tail] = cost
+            group = adj[j] = tables[k].groups.get(j, _NO_LINKS)
+            for tail, cost in group.items():
                 adj_in.setdefault(tail, {})[j] = cost
 
         # Step 5: adjacent links override anything neighbors reported.
@@ -619,8 +712,8 @@ class PDARouter:
         just those rows reproduces the full argmin's winner because the
         probe is a pure (value, lower-address) argmin over the same
         inputs and untouched rows cannot have changed their entry.
-        ``_group_dirty`` holds nodes whose copied link group may differ
-        even with an unchanged winner (the winning neighbor re-announced
+        ``_group_dirty`` holds nodes whose link group may differ even
+        with an unchanged winner (the winning neighbor re-announced
         links leaving that head); their groups are re-sourced.
 
         Returns the candidate links (head, tail) that were added,
@@ -631,7 +724,11 @@ class PDARouter:
         nbr_rows = self.nbr_distances
         group_dirty = self._group_dirty
         adj = self._adj
-        rows = [(k, nbr_rows.get(k), link_costs[k], rank[k]) for k in up]
+        rows = [
+            (k, nbr_rows[k].get, link_costs[k], rank[k])
+            for k in up
+            if nbr_rows.get(k)
+        ]
         # When every dirty row came from one sender, a destination whose
         # current winner is a *different* neighbor only needs the
         # sender's new value checked against the incumbent: the winner's
@@ -658,10 +755,8 @@ class PDARouter:
             bv = INFINITY
             bk = None
             br = 0
-            for k, row, lc, rk in rows:
-                if not row:
-                    continue
-                d = row.get(j)
+            for k, row_get, lc, rk in rows:
+                d = row_get(j)
                 if d is None:
                     continue
                 val = d + lc
@@ -676,7 +771,7 @@ class PDARouter:
             else:
                 best_val[j] = bv
                 best_nbr[j] = bk
-                # A winner flip changes which table the group is copied
+                # A winner flip changes which table the group comes
                 # from; an INFINITY<->finite flip adds or removes the
                 # group even when the winner is unchanged.
                 if prev != bk or (j in adj) != (bv < INFINITY):
@@ -691,14 +786,14 @@ class PDARouter:
             if j == me:
                 continue
             old_group = adj.pop(j, _NO_LINKS)
-            group: dict[NodeId, float] = {}
+            group = _NO_LINKS
             k = best_nbr.get(j)
             if k is not None and best_val[j] != INFINITY:
-                view = tables[k].links_with_head_view(j)
+                view = tables[k].groups.get(j)
                 if view:
-                    for (_, tail), cost in view.items():
-                        group[tail] = cost
-                    adj[j] = group
+                    group = adj[j] = view
+            if group is old_group:
+                continue
             for tail in old_group:
                 if tail not in group:
                     incoming = adj_in[tail]
@@ -726,9 +821,10 @@ class PDARouter:
 
         The snapshot rides along whenever the entries are the diff MTU
         just flooded — ``_broadcast`` is only reached straight after a
-        changed MTU, which refreshed ``_snap`` to the post-diff tree.
+        changed MTU, which installed the post-diff tree as
+        ``main_table``.
         """
-        snapshot = self._snap
+        snapshot = self.main_table
         for nbr in self.link_costs:
             self._send(
                 nbr,

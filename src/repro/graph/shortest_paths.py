@@ -37,9 +37,16 @@ def _bad_cost(head: NodeId, tail: NodeId, cost: float) -> RoutingError:
     )
 
 
-def _adjacency(costs: CostMap) -> dict[NodeId, list[tuple[NodeId, float]]]:
-    """Out-adjacency lists from a link-cost map."""
-    adj: dict[NodeId, list[tuple[NodeId, float]]] = {}
+Adjacency = dict[NodeId, list[tuple[NodeId, float]]]
+
+
+def out_adjacency(costs: CostMap) -> Adjacency:
+    """Out-adjacency lists from a link-cost map (what the searches walk).
+
+    :func:`k_shortest_paths` accepts one through ``adjacency=``, so a
+    caller asking many pairs of one cost map builds it once.
+    """
+    adj: Adjacency = {}
     for (head, tail), cost in costs.items():
         # ``not >=`` rather than ``<``: a NaN fails every comparison.
         if not cost >= 0:
@@ -92,11 +99,11 @@ def dijkstra(
         ``(dist, pred)`` where ``dist[j]`` is the cost of the shortest path
         ``source -> j`` and ``pred[j]`` the predecessor of ``j`` on it.
     """
-    return _settle(_adjacency(costs), source, nodes)
+    return _settle(out_adjacency(costs), source, nodes)
 
 
 def _settle(
-    adj: dict[NodeId, list[tuple[NodeId, float]]],
+    adj: Adjacency,
     source: NodeId,
     nodes: list[NodeId] | None,
     banned: Sequence[NodeId] = (),
@@ -211,7 +218,7 @@ def k_shortest_paths(
     target: NodeId,
     k: int,
     *,
-    nodes: list[NodeId] | None = None,
+    adjacency: Adjacency | None = None,
 ) -> list[list[NodeId]]:
     """The ``k`` shortest loopless paths ``source -> target`` (Yen).
 
@@ -220,6 +227,10 @@ def k_shortest_paths(
     this package uses.  Returns fewer than ``k`` paths when the graph
     has fewer distinct loopless paths (possibly none).
 
+    ``adjacency``, when given, must be :func:`out_adjacency` of
+    ``costs``; the search edits one of its lists while it runs and puts
+    it back, so one adjacency serves every call on the same cost map.
+
     This powers the ``ecmp-k`` baseline policy: equal traffic split over
     the first hops of the k shortest paths.
     """
@@ -227,8 +238,8 @@ def k_shortest_paths(
         raise RoutingError(f"k must be >= 1, got {k!r}")
     if source == target:
         return [[source]]
-    adj = _adjacency(costs)
-    dist, pred = _settle(adj, source, nodes)
+    adj = out_adjacency(costs) if adjacency is None else adjacency
+    dist, pred = _settle(adj, source, None)
     if dist.get(target, INFINITY) == INFINITY:
         return []
     paths: list[list[NodeId]] = [extract_path(pred, source, target)]
@@ -250,7 +261,7 @@ def k_shortest_paths(
             taken = {path[i + 1] for path in paths if path[: i + 1] == root}
             spur_links = adj[spur]
             adj[spur] = [link for link in spur_links if link[0] not in taken]
-            spur_dist, spur_pred = _settle(adj, spur, nodes, root[:-1])
+            spur_dist, spur_pred = _settle(adj, spur, None, root[:-1])
             adj[spur] = spur_links
             if spur_dist.get(target, INFINITY) == INFINITY:
                 continue

@@ -32,6 +32,7 @@ from repro.graph.shortest_paths import (
     CostMap,
     SharedSPF,
     k_shortest_paths,
+    out_adjacency,
 )
 from repro.graph.topology import NodeId
 from repro.policy.base import RoutingPolicy, RoutingTables
@@ -74,6 +75,7 @@ class ECMPKPolicy(RoutingPolicy):
             node: {} for node in nodes
         }
         spf = SharedSPF(costs, nodes=nodes)
+        adjacency = out_adjacency(costs)
         for dest in self.destinations:
             dist = spf.distances_to(dest)
             by_node: dict[NodeId, list[NodeId]] = {}
@@ -82,7 +84,7 @@ class ECMPKPolicy(RoutingPolicy):
                     by_node[node] = []
                     continue
                 paths = k_shortest_paths(
-                    costs, node, dest, self.k, nodes=nodes
+                    costs, node, dest, self.k, adjacency=adjacency
                 )
                 counts: dict[NodeId, int] = {}
                 for path in paths:

@@ -6,6 +6,7 @@ from repro.core.linkstate import (
     LSUMessage,
     TopologyTable,
 )
+from repro.core.pda import PDARouter
 
 
 class TestLinkEntry:
@@ -57,11 +58,19 @@ class TestTopologyTable:
 
     def test_links_with_head(self):
         table = TopologyTable({("a", "b"): 1.0, ("a", "c"): 2.0, ("b", "c"): 3.0})
-        assert table.links_with_head_view("a") == {
-            ("a", "b"): 1.0,
-            ("a", "c"): 2.0,
-        }
-        assert table.links_with_head_view("c") == {}
+        assert table.groups["a"] == {"b": 1.0, "c": 2.0}
+        assert "c" not in table.groups
+
+    def test_groups_are_copied_before_writes(self):
+        """A group handed out earlier keeps its content: every write
+        installs a fresh group instead of editing the old one."""
+        table = TopologyTable({("a", "b"): 1.0, ("a", "c"): 2.0})
+        held = table.groups["a"]
+        table.set_link("a", "b", 5.0)
+        table.delete_link("a", "c")
+        table.set_link("a", "d", 1.0)
+        assert held == {"b": 1.0, "c": 2.0}
+        assert table.groups["a"] == {"b": 5.0, "d": 1.0}
 
     def test_nodes(self):
         """The node index counts link endpoints, so a node leaves with
@@ -72,7 +81,17 @@ class TestTopologyTable:
         assert set(table.nodes_map_view()) == {"a", "b"}
 
     def test_full_dump(self):
-        table = TopologyTable({("a", "b"): 1.0, ("b", "c"): 2.0})
+        """A snapshot's greeting dump rebuilds its links in an empty
+        table, and so does thawing it, without touching its groups."""
+        router = PDARouter("a")
+        router.link_up("b", 1.0)
+        router.link_up("c", 2.0)
+        tree = router.main_table
+        groups = {head: dict(group) for head, group in tree.groups.items()}
         fresh = TopologyTable()
-        fresh.apply(table.full_dump())
-        assert fresh == table
+        fresh.apply(tree.full_dump())
+        assert fresh.links() == tree.links() == {("a", "b"): 1.0, ("a", "c"): 2.0}
+        thawed = tree.thaw()
+        assert thawed == fresh
+        thawed.delete_link("a", "b")
+        assert tree.groups == groups

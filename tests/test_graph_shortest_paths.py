@@ -16,6 +16,7 @@ from repro.graph.shortest_paths import (
     dijkstra,
     extract_path,
     k_shortest_paths,
+    out_adjacency,
     path_cost,
 )
 from repro.graph.topology import Topology
@@ -300,15 +301,22 @@ def _small_digraphs(draw):
 @settings(deadline=None)
 @given(graph=_small_digraphs(), k=st.integers(1, 5))
 def test_k_shortest_paths_matches_the_copying_search(graph, k):
-    """Every (source, target) pair, with and without ``nodes=``, gets
-    exactly the path lists of the per-spur-copy reference."""
+    """Every (source, target) pair gets exactly the path lists of the
+    per-spur-copy reference, run with and without a node universe (which
+    changes no path), both from a fresh adjacency and from one adjacency
+    shared by every pair, as ``ecmp-k`` shares it."""
     n, costs = graph
     universe = list(range(n))
+    shared = out_adjacency(costs)
     for source in universe:
         for target in universe:
-            for nodes in (None, universe):
-                assert k_shortest_paths(
-                    costs, source, target, k, nodes=nodes
-                ) == _copying_k_shortest_paths(
-                    costs, source, target, k, nodes=nodes
-                )
+            want = _copying_k_shortest_paths(costs, source, target, k)
+            assert want == _copying_k_shortest_paths(
+                costs, source, target, k, nodes=universe
+            )
+            assert k_shortest_paths(costs, source, target, k) == want
+            assert (
+                k_shortest_paths(costs, source, target, k, adjacency=shared)
+                == want
+            )
+    assert shared == out_adjacency(costs)

@@ -54,28 +54,69 @@ def _assert_all_adopted(lockstep):
             assert isinstance(table, FrozenTree), (node, nbr, table)
 
 
+def _assert_core_state(lockstep):
+    """What the incremental core carries equals what it stands for.
+
+    Per production router: the reference-counted universe is the merge
+    of its own id, its up neighbors and every neighbor table's nodes,
+    and ``distances`` covers exactly that universe; the main table is
+    the tree of the predecessor map and is what every up neighbor holds
+    for this router (the snapshot it flooded last, or the greeting that
+    shares its links and distances); and each head's group in MTU's
+    candidate graph is the winning neighbor table's own group object.
+    """
+    routers = lockstep.production.routers
+    for node, router in routers.items():
+        merged = {node, *router.link_costs}
+        for table in router.neighbor_tables.values():
+            merged.update(table.nodes_map_view())
+        assert router._known.keys() == merged, node
+        assert router.distances.keys() == merged, node
+        tree = router.main_table
+        assert tree.links() == {
+            (head, tail): tree.groups[head][tail]
+            for tail, head in router._pred.items()
+        }, node
+        for k in router.link_costs:
+            held = routers[k].neighbor_tables[node]
+            assert held.groups is tree.groups, (node, k)
+            assert held.dist is tree.dist, (node, k)
+        for head, group in router._adj.items():
+            if head != node:
+                winner = router.neighbor_tables[router._best_nbr[head]]
+                held = winner.groups.get(head)
+                assert group is held if held else not group, (node, head)
+
+
 @pytest.mark.parametrize(
-    "make_topo",
+    ("make_topo", "failed"),
     [
-        net1,
-        cairn,
-        lambda: waxman(40, seed=2),
+        pytest.param(net1, None, id="net1"),
+        pytest.param(cairn, None, id="cairn"),
+        pytest.param(lambda: waxman(40, seed=2), None, id="waxman40"),
         # Capacity 1 and no propagation delay make every idle cost 1.0:
         # equal-hop paths tie exactly and the lower-address rule picks
         # every predecessor.
         pytest.param(
             lambda: waxman(40, seed=2, capacity=1.0, prop_delay=0.0),
+            None,
             id="waxman40-unit",
         ),
+        # A bridge: node 10's only link.  Failing it drops node 10 from
+        # every other router's universe and feasible distances, and
+        # restoring it brings the node back.
+        pytest.param(lambda: waxman(40, seed=2), (10, 4), id="waxman40-bridge"),
     ],
 )
-def test_failover_window_differential(make_topo):
-    """Cold start, link failure, restoration, a cost bump, then a cut
-    that halves links below their start cost (with unit costs, two cut
-    links in a row tie one uncut link)."""
+def test_failover_window_differential(make_topo, failed):
+    """Cold start, link failure (the first link unless ``failed`` names
+    one), restoration, a cost bump, then a cut that halves links below
+    their start cost (with unit costs, two cut links in a row tie one
+    uncut link).  At every quiescence the core's carried state is
+    checked against what it stands for."""
     topo = make_topo()
     costs = topo.idle_marginal_costs()
-    a, b = next(iter(topo.links())).link_id
+    a, b = failed or next(iter(topo.links())).link_id
     links = list(costs.items())
     bumped = {link_id: cost * 1.7 for link_id, cost in links[:4]}
     cut = {link_id: cost * 0.5 for link_id, cost in links[2:8]}
@@ -83,14 +124,19 @@ def test_failover_window_differential(make_topo):
         lockstep = Lockstep(topo, router_cls)
         lockstep.start(costs)
         lockstep.run()
+        _assert_core_state(lockstep)
         lockstep.fail_link(a, b)
         lockstep.run()
+        _assert_core_state(lockstep)
         lockstep.restore_link(a, b, costs[(a, b)], costs[(b, a)])
         lockstep.run()
+        _assert_core_state(lockstep)
         lockstep.set_costs(bumped)
         lockstep.run()
+        _assert_core_state(lockstep)
         lockstep.set_costs(cut)
         lockstep.run()
+        _assert_core_state(lockstep)
         _assert_all_adopted(lockstep)
 
 

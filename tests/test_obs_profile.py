@@ -6,6 +6,10 @@ import tracemalloc
 import pytest
 
 from repro import obs
+from repro.core.driver import ProtocolDriver
+from repro.core.mpda import MPDARouter
+from repro.core.pda import PDARouter
+from repro.graph.topologies import net1
 from repro.obs import export
 from repro.obs.profile import (
     ResourceProfiler,
@@ -176,3 +180,48 @@ class TestSessionIntegration:
     def test_profile_memory_mode_flows_through(self):
         with obs.observe(profile=True, profile_memory="none") as ob:
             assert ob.profiler.snapshot()["memory_mode"] == "none"
+
+
+class TestProtocolSubPhases:
+    """``profile=True`` times the protocol's internal steps as phases;
+    any other run keeps the routers' plain methods."""
+
+    @staticmethod
+    def _converge(router_cls):
+        topo = net1()
+        costs = topo.idle_marginal_costs()
+        driver = ProtocolDriver(topo, router_cls)
+        driver.start(costs)
+        driver.run()
+        a, b = next(iter(topo.links())).link_id
+        driver.fail_link(a, b)
+        driver.run()
+        driver.verify_converged()  # reads MPDA's lazy successor sets
+        return driver
+
+    def test_unprofiled_routers_keep_their_class(self):
+        for context in (obs.observe, lambda: obs.observe(causal=True)):
+            with context():
+                driver = self._converge(MPDARouter)
+            assert {type(r) for r in driver.routers.values()} == {MPDARouter}
+
+    @pytest.mark.parametrize("router_cls", [PDARouter, MPDARouter])
+    def test_profiled_run_times_each_step_and_changes_nothing(self, router_cls):
+        plain = self._converge(router_cls)
+        with obs.observe(profile=True) as ob:
+            profiled = self._converge(router_cls)
+        phases = ob.timers.as_dict()
+        for method, name in router_cls.PROFILED_STEPS.items():
+            if method == "_ntu_replay":
+                # Only deliveries over a raw channel replay entries.
+                assert name not in phases
+            else:
+                assert phases[name]["calls"] > 0, name
+        assert phases["protocol.mtu.repair"]["calls"] == (
+            phases["protocol.mtu.refresh"]["calls"]
+            + phases["protocol.mtu.rebuild"]["calls"]
+        )
+        assert profiled.message_stats() == plain.message_stats()
+        for node, router in profiled.routers.items():
+            assert isinstance(router, router_cls)
+            assert router.distances == plain.routers[node].distances

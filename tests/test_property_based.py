@@ -226,8 +226,14 @@ def test_tree_repair_matches_dijkstra(initial, batches):
         adj, adj_in = adjacency()
         prev_tree = tree.links()
         prev_dist = dict(dist)
+        # The repair reads the tree as a predecessor map plus its links
+        # grouped by head.
+        pred = {t: h for h, t in prev_tree}
+        children = {}
+        for (h, t), c in prev_tree.items():
+            children.setdefault(h, {})[t] = c
         entries, repaired = repair_tree(
-            tree, dist, adj, adj_in, root, rank, moved if step else None
+            pred, children, dist, adj, adj_in, root, rank, moved if step else None
         )
         for node in prev_nodes - nodes:
             del dist[node]

@@ -50,6 +50,13 @@ def assert_same_verdict(routers):
     return got
 
 
+def _add_successor(sets, j, k):
+    """Replace ``sets[j]`` with a set that also holds ``k``: routers
+    store their successor sets frozen (and shared between
+    destinations), so the perturbation must not edit them in place."""
+    sets[j] = frozenset(sets.get(j, ())) | {k}
+
+
 def perturb(routers, rng):
     """A deep copy of ``routers`` with one router's state edited.
 
@@ -67,9 +74,9 @@ def perturb(routers, rng):
     j = rng.choice(nodes)
     kind = rng.randrange(5)
     if kind == 0 and router.link_costs:
-        sets.setdefault(j, set()).add(rng.choice(list(router.link_costs)))
+        _add_successor(sets, j, rng.choice(list(router.link_costs)))
     elif kind == 1:
-        sets.setdefault(j, set()).add(rng.choice(nodes))
+        _add_successor(sets, j, rng.choice(nodes))
     elif kind == 2 and j in router.feasible_distance:
         router.feasible_distance[j] *= rng.choice((0.5, 2.0, 10.0))
     elif kind == 3:
@@ -86,8 +93,8 @@ def perturb(routers, rng):
         if peers and i != j:
             k = rng.choice(peers)
             peer = routers[k]
-            sets.setdefault(j, set()).add(k)
-            peer.successor_sets.setdefault(j, set()).add(i)
+            _add_successor(sets, j, k)
+            _add_successor(peer.successor_sets, j, i)
             raised = 1.0 + max(
                 router.neighbor_distance(k, j), peer.neighbor_distance(i, j)
             )
