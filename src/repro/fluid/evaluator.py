@@ -20,7 +20,9 @@ Property 1 is checked and where a cycle raises
 :class:`~repro.exceptions.LoopError`.  The public functions take
 ``phi`` and build the DAGs they need; a caller that walks one snapshot
 several times (:func:`evaluate`, the fluid data plane, Gallager's OPT)
-builds them once and hands them in.
+builds them once and hands them in.  OPT, whose updates replace only
+some routers' entries, rebuilds each DAG from the previous one, which
+re-checks only the replaced entries.
 """
 
 from __future__ import annotations
@@ -43,6 +45,9 @@ FLOW_EPSILON = 1e-9
 
 #: Tolerated normalization error on a router's routing parameters.
 NORMALIZATION_TOLERANCE = 1e-6
+
+#: Lookup default that no phi entry can be, not even None (no entry).
+_UNSET = object()
 
 
 def _fractions(
@@ -96,7 +101,16 @@ class RoutingDAG:
 
     The DAG keeps references to the routers' phi entries, so it
     describes ``phi`` as it was when built: rebuild it after changing
-    the parameters toward ``destination``.
+    the parameters toward ``destination``.  A rebuild may be handed
+    ``previous``, the DAG of the same destination before the change.
+    It then trusts that a phi entry which is the same object as before
+    still holds what it held: such a router keeps its normalised
+    fractions, and only replaced entries are validated again.  The
+    previous order is kept unless a replaced entry changed its
+    successors or their order, or the set of routers changed; otherwise
+    the graph is sorted again, and a cycle raises as in a fresh build.
+    The result equals a fresh ``RoutingDAG(phi, destination)`` as long
+    as no entry was edited in place: replace an entry to change it.
 
     Attributes:
         order: routers upstream-first; every router precedes its
@@ -111,19 +125,37 @@ class RoutingDAG:
 
     __slots__ = ("order", "fractions", "weights")
 
-    def __init__(self, phi: Phi, destination: NodeId) -> None:
+    def __init__(
+        self,
+        phi: Phi,
+        destination: NodeId,
+        previous: RoutingDAG | None = None,
+    ) -> None:
         fractions: dict[NodeId, dict[NodeId, float]] = {}
         weights: dict[NodeId, Mapping[NodeId, float]] = {}
+        kept_fractions = previous.fractions if previous is not None else {}
+        kept_weights = previous.weights if previous is not None else {}
+        resort = previous is None
         for node, per_dest in phi.items():
             if node == destination:
                 continue
             raw = per_dest.get(destination)
+            if raw is kept_weights.get(node, _UNSET):
+                fractions[node] = kept_fractions[node]
+                weights[node] = raw
+                continue
             fractions[node] = out = _normalised(raw, node, destination)
             if out:
                 weights[node] = raw
+            if not resort:
+                kept = kept_fractions.get(node)
+                resort = kept is None or list(out) != list(kept)
+        if resort or len(fractions) != len(kept_fractions):
+            self.order = successor_graph_order(fractions, destination)
+        else:
+            self.order = previous.order
         self.fractions = fractions
         self.weights = weights
-        self.order = successor_graph_order(fractions, destination)
 
 
 def destination_successors(
@@ -210,13 +242,28 @@ def link_flows(
     ``dags`` holds ``phi``'s routing DAGs by destination; a destination
     without one gets it built here.
     """
-    flows: dict[LinkId, float] = {}
+    walked: dict[NodeId, RoutingDAG] = {}
+    node_t: dict[NodeId, dict[NodeId, float]] = {}
     for destination in traffic.destinations():
-        dag = _dag_for(phi, destination, dags)
+        walked[destination] = dag = _dag_for(phi, destination, dags)
         rates = traffic.rates_to(destination)
-        node_t = node_flows(phi, rates, destination, dag=dag)
-        fractions_of = dag.fractions
-        for node, t in node_t.items():
+        node_t[destination] = node_flows(phi, rates, destination, dag=dag)
+    return sum_link_flows(node_t, walked)
+
+
+def sum_link_flows(
+    node_t: Mapping[NodeId, Mapping[NodeId, float]],
+    dags: Mapping[NodeId, RoutingDAG],
+) -> dict[LinkId, float]:
+    """Link flows :math:`f_{ik}` (Eq. 2) from per-destination node flows.
+
+    ``node_t`` maps each destination to its :func:`node_flows` on
+    ``dags[destination]``; destinations are summed in its order.
+    """
+    flows: dict[LinkId, float] = {}
+    for destination, t_of in node_t.items():
+        fractions_of = dags[destination].fractions
+        for node, t in t_of.items():
             if node == destination or t <= FLOW_EPSILON:
                 continue
             for nbr, fraction in fractions_of[node].items():

@@ -29,7 +29,6 @@ def blocked_nodes(
     destination: NodeId,
     delta: Mapping[NodeId, float],
     *,
-    tolerance: float = 0.0,
     dag: RoutingDAG | None = None,
 ) -> set[NodeId]:
     """The blocked set :math:`B_j` for one destination.
@@ -40,10 +39,6 @@ def blocked_nodes(
         delta: marginal distances :math:`\\delta_{ij}` (missing entries
             are treated as infinite — unreachable nodes are improper to
             route through by definition).
-        tolerance: slack on the improperness comparison; a strictly
-            positive value treats near-ties as proper, which speeds up
-            convergence at a negligible loop-risk cost in a centralized
-            computation (kept 0 by default — Gallager's rule).
         dag: ``phi``'s routing DAG toward ``destination``, when the
             caller already holds it.
 
@@ -63,7 +58,7 @@ def blocked_nodes(
     for node, succ in successors.items():
         own = delta.get(node, INFINITY)
         for k in succ:
-            if delta.get(k, INFINITY) >= own + tolerance:
+            if delta.get(k, INFINITY) >= own:
                 improper.add(node)
                 break
     if not improper:

@@ -42,17 +42,16 @@ def marginal_distances(
     destination: NodeId,
     link_costs: Mapping[LinkId, float],
     *,
-    nodes: list[NodeId] | None = None,
     dag: RoutingDAG | None = None,
 ) -> dict[NodeId, float]:
     """:math:`\\delta_{ij}` for every router toward one destination.
+
+    Routers with no successors toward ``destination`` have no entry.
 
     Args:
         phi: routing parameters (must be loop-free for ``destination``).
         destination: the destination *j*.
         link_costs: marginal link delays :math:`D'_{ik}`.
-        nodes: optional full node universe; nodes with no successors get
-            an infinite marginal distance (no usable route).
         dag: ``phi``'s routing DAG toward ``destination``, when the
             caller already holds it.
     """
@@ -88,9 +87,6 @@ def marginal_distances(
             norm += fraction
         if norm > 0.0:
             delta[node] = total / norm
-    if nodes is not None:
-        for node in nodes:
-            delta.setdefault(node, INFINITY)
     return delta
 
 

@@ -19,10 +19,14 @@ iteration — the library checks this invariant each step.
 
 Each destination's routing graph is held as a
 :class:`~repro.fluid.evaluator.RoutingDAG`, built once per phi
-snapshot: an iteration reads it for the link flows, the node flows, the
-marginal distances and the blocked set, and the destination's update is
-followed at once by a rebuild.  That rebuild is the per-step check — it
-validates every router's fractions (Property 1) and raises
+snapshot.  An iteration computes each destination's node flows from it
+once, sums the link flows from those, and reads it again for the
+marginal distances and the blocked set.  An update replaces a router's
+entry only when the entry's content changes and never edits one in
+place, so the DAG rebuilt right after each update, from the previous
+one, re-validates (Property 1) only the replaced entries and sorts the
+graph again only when one of them changed its successors.  That
+rebuild is the per-step check — it raises
 :class:`~repro.exceptions.LoopError`, naming the destination and the
 cycle, if the update closed a loop — and it is the next iteration's
 input.
@@ -46,12 +50,13 @@ from repro.fluid.evaluator import (
     RoutingDAG,
     link_flows,
     node_flows,
+    sum_link_flows,
 )
 from repro.fluid.flows import TrafficMatrix
 from repro.gallager.blocking import blocked_nodes
 from repro.gallager.marginals import marginal_distances
 from repro.graph.shortest_paths import CostMap, SharedSPF, rank_nodes
-from repro.graph.topology import NodeId, Topology
+from repro.graph.topology import LinkId, NodeId, Topology
 
 INFINITY = float("inf")
 
@@ -225,16 +230,30 @@ def _iterate(
     """The optimization loop proper; returns (converged, iterations).
 
     ``dags`` holds phi's routing DAG per destination and is kept current:
-    a destination's DAG is rebuilt right after its update, which is the
-    per-step loop check and the next iteration's input.
+    a destination's DAG is rebuilt from its previous one right after its
+    update, which is the per-step loop check and the next iteration's
+    input.
     """
-    adjacency = {node: topo.neighbors(node) for node in topo.nodes}
     rank = rank_nodes(topo.nodes)
+    links = {
+        node: tuple(
+            (nbr, (node, nbr), rank[nbr]) for nbr in topo.neighbors(node)
+        )
+        for node in topo.nodes
+    }
+    adjacent = frozenset(link for out in links.values() for _, link, _ in out)
+    rates = {dest: traffic.rates_to(dest) for dest in dags}
     stalled = 0
     converged = False
     iterations = 0
     for iterations in range(1, max_iterations + 1):
-        flows = link_flows(phi, traffic, dags=dags)
+        # No destination's update touches another's entries, so each
+        # destination's node flows hold until its own update.
+        node_t = {
+            dest: node_flows(phi, rates[dest], dest, dag=dag)
+            for dest, dag in dags.items()
+        }
+        flows = sum_link_flows(node_t, dags)
         d_total = model.total_delay(flows)
         history.append(d_total)
         if len(history) >= 2:
@@ -255,24 +274,22 @@ def _iterate(
                 for link_id, law in model.functions.items()
             }
         for dest, dag in dags.items():
-            rates = traffic.rates_to(dest)
-            t = node_flows(phi, rates, dest, dag=dag)
             delta = marginal_distances(phi, dest, costs, dag=dag)
             blocked = blocked_nodes(phi, dest, delta, dag=dag)
             _update_destination(
-                adjacency, phi, dest, t, delta, costs, blocked,
+                links, phi, dest, node_t[dest], delta, costs, blocked,
                 eta * total_input,
-                rank,
+                adjacent,
                 curvatures=curvatures,
                 eta=eta,
             )
             # Raises LoopError if the update closed a cycle.
-            dags[dest] = RoutingDAG(phi, dest)
+            dags[dest] = RoutingDAG(phi, dest, dag)
     return converged, iterations
 
 
 def _update_destination(
-    adjacency: dict[NodeId, list[NodeId]],
+    links: dict[NodeId, tuple[tuple[NodeId, LinkId, int], ...]],
     phi: MutablePhi,
     dest: NodeId,
     t: dict[NodeId, float],
@@ -280,39 +297,46 @@ def _update_destination(
     costs: CostMap,
     blocked: set[NodeId],
     eta_raw: float,
-    rank: dict[NodeId, int],
+    adjacent: frozenset[LinkId],
     *,
     curvatures: dict | None = None,
     eta: float = 1.0,
 ) -> None:
     """One Gallager update of every router's parameters toward ``dest``.
 
-    ``adjacency`` maps every router to its neighbors; ``rank`` is the
-    :func:`~repro.graph.shortest_paths.rank_nodes` map that breaks ties
-    between equally good neighbors toward the lower address.
+    ``links`` maps every router to a ``(neighbor, link, rank)`` tuple
+    per neighbor, where the :func:`~repro.graph.shortest_paths.rank_nodes`
+    rank breaks ties between equally good neighbors toward the lower
+    address; ``adjacent`` holds every link.  A router's entry is
+    replaced, never edited in place, and only when its content changes:
+    the rewrite keeps the entry's key order, drops the fractions that
+    reach zero and appends a new best neighbor last, so an entry equal
+    in content is equal in order too and stays the same object.
     """
-    for node, neighbors in adjacency.items():
+    for node, out in links.items():
         if node == dest:
             continue
-        current = phi[node].get(dest, {})
+        per_node = phi[node]
+        current = per_node.get(dest, {})
 
-        # a[k] for every neighbor with a route; best is the unblocked
-        # neighbor with the least a, the lower address winning ties.
-        a: dict[NodeId, float] = {}
-        best = best_key = None
-        for nbr in neighbors:
+        # best is the unblocked neighbor with the least
+        # a = D'_{ik} + delta_k, the lower address winning ties.
+        best = None
+        best_a = INFINITY
+        best_rank = -1
+        for nbr, link, nbr_rank in out:
             downstream = delta.get(nbr, INFINITY)
             if downstream == INFINITY:
                 continue
-            a[nbr] = value = costs[(node, nbr)] + downstream
-            if nbr in blocked or nbr == node:
+            value = costs[link] + downstream
+            if nbr in blocked:
                 continue
-            key = (value, rank[nbr])
-            if best_key is None or key < best_key:
-                best, best_key = nbr, key
-        if best_key is None:
+            if best_rank < 0 or value < best_a or (
+                value == best_a and nbr_rank < best_rank
+            ):
+                best, best_a, best_rank = nbr, value, nbr_rank
+        if best_rank < 0:
             continue  # everything blocked: keep parameters unchanged
-        best_a = best_key[0]
 
         traffic_here = t.get(node, 0.0)
         if traffic_here <= FLOW_EPSILON:
@@ -323,23 +347,30 @@ def _update_destination(
             # cycle (Gallager's blocking argument only covers routers
             # that carry traffic).
             own = delta.get(node, INFINITY)
-            if delta.get(best, INFINITY) < own or own == INFINITY:
-                phi[node][dest] = {best: 1.0}
+            if (delta.get(best, INFINITY) < own or own == INFINITY) and (
+                len(current) != 1 or current.get(best) != 1.0
+            ):
+                per_node[dest] = {best: 1.0}
             continue
 
-        updated = dict(current)
         moved = 0.0
+        updated: dict[NodeId, float] | None = None
         for k, fraction in current.items():
             if k == best or fraction <= 0.0:
                 continue
-            gap = a.get(k, INFINITY) - best_a
+            downstream = delta.get(k, INFINITY)
+            link = (node, k)
+            if downstream == INFINITY or link not in adjacent:
+                gap = INFINITY - best_a
+            else:
+                gap = costs[link] + downstream - best_a
             if gap <= 0.0:
                 continue
             if curvatures is not None:
                 # Newton-like step: the delay along the move direction
                 # has curvature ~ D''(worse link) + D''(best link); the
                 # minimizing flow shift is gap / curvature.
-                h = curvatures.get((node, k), 0.0) + curvatures.get(
+                h = curvatures.get(link, 0.0) + curvatures.get(
                     (node, best), 0.0
                 )
                 if h <= 0.0:
@@ -350,7 +381,15 @@ def _update_destination(
                     )
             else:
                 step = min(fraction, eta_raw * gap / traffic_here)
+            if updated is None:
+                updated = dict(current)
             updated[k] = fraction - step
             moved += step
+        if updated is None:
+            if all(f > 0.0 for f in current.values()):
+                continue  # nothing moved and nothing to drop: the entry stays
+            updated = dict(current)
         updated[best] = updated.get(best, 0.0) + moved
-        phi[node][dest] = {k: v for k, v in updated.items() if v > 0.0}
+        entry = {k: v for k, v in updated.items() if v > 0.0}
+        if entry != current:
+            per_node[dest] = entry

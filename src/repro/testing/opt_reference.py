@@ -9,10 +9,14 @@ The best neighbor is picked by ``(a, repr)``, with no precomputed rank
 map or neighbor lists.  :func:`~repro.graph.validation.assert_loop_free`
 runs on phi's successor sets after every destination update.
 
-Production keeps one routing DAG per destination instead, rebuilt right
-after each update; the differential tests compare the two with ``==`` on
-the D_T history and on phi.  This module is test-only: no production
-module imports it.
+Production keeps one routing DAG per destination instead: it computes
+each destination's node flows once per iteration, replaces only the
+entries whose content changes, and rebuilds each DAG from its previous
+one after every update, re-checking only the replaced entries.  This
+loop writes a new entry for every router it updates, changed or not.
+The differential tests compare the two with ``==`` on the D_T history
+and on phi, key order included.  This module is test-only: no
+production module imports it.
 
 Compare the two from the repository root, for example::
 

@@ -22,9 +22,26 @@ Produces, next to this script:
   depths and critical-path lengths.
 
 Every number in the fixtures is deterministic (seeded interleaving,
-seeded packet arrivals, message-count clocks) except the ``wall_s``
-trace fields, which record real elapsed time and differ run to run —
-tests and EXPERIMENTS.md only cite the deterministic fields.
+seeded packet arrivals, message-count clocks) except the fields that
+record real elapsed time, which differ run to run — tests and
+EXPERIMENTS.md only cite the deterministic fields.  Two regenerations
+differ in exactly these:
+
+- traces: ``wall_s`` of the ``active_exit`` and ``quiescent`` events,
+  and in ``causal_cairn.trace.jsonl`` the ``processing_s``,
+  ``propagation_s``, ``timer_wait_s`` and ``total_s`` of the
+  ``critical_path`` events;
+- reports: ``windows[].wall_s``, and in ``causal_cairn.report.json``
+  the same four fields of ``windows[].critical_path`` plus
+  ``causal.critical_paths[]``'s ``coverage``, ``processing_s``,
+  ``propagation_s``, ``timer_wait_s``, ``total_s`` and
+  ``window_wall_s``;
+- metrics: ``total_s``, ``mean_s`` and ``max_s`` of every ``timings``
+  phase (their ``calls`` repeat); the ``value`` and ``max`` of the
+  ``protocol.deliveries_per_second`` gauge and, in
+  ``packet_net1.metrics.json``, of ``netsim.engine.events_per_second``;
+  and every statistic but ``count`` of the ``lfi_audit.check_seconds``
+  and per-router ``protocol.active_phase_seconds`` histograms.
 """
 
 from __future__ import annotations

@@ -1,11 +1,14 @@
 """The fluid evaluator: Eqs. (1)-(3) and per-flow delays."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import AllocationError, LoopError, RoutingError
 from repro.fluid.evaluator import (
+    RoutingDAG,
     destination_successors,
     evaluate,
     flow_delays,
@@ -156,3 +159,108 @@ def test_conservation_property(split, rate):
     phi = diamond_phi(split)
     t = node_flows(phi, {"s": rate}, "t")
     assert t["t"] == pytest.approx(rate, rel=1e-9)
+
+
+def _weights(rng, keys):
+    """Positive fractions over ``keys`` that sum to 1."""
+    raw = [rng.uniform(0.1, 1.0) for _ in keys]
+    total = sum(raw)
+    return {k: w / total for k, w in zip(keys, raw)}
+
+
+def _loop_free_phi(rng, n):
+    """phi toward destination 0 over nodes 0..n-1, loop-free by a random
+    rank; some routers have no entry, an empty one or explicit zeros."""
+    ranked = [0] + rng.sample(range(1, n), n - 1)
+    phi = {node: {} for node in rng.sample(range(n), n)}
+    for pos, node in enumerate(ranked):
+        if node == 0:
+            if rng.random() < 0.3:
+                phi[0][0] = {1: 1.0}  # the destination's own row is ignored
+            continue
+        roll = rng.random()
+        if roll < 0.1:
+            continue  # no entry at all
+        if roll < 0.15:
+            phi[node][0] = {}
+            continue
+        succ = rng.sample(ranked[:pos], rng.randint(1, min(3, pos)))
+        entry = _weights(rng, succ)
+        if rng.random() < 0.3:
+            spare = rng.choice([k for k in range(n) if k != node])
+            if rng.random() < 0.5:
+                entry = {spare: 0.0, **entry}
+            else:
+                entry.setdefault(spare, 0.0)
+        phi[node][0] = entry
+    return phi
+
+
+def _replacement(rng, n, node, entry):
+    """A new entry for ``node``: equal, revalued, reordered, resuccessored
+    (perhaps closing a cycle) or invalid."""
+    kind = rng.choice(["copy", "revalue", "reorder", "succ", "succ", "invalid"])
+    keys = list(entry or ())
+    others = [k for k in range(n) if k != node]
+    if kind == "copy":
+        return dict(entry) if entry is not None else None
+    if kind == "revalue" and keys:
+        return _weights(rng, keys)
+    if kind == "reorder" and len(keys) > 1:
+        rng.shuffle(keys)
+        return {k: entry[k] for k in keys}
+    if kind == "invalid":
+        return {rng.choice(others): -0.5 if rng.random() < 0.5 else 0.5}
+    return _weights(rng, rng.sample(others, rng.randint(0, min(3, len(others)))))
+
+
+def _dag_or_error(phi, previous=None):
+    try:
+        dag = RoutingDAG(phi, 0, previous)
+    except (AllocationError, LoopError) as exc:
+        return None, (type(exc), str(exc))
+    return dag, None
+
+
+def _shape(dag):
+    """Everything a DAG holds, key order included."""
+    return (
+        dag.order,
+        [(node, list(out.items())) for node, out in dag.fractions.items()],
+        [(node, list(raw.items())) for node, raw in dag.weights.items()],
+    )
+
+
+@settings(deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 9))
+def test_routing_dag_rebuilt_from_the_previous_one_equals_a_fresh_build(seed, n):
+    """Replace random entries of a loop-free phi, round after round: the
+    DAG rebuilt from the previous one holds what a fresh build holds, in
+    the same order, or raises the same exception with the same message."""
+    rng = random.Random(seed)
+    phi = _loop_free_phi(rng, n)
+    previous = RoutingDAG(phi, 0)
+    for _ in range(6):
+        replaced = {}
+        for node in rng.sample(range(1, n), rng.randint(1, n - 1)):
+            entry = phi[node].get(0)
+            replaced[node] = entry
+            new = _replacement(rng, n, node, entry)
+            if new is None:
+                phi[node].pop(0, None)
+            else:
+                phi[node][0] = new
+        fresh, fresh_error = _dag_or_error(phi)
+        rebuilt, rebuilt_error = _dag_or_error(phi, previous)
+        assert rebuilt_error == fresh_error
+        if fresh is None:
+            for node, entry in replaced.items():  # back to the valid phi
+                if entry is None:
+                    phi[node].pop(0, None)
+                else:
+                    phi[node][0] = entry
+            continue
+        assert _shape(rebuilt) == _shape(fresh)
+        for node, raw in rebuilt.weights.items():
+            assert raw is phi[node][0]
+        previous = rebuilt

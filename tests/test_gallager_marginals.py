@@ -56,13 +56,6 @@ class TestMarginalDistances:
         normalised = (n_a * (1.3 + 1.0) + n_b * (0.9 + 1.0)) / (n_a + n_b)
         assert delta["s"] == raw != normalised
 
-    def test_unreachable_node_infinite(self):
-        phi = {"a": {"t": {"t": 1.0}}}
-        delta = marginal_distances(
-            phi, "t", {("a", "t"): 1.0}, nodes=["a", "t", "z"]
-        )
-        assert delta["z"] == float("inf")
-
     def test_missing_cost_raises(self):
         phi = {"a": {"t": {"t": 1.0}}}
         with pytest.raises(RoutingError):

@@ -2,6 +2,7 @@
 step-parameter checks."""
 
 import ast
+import copy
 import math
 import pathlib
 import re
@@ -32,14 +33,54 @@ def _key_order(phi):
     ]
 
 
+def _phi_with_zeros(topo, traffic):
+    """Shortest-path phi where every entry of a router with a spare
+    neighbor also holds an explicit zero toward it, placed first at
+    every other router.
+
+    The zeros survive until a rewrite drops them, so an entry whose only
+    change is losing its zero must still be replaced.
+    """
+    phi = opt.shortest_path_phi(topo, traffic.destinations())
+    for i, (node, per_dest) in enumerate(phi.items()):
+        for dest, entry in per_dest.items():
+            spare = next(
+                (k for k in topo.neighbors(node) if k not in entry), None
+            )
+            if spare is None:
+                continue
+            if i % 2:
+                entry[spare] = 0.0
+            else:
+                per_dest[dest] = {spare: 0.0, **entry}
+    return phi
+
+
 @pytest.mark.parametrize("scaling, eta", [("none", 0.1), ("curvature", 0.2)])
-@pytest.mark.parametrize("seed", range(4))
-def test_optimize_matches_the_naive_reference_bit_for_bit(seed, scaling, eta):
-    """The DAG kept per destination changes no float and no key order."""
+@pytest.mark.parametrize(
+    "seed, zeros",
+    [pytest.param(seed, False, id=f"{seed}") for seed in range(4)]
+    + [pytest.param(seed, True, id=f"{seed}-zeros") for seed in range(4)],
+)
+def test_optimize_matches_the_naive_reference_bit_for_bit(
+    seed, zeros, scaling, eta
+):
+    """The DAGs rebuilt from their previous ones and the entries kept
+    when their content does not change alter no float and no key order."""
     topo, traffic = _random_case(seed)
     kwargs = dict(eta=eta, scaling=scaling, max_iterations=300)
-    fast = opt.optimize(topo, traffic, **kwargs)
-    naive = naive_optimize(topo, traffic, **kwargs)
+    if zeros:
+        fast_phi = _phi_with_zeros(topo, traffic)
+        naive_phi = copy.deepcopy(fast_phi)
+        assert any(
+            0.0 in entry.values()
+            for per_dest in fast_phi.values()
+            for entry in per_dest.values()
+        )
+    else:
+        fast_phi = naive_phi = None
+    fast = opt.optimize(topo, traffic, initial_phi=fast_phi, **kwargs)
+    naive = naive_optimize(topo, traffic, initial_phi=naive_phi, **kwargs)
     assert fast.history == naive.history
     assert fast.phi == naive.phi
     assert _key_order(fast.phi) == _key_order(naive.phi)
@@ -73,7 +114,11 @@ def test_no_production_module_imports_the_reference():
 def test_a_loop_closed_by_an_update_raises_before_the_next_step(monkeypatch):
     """Point two routers at each other for one destination, each still
     summing to 1: the per-step check must raise LoopError naming that
-    destination before any further update or iteration runs."""
+    destination before any further update or iteration runs.
+
+    Iterations are counted at the link-flow sum, which ``_iterate``
+    makes exactly once per iteration, before that iteration's updates.
+    """
     topo, traffic = _random_case(0)
     dest = traffic.destinations()[0]
     u, v = next(
@@ -85,7 +130,7 @@ def test_a_loop_closed_by_an_update_raises_before_the_next_step(monkeypatch):
     iterations: list = []
     corrupted_at: list = []
     original_update = opt._update_destination
-    original_flows = opt.link_flows
+    original_flows = opt.sum_link_flows
 
     def counting_flows(*args, **kwargs):
         iterations.append(len(updates))
@@ -101,12 +146,16 @@ def test_a_loop_closed_by_an_update_raises_before_the_next_step(monkeypatch):
             corrupted_at.append((len(updates), len(iterations)))
 
     monkeypatch.setattr(opt, "_update_destination", corrupting_update)
-    monkeypatch.setattr(opt, "link_flows", counting_flows)
+    monkeypatch.setattr(opt, "sum_link_flows", counting_flows)
     pattern = f"for destination {re.escape(repr(dest))} has cycle"
     with pytest.raises(LoopError, match=pattern):
         opt.optimize(topo, traffic, eta=0.1, max_iterations=50)
+    # The corruption came in the second iteration, after its boundary
+    # was counted, and nothing ran after it.
+    n_dests = len(traffic.destinations())
+    assert iterations == [0, n_dests]
     assert corrupted_at == [(len(updates), len(iterations))]
-    assert len(traffic.destinations()) > 1  # later updates were due
+    assert n_dests > 1  # later updates were due
 
 
 @pytest.mark.parametrize("eta", [0.0, -0.1, math.nan, math.inf])
