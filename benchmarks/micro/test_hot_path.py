@@ -1,5 +1,6 @@
 """MICRO — hot-path kernels: shared-heap SPF, incremental protocol core, OPT,
-the packet event loop, the per-delivery Theorem-3 check.
+the fluid epoch loop, the packet event loop, the per-delivery Theorem-3
+check.
 
 Not a paper figure; pins the optimized kernels against their scalar /
 naive counterparts so a regression in either speed or exactness shows
@@ -24,11 +25,17 @@ from repro.core.mpda import MPDARouter
 from repro.fleet.plan import fuzz_plan
 from repro.fleet.worker import execute_cell
 from repro.fluid.delay import DelayModel
+from repro.fluid.evaluator import RoutingDAG
 from repro.gallager.opt import optimize
 from repro.graph.generators import waxman
 from repro.graph.shortest_paths import SharedSPF
 from repro.netsim.engine import Engine
-from repro.sim.control import PacketRunConfig, TwoTimescaleController
+from repro.sim.control import (
+    PacketRunConfig,
+    QuasiStaticConfig,
+    TwoTimescaleController,
+    run,
+)
 from repro.sim.scenario import cairn_scenario, net1_scenario
 from repro.testing import safety_reference
 from repro.testing.opt_reference import naive_optimize
@@ -185,6 +192,52 @@ def test_opt_iteration_loop(benchmark, record_figure):
             f"({naive_s[name] / fast_s[name]:.1f}x)"
             for (name, _), result in zip(cases, results)
         ),
+    )
+
+
+# ----------------------------------------------------------------------
+# The fluid epoch loop
+# ----------------------------------------------------------------------
+def test_fluid_epoch_loop(benchmark, record_figure, monkeypatch):
+    """Fig. 13's CAIRN MP run at Tl 10: DAGs rebuilt from the previous
+    epoch's vs built afresh.
+
+    The fluid plane builds each destination's routing DAG from the one
+    of the epoch before, so only the allocation entries IH/AH replaced
+    are validated and normalised again.  The reference patches
+    ``repro.sim.control.RoutingDAG`` to ignore the previous DAG; both
+    runs must give the same epoch records, float for float, before the
+    speed ratio is reported.
+    """
+    scenario = cairn_scenario(load=1.25)
+    config = QuasiStaticConfig(
+        tl=10.0,
+        ts=2.0,
+        duration=280.0,
+        warmup=60.0,
+        damping=0.5,
+        queue_limit=750.0,
+    )
+
+    result = run_once(benchmark, run, scenario, config)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            "repro.sim.control.RoutingDAG",
+            lambda phi, destination, previous=None: RoutingDAG(phi, destination),
+        )
+        t0 = time.perf_counter()
+        reference = run(scenario, config)
+        fresh_s = time.perf_counter() - t0
+
+    assert result.records == reference.records
+    reuse_s = benchmark.stats.stats.mean
+    record_figure(
+        "micro_fluid_epoch",
+        f"Fig. 13 CAIRN MP run (load 1.25, {config.duration:g} sim-s, "
+        f"Tl 10, {len(result.records)} epochs): fresh DAGs every epoch "
+        f"{fresh_s:.2f} s, DAGs rebuilt from the previous epoch's "
+        f"{reuse_s:.2f} s ({fresh_s / reuse_s:.1f}x)",
     )
 
 

@@ -88,27 +88,66 @@ def _ratio_stats(
 
 
 # ----------------------------------------------------------------------
+# The solves Figs. 9-12 share
+# ----------------------------------------------------------------------
+def operating_point(network: str) -> Scenario:
+    """The figs. 9-12 scenario of one evaluation network."""
+    if network == "cairn":
+        return cairn_scenario(load=CAIRN_LOAD)
+    if network == "net1":
+        return net1_scenario(load=NET1_LOAD)
+    raise ValueError(f"unknown network {network!r}")
+
+
+#: network -> {"opt": ..., "mp": ...}: each operating point's OPT curve
+#: (per-flow ms items, iterations, converged) and MP-TL-10-TS-2 curve
+#: (label, per-flow ms items), solved by the first of Figs. 9-12 that
+#: needs them.  Only immutable values are kept, so a caller editing its
+#: FigureResult cannot change a later figure.
+_SHARED: dict[str, dict[str, tuple]] = {}
+
+
+def _shared(network: str, scenario: Scenario, key: str, solve) -> tuple:
+    """``solve(scenario)`` once per process for ``network``'s ``key``."""
+    memo = _SHARED.setdefault(network, {})
+    if key not in memo:
+        memo[key] = solve(scenario)
+    return memo[key]
+
+
+def _opt_curve(scenario: Scenario) -> tuple:
+    opt, gallager = run_opt(scenario, max_iterations=2500)
+    delays = tuple(opt.mean_flow_delays_ms().items())
+    return delays, gallager.iterations, gallager.converged
+
+
+def _mp_curve(scenario: Scenario) -> tuple:
+    mp = run(scenario, _mp_config())
+    return mp.label, tuple(mp.mean_flow_delays_ms().items())
+
+
+# ----------------------------------------------------------------------
 # Figs. 9 & 10 — OPT vs MP
 # ----------------------------------------------------------------------
-def _opt_vs_mp(scenario: Scenario, figure: str, claim: str) -> FigureResult:
-    mp = run(scenario, _mp_config())
-    opt, gallager = run_opt(scenario, max_iterations=2500)
+def _opt_vs_mp(network: str, figure: str, claim: str) -> FigureResult:
+    scenario = operating_point(network)
+    mp_label, mp_delays = _shared(network, scenario, "mp", _mp_curve)
+    opt_delays, iterations, converged = _shared(
+        network, scenario, "opt", _opt_curve
+    )
     result = FigureResult(figure=figure, claim=claim)
-    opt_delays = opt.mean_flow_delays_ms()
-    result.flow_series["OPT"] = opt_delays
-    result.flow_series["OPT+5%"] = {
-        f: 1.05 * d for f, d in opt_delays.items()
-    }
-    result.flow_series[mp.label] = mp.mean_flow_delays_ms()
+    result.flow_series["OPT"] = dict(opt_delays)
+    result.flow_series["OPT+5%"] = {f: 1.05 * d for f, d in opt_delays}
+    result.flow_series[mp_label] = dict(mp_delays)
     lo, hi, mean = _ratio_stats(
-        result.flow_series[mp.label], opt_delays
+        result.flow_series[mp_label], result.flow_series["OPT"]
     )
     result.metrics = {
         "mp_over_opt_min": lo,
         "mp_over_opt_max": hi,
         "mp_over_opt_mean": mean,
-        "opt_iterations": float(gallager.iterations),
-        "opt_converged": float(gallager.converged),
+        "opt_iterations": float(iterations),
+        "opt_converged": float(converged),
     }
     return result
 
@@ -116,7 +155,7 @@ def _opt_vs_mp(scenario: Scenario, figure: str, claim: str) -> FigureResult:
 def fig09_cairn_opt_vs_mp() -> FigureResult:
     """Fig. 9: average per-flow delays of OPT and MP on CAIRN."""
     return _opt_vs_mp(
-        cairn_scenario(load=CAIRN_LOAD),
+        "cairn",
         "Fig. 9 (CAIRN: OPT vs MP)",
         "MP delays are within a few percent of OPT "
         "(paper: inside the OPT+5% envelope)",
@@ -126,7 +165,7 @@ def fig09_cairn_opt_vs_mp() -> FigureResult:
 def fig10_net1_opt_vs_mp() -> FigureResult:
     """Fig. 10: average per-flow delays of OPT and MP on NET1."""
     return _opt_vs_mp(
-        net1_scenario(load=NET1_LOAD),
+        "net1",
         "Fig. 10 (NET1: OPT vs MP)",
         "MP delays are within a small envelope of OPT (paper: ~8%)",
     )
@@ -135,19 +174,20 @@ def fig10_net1_opt_vs_mp() -> FigureResult:
 # ----------------------------------------------------------------------
 # Figs. 11 & 12 — MP vs SP
 # ----------------------------------------------------------------------
-def _mp_vs_sp(scenario: Scenario, figure: str, claim: str) -> FigureResult:
-    mp_fast = run(scenario, _mp_config(ts=2.0))
+def _mp_vs_sp(network: str, figure: str, claim: str) -> FigureResult:
+    scenario = operating_point(network)
+    mp_label, mp_delays = _shared(network, scenario, "mp", _mp_curve)
     mp_slow = run(scenario, _mp_config(ts=10.0))
     sp = run(scenario, _sp_config())
-    opt, _ = run_opt(scenario, max_iterations=2500)
+    opt_delays, _, _ = _shared(network, scenario, "opt", _opt_curve)
 
     result = FigureResult(figure=figure, claim=claim)
-    result.flow_series["OPT"] = opt.mean_flow_delays_ms()
+    result.flow_series["OPT"] = dict(opt_delays)
     result.flow_series[mp_slow.label] = mp_slow.mean_flow_delays_ms()
-    result.flow_series[mp_fast.label] = mp_fast.mean_flow_delays_ms()
+    result.flow_series[mp_label] = dict(mp_delays)
     result.flow_series[sp.label] = sp.mean_flow_delays_ms()
     lo, hi, mean = _ratio_stats(
-        result.flow_series[sp.label], result.flow_series[mp_fast.label]
+        result.flow_series[sp.label], result.flow_series[mp_label]
     )
     result.metrics = {
         "sp_over_mp_min": lo,
@@ -160,7 +200,7 @@ def _mp_vs_sp(scenario: Scenario, figure: str, claim: str) -> FigureResult:
 def fig11_cairn_mp_vs_sp() -> FigureResult:
     """Fig. 11: MP (two Ts settings) vs SP on CAIRN."""
     return _mp_vs_sp(
-        cairn_scenario(load=CAIRN_LOAD),
+        "cairn",
         "Fig. 11 (CAIRN: MP vs SP)",
         "SP delays reach two to four times MP's for some flows",
     )
@@ -169,7 +209,7 @@ def fig11_cairn_mp_vs_sp() -> FigureResult:
 def fig12_net1_mp_vs_sp() -> FigureResult:
     """Fig. 12: MP vs SP on NET1 (higher connectivity => bigger gap)."""
     return _mp_vs_sp(
-        net1_scenario(load=NET1_LOAD),
+        "net1",
         "Fig. 12 (NET1: MP vs SP)",
         "SP delays reach five to six times MP's (higher connectivity)",
     )
@@ -329,15 +369,6 @@ ZOO_POLICY_PARAMS: dict[str, dict] = {
 
 #: The MP family keeps the damping the paper figures use.
 _DAMPED_POLICIES = ("mp", "mp-oracle")
-
-
-def operating_point(network: str) -> Scenario:
-    """The figs. 9-12 scenario of one evaluation network."""
-    if network == "cairn":
-        return cairn_scenario(load=CAIRN_LOAD)
-    if network == "net1":
-        return net1_scenario(load=NET1_LOAD)
-    raise ValueError(f"unknown network {network!r}")
 
 
 def _zoo_config(policy: str, **overrides) -> QuasiStaticConfig:

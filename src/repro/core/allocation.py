@@ -173,6 +173,8 @@ def validate_property1(
     allowed = set(successors)
     total = 0.0
     for k, fraction in phi.items():
+        if fraction != fraction:
+            raise AllocationError(f"phi[{k!r}] = {fraction!r} is not a number")
         if fraction < -tolerance:
             raise AllocationError(f"phi[{k!r}] = {fraction!r} < 0")
         if fraction > tolerance and k not in allowed:
@@ -191,6 +193,14 @@ class AllocationTable:
     the next update re-runs IH ("when :math:`S^i_j` is computed for the
     first time or recomputed again due to long-term route changes, traffic
     should be freshly distributed"), otherwise AH adjusts incrementally.
+
+    Each destination's entry is one dict, replaced and never edited in
+    place, so readers are handed the stored entries themselves and must
+    not edit them either.  An update whose result equals the stored
+    entry in items *and* key order keeps the stored object: key order
+    is part of an entry, since the fluid evaluator sums fractions and
+    the packet plane draws successors in that order.  Only a new entry
+    is checked against Property 1.
     """
 
     def __init__(self, router: NodeId, *, damping: float = 1.0) -> None:
@@ -203,7 +213,7 @@ class AllocationTable:
         self,
         destination: NodeId,
         distance_via: Mapping[NodeId, float],
-    ) -> dict[NodeId, float]:
+    ) -> Mapping[NodeId, float]:
         """Refresh parameters for ``destination``.
 
         Args:
@@ -211,7 +221,7 @@ class AllocationTable:
                 successor.  An empty mapping clears the entry (no route).
 
         Returns:
-            The new parameters (also stored).
+            The stored parameters (read-only).
         """
         successors = frozenset(distance_via)
         if not successors:
@@ -221,21 +231,29 @@ class AllocationTable:
         if self._successors.get(destination) != successors:
             phi = ih(distance_via)
         else:
-            phi = ah(
-                self._phi[destination], distance_via, damping=self.damping
-            )
-        validate_property1(phi, successors)
+            old = self._phi[destination]
+            phi = ah(old, distance_via, damping=self.damping)
+            if phi == old and list(phi) == list(old):
+                return old
+        try:
+            validate_property1(phi, successors)
+        except AllocationError as exc:
+            raise AllocationError(
+                f"router {self.router!r} toward {destination!r}: {exc}"
+            ) from None
         self._phi[destination] = phi
         self._successors[destination] = successors
-        return dict(phi)
+        return phi
 
-    def fractions(self, destination: NodeId) -> dict[NodeId, float]:
-        """Current parameters toward ``destination`` (empty if none)."""
-        return dict(self._phi.get(destination, {}))
+    def fractions(self, destination: NodeId) -> Mapping[NodeId, float]:
+        """Current parameters toward ``destination`` (empty if none);
+        the stored entry, read-only."""
+        return self._phi.get(destination, {})
 
     def destinations(self) -> list[NodeId]:
         return list(self._phi)
 
-    def as_phi(self) -> dict[NodeId, dict[NodeId, float]]:
-        """This router's slice of the global phi mapping."""
-        return {dest: dict(frac) for dest, frac in self._phi.items()}
+    def as_phi(self) -> dict[NodeId, Mapping[NodeId, float]]:
+        """This router's slice of the global phi mapping: a new map of
+        the stored, read-only entries."""
+        return dict(self._phi)

@@ -21,8 +21,9 @@ Property 1 is checked and where a cycle raises
 ``phi`` and build the DAGs they need; a caller that walks one snapshot
 several times (:func:`evaluate`, the fluid data plane, Gallager's OPT)
 builds them once and hands them in.  OPT, whose updates replace only
-some routers' entries, rebuilds each DAG from the previous one, which
-re-checks only the replaced entries.
+some routers' entries, and the fluid plane, whose policies hand out the
+same entry objects until they replace them, rebuild each DAG from the
+previous one, which re-checks only the replaced entries.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ _UNSET = object()
 
 def _fractions(
     phi: Phi, node: NodeId, destination: NodeId
-) -> dict[NodeId, float]:
+) -> Mapping[NodeId, float]:
     """Validated, normalized routing fractions of ``node`` toward ``destination``.
 
     Empty when the router has no entry (it then must carry no traffic for
@@ -66,25 +67,39 @@ def _fractions(
 
 def _normalised(
     raw: Mapping[NodeId, float] | None, node: NodeId, destination: NodeId
-) -> dict[NodeId, float]:
-    """:func:`_fractions` of ``node``'s phi entry ``raw`` toward ``destination``."""
+) -> Mapping[NodeId, float]:
+    """:func:`_fractions` of ``node``'s phi entry ``raw`` toward ``destination``.
+
+    An entry that is already normalised (every fraction positive, the
+    sum exactly 1.0) is returned itself: dividing by 1.0 changes no
+    float, so a copy would hold what ``raw`` holds.
+    """
     if not raw:
         return {}
     total = 0.0
+    positive = True
     for nbr, fraction in raw.items():
-        if fraction <= 0.0:
-            if fraction < -NORMALIZATION_TOLERANCE:
-                raise AllocationError(
-                    f"phi[{node!r}][{destination!r}][{nbr!r}] = {fraction!r} < 0"
-                )
-        else:  # positive, or NaN, which poisons the sum
+        if fraction > 0.0:
             total += fraction
+            continue
+        if fraction != fraction:
+            raise AllocationError(
+                f"phi[{node!r}][{destination!r}][{nbr!r}] = {fraction!r} "
+                "is not a number"
+            )
+        positive = False
+        if fraction < -NORMALIZATION_TOLERANCE:
+            raise AllocationError(
+                f"phi[{node!r}][{destination!r}][{nbr!r}] = {fraction!r} < 0"
+            )
     if total == 0.0:
         return {}
     if abs(total - 1.0) > NORMALIZATION_TOLERANCE:
         raise AllocationError(
             f"phi[{node!r}][{destination!r}] sums to {total!r}, expected 1"
         )
+    if positive and total == 1.0:
+        return raw
     return {nbr: fraction / total for nbr, fraction in raw.items() if fraction > 0.0}
 
 
@@ -111,13 +126,17 @@ class RoutingDAG:
     the graph is sorted again, and a cycle raises as in a fresh build.
     The result equals a fresh ``RoutingDAG(phi, destination)`` as long
     as no entry was edited in place: replace an entry to change it.
+    Gallager's OPT rebuilds after every destination update, and the
+    fluid plane after every epoch, from the DAG of the step before.
 
     Attributes:
         order: routers upstream-first; every router precedes its
             successors and the destination comes last.
         fractions: every router of ``phi`` except the destination ->
             its normalised fractions :math:`\\phi^i_{jk} > 0` (empty
-            when the router routes nothing toward *j*).
+            when the router routes nothing toward *j*); an entry that
+            is already normalised is held as itself, so these are as
+            read-only as the entries.
         weights: every router with successors -> its raw phi entry
             toward *j* (the marginal-distance recursion weights by raw
             values over their sum).
@@ -131,7 +150,7 @@ class RoutingDAG:
         destination: NodeId,
         previous: RoutingDAG | None = None,
     ) -> None:
-        fractions: dict[NodeId, dict[NodeId, float]] = {}
+        fractions: dict[NodeId, Mapping[NodeId, float]] = {}
         weights: dict[NodeId, Mapping[NodeId, float]] = {}
         kept_fractions = previous.fractions if previous is not None else {}
         kept_weights = previous.weights if previous is not None else {}

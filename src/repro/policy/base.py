@@ -128,13 +128,20 @@ class RoutingPolicy(abc.ABC):
 
         Nonempty mappings sum to 1; an empty mapping means the
         destination is unreachable from ``node`` under this policy.
+        The mapping is read-only: a policy replaces an entry to change
+        it and never edits one it has handed out, so a reader may keep
+        it and trust that the same object still holds the same items in
+        the same order (the fluid plane rebuilds its routing DAGs on
+        that, and the packet plane reads it on every hop).
         """
 
     def phi(self) -> dict[NodeId, dict[NodeId, dict[NodeId, float]]]:
         """The global split mapping for the fluid evaluator.
 
-        Default: assembled from :meth:`fractions`; engines that already
-        hold the nested structure override this for speed.
+        Its entries are read-only under the same contract as
+        :meth:`fractions`.  Default: assembled from copies of
+        :meth:`fractions`; engines that already hold the nested
+        structure override this and hand out their entries.
         """
         topo: Topology = self.topo
         return {

@@ -217,6 +217,8 @@ class MPFamilyPolicy(RoutingPolicy):
         return self.allocations[node].fractions(destination)
 
     def phi(self) -> dict[NodeId, dict[NodeId, dict[NodeId, float]]]:
+        # The tables' stored entries, not copies: an entry AH left alone
+        # stays the same object from epoch to epoch.
         return {
             node: table.as_phi() for node, table in self.allocations.items()
         }

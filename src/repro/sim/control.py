@@ -49,7 +49,7 @@ from repro.exceptions import SimulationError
 from repro.fluid.delay import DelayModel
 from repro.fluid.evaluator import RoutingDAG, flow_delays, link_flows
 from repro.fluid.queues import FluidQueues
-from repro.graph.topology import LinkId
+from repro.graph.topology import LinkId, NodeId
 from repro.netsim.network import PacketNetwork
 from repro.policy import RoutingPolicy, create_policy, policy_class
 from repro.sim.results import EpochRecord, RunResult
@@ -222,11 +222,20 @@ class DataPlane(Protocol):
         """React to directed links physically failing / being repaired."""
 
     def finish(self, ob) -> None:
-        """Flush plane-level totals into the observation at run end."""
+        """End the run: drop per-run state and flush plane-level totals
+        into the observation ``ob`` (None when nothing observes)."""
 
 
 class FluidPlane:
-    """Analytic M/M/1 evaluation with persistent fluid queue backlog."""
+    """Analytic M/M/1 evaluation with persistent fluid queue backlog.
+
+    Each epoch takes one phi snapshot from the policy and builds one
+    :class:`~repro.fluid.evaluator.RoutingDAG` per active destination
+    from that destination's DAG of the epoch before.  A policy hands out
+    the same entry objects until it replaces them, so only the entries
+    IH/AH replaced are validated and normalised again; the result equals
+    a fresh build.  :meth:`finish` drops the DAGs.
+    """
 
     name = "fluid"
 
@@ -239,6 +248,8 @@ class FluidPlane:
         )
         self.queues = FluidQueues(self.model, queue_limit)
         self.routing: RoutingPolicy | None = None
+        #: The last epoch's routing DAG per destination.
+        self._dags: dict[NodeId, RoutingDAG] = {}
 
     def bind(self, routing: RoutingPolicy) -> None:
         self.routing = routing
@@ -251,7 +262,11 @@ class FluidPlane:
             # flow and delay computations, and building the nested phi
             # dict is itself O(n * dests).
             phi = self.routing.phi()
-            dags = {dest: RoutingDAG(phi, dest) for dest in traffic.destinations()}
+            previous = self._dags
+            self._dags = dags = {
+                dest: RoutingDAG(phi, dest, previous.get(dest))
+                for dest in traffic.destinations()
+            }
             flows = link_flows(phi, traffic, dags=dags)
             per_unit = self.queues.step(flows, dt)
             total_delay = sum(
@@ -283,7 +298,7 @@ class FluidPlane:
             self.queues.drop_link(link_id)
 
     def finish(self, ob) -> None:
-        pass
+        self._dags = {}
 
 
 class PacketPlane:
@@ -401,7 +416,8 @@ class PacketPlane:
             self.network.set_link_up(link_id, True)
 
     def finish(self, ob) -> None:
-        self.network.harvest_metrics(ob.metrics)
+        if ob is not None:
+            self.network.harvest_metrics(ob.metrics)
 
 
 # ----------------------------------------------------------------------
@@ -521,8 +537,8 @@ class TwoTimescaleController:
                     )
 
         result.protocol_stats = routing.protocol_stats()
+        plane.finish(ob)
         if ob is not None:
-            plane.finish(ob)
             ob.sim_time = None
             result.metrics = ob.snapshot()
         return result

@@ -1,5 +1,7 @@
 """IH and AH flow-allocation heuristics (Figs. 6-7) and Property 1."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -141,6 +143,11 @@ class TestValidateProperty1:
     def test_rejects_bad_sum(self):
         with pytest.raises(AllocationError):
             validate_property1({"a": 0.7}, ["a"])
+        # NaN compares False with everything, so it passes a plain
+        # "total differs from 1" or "fraction < 0" test.
+        for phi in ({"a": math.nan}, {"a": 1.0, "b": math.nan}):
+            with pytest.raises(AllocationError, match="is not a number"):
+                validate_property1(phi, ["a", "b"])
 
 
 class TestAllocationTable:
@@ -174,6 +181,39 @@ class TestAllocationTable:
         table.update("k", {"b": 1.0})
         phi = table.as_phi()
         assert phi == {"j": {"a": 1.0}, "k": {"b": 1.0}}
+
+    def test_unchanged_result_keeps_the_stored_entry(self):
+        """AH at a fixed point returns the stored object, which every
+        reader is handed as is."""
+        table = AllocationTable("r")
+        first = table.update("j", {"a": 1.0, "b": 1.0})
+        assert table.update("j", {"a": 1.0, "b": 1.0}) is first
+        assert table.fractions("j") is first
+        assert table.as_phi()["j"] is first
+
+    def test_reordered_result_is_a_new_entry(self):
+        """A step too small to move any float still appends the best
+        successor last: equal in content, but a new entry, since the
+        key order is part of it."""
+        table = AllocationTable("r", damping=1e-300)
+        first = table.update("j", {"a": 1.0, "b": 1.0})
+        assert list(first.items()) == [("a", 0.5), ("b", 0.5)]
+        second = table.update("j", {"a": 1.0, "b": 2.0})
+        assert second == first
+        assert second is not first
+        assert list(second.items()) == [("b", 0.5), ("a", 0.5)]
+        assert table.update("j", {"a": 1.0, "b": 2.0}) is second
+
+    def test_property1_failure_names_router_and_destination(self):
+        """An infinite marginal distance makes AH's step 0 * inf: the
+        NaN it leaves must fail Property 1, naming where it is."""
+        table = AllocationTable("r")
+        table.update("j", {"a": 1.0, "b": 3.0})
+        with pytest.raises(
+            AllocationError,
+            match=r"router 'r' toward 'j': phi\['b'\] = nan is not a number",
+        ):
+            table.update("j", {"a": 1.0, "b": math.inf})
 
     def test_damping_passed_through(self):
         plain = AllocationTable("r")

@@ -1,5 +1,6 @@
 """The fluid evaluator: Eqs. (1)-(3) and per-flow delays."""
 
+import math
 import random
 
 import pytest
@@ -65,11 +66,35 @@ class TestNodeFlows:
         phi = {"s": {"t": {"a": 0.4, "b": 0.4}}}
         with pytest.raises(AllocationError):
             node_flows(phi, {"s": 1.0}, "t")
+        # A lone NaN used to leave the router silently without successors.
+        phi = {"s": {"t": {"t": math.nan}}}
+        with pytest.raises(AllocationError, match=r"phi\['s'\]\['t'\]\['t'\]"):
+            node_flows(phi, {"s": 1.0}, "t")
 
     def test_negative_phi_rejected(self):
         phi = {"s": {"t": {"a": 1.2, "b": -0.2}}}
         with pytest.raises(AllocationError):
             node_flows(phi, {"s": 1.0}, "t")
+        # A NaN beside a full share used to give the destination NaN flow.
+        phi = {"s": {"t": {"t": 1.0, "b": math.nan}}, "b": {"t": {"t": 1.0}}}
+        with pytest.raises(
+            AllocationError, match=r"phi\['s'\]\['t'\]\['b'\] = nan is not a number"
+        ):
+            node_flows(phi, {"s": 1.0}, "t")
+
+    def test_a_normalised_entry_is_held_as_itself(self):
+        """Dividing by a sum of exactly 1.0 changes no float, so the DAG
+        holds such an entry itself; any other entry is normalised."""
+        phi = {
+            "s": {"t": {"a": 0.25, "b": 0.75}},
+            "a": {"t": {"t": 1.0, "b": 0.0}},
+            "b": {"t": {"t": 1.0}},
+        }
+        dag = RoutingDAG(phi, "t")
+        assert dag.fractions["s"] is phi["s"]["t"]
+        assert dag.fractions["b"] is phi["b"]["t"]
+        assert dag.fractions["a"] == {"t": 1.0}
+        assert dag.fractions["a"] is not phi["a"]["t"]
 
 
 class TestLinkFlows:
@@ -210,7 +235,7 @@ def _replacement(rng, n, node, entry):
         rng.shuffle(keys)
         return {k: entry[k] for k in keys}
     if kind == "invalid":
-        return {rng.choice(others): -0.5 if rng.random() < 0.5 else 0.5}
+        return {rng.choice(others): rng.choice([-0.5, 0.5, math.nan])}
     return _weights(rng, rng.sample(others, rng.randint(0, min(3, len(others)))))
 
 

@@ -17,6 +17,7 @@ from repro.exceptions import ConfigError
 from repro.graph.validation import assert_loop_free
 from repro.policy import available_policies, create_policy, policy_class
 from repro.sim.control import (
+    FluidPlane,
     PacketRunConfig,
     QuasiStaticConfig,
     RunConfig,
@@ -45,10 +46,35 @@ def _config(name: str, **overrides) -> QuasiStaticConfig:
     return QuasiStaticConfig(**base)
 
 
-def _run(scenario, config):
-    controller = TwoTimescaleController(scenario, config)
+def _run(scenario, config, plane=None):
+    controller = TwoTimescaleController(scenario, config, plane=plane)
     result = controller.run()
     return controller.policy, result
+
+
+class _HandOutRecorder(FluidPlane):
+    """A fluid plane that, before each epoch, reads every entry the
+    policy hands out through ``phi()`` and ``fractions()`` and notes its
+    items in order."""
+
+    def __init__(self, scenario, config):
+        super().__init__(scenario, config)
+        self.handed_out: list[tuple[object, list]] = []
+
+    def advance(self, time, dt, traffic):
+        policy = self.routing
+        entries = [
+            entry
+            for by_dest in policy.phi().values()
+            for entry in by_dest.values()
+        ]
+        entries += [
+            policy.fractions(node, dest)
+            for node in policy.topo.nodes
+            for dest in policy.destinations
+        ]
+        self.handed_out += [(entry, list(entry.items())) for entry in entries]
+        return super().advance(time, dt, traffic)
 
 
 # ----------------------------------------------------------------------
@@ -223,3 +249,21 @@ class TestPolicyContract:
         checks_before = policy.audit_checks
         policy.audit_loop_free()
         assert policy.audit_checks > checks_before
+
+    def test_handed_out_entries_are_never_edited(self, name, cairn):
+        """Every entry ``phi()`` and ``fractions()`` hand out, across a
+        link down/up window, ends the run holding the items it held, in
+        the same order: the fluid plane rebuilds its routing DAGs from
+        the previous epoch's on that promise."""
+        a, b = pick_failure_link(cairn.topo)
+        scenario = with_failures(cairn, {(a, b): [(10.0, 20.0)]})
+        config = _config(name)
+        plane = _HandOutRecorder(scenario, config)
+        _run(scenario, config, plane)
+        assert plane.handed_out
+        edited = [
+            (items, list(entry.items()))
+            for entry, items in plane.handed_out
+            if list(entry.items()) != items
+        ]
+        assert not edited, f"{name} edited {len(edited)} entries: {edited[:3]}"

@@ -16,7 +16,9 @@ import math
 import pytest
 
 from repro import obs
+from repro.bench.convergence import pick_failure_link
 from repro.exceptions import SimulationError
+from repro.fluid.evaluator import RoutingDAG
 from repro.fluid.flows import Flow, TrafficMatrix
 from repro.netsim.engine import Engine
 from repro.netsim.traffic import ScheduledSource
@@ -32,6 +34,7 @@ from repro.sim.scenario import (
     Scenario,
     bursty_scenario,
     cairn_scenario,
+    net1_scenario,
     with_failures,
 )
 
@@ -249,6 +252,86 @@ class TestPacketFailureReroute:
         assert result.protocol_stats["delivered"] > 0
         assert summary["verdict"] == "pass"
         assert summary["violations"] == 0
+
+
+def _reuse_case(case: str):
+    """A scenario and fluid config for the DAG-reuse equality test."""
+    config = dict(tl=10.0, ts=2.0, duration=60.0, warmup=10.0, damping=0.5)
+    if case == "bursty":
+        scenario = bursty_scenario(
+            net1_scenario(load=0.7), burstiness=3.0, mean_on=4.0, seed=3
+        )
+        return scenario, QuasiStaticConfig(**config)
+    scenario = cairn_scenario(load=1.2)
+    if case == "mp-outage":
+        link = pick_failure_link(scenario.topo)
+        scenario = with_failures(scenario, {link: [(20.0, 40.0)]})
+        return scenario, QuasiStaticConfig(policy="mp", **config)
+    return scenario, QuasiStaticConfig(policy=case, **config)
+
+
+def _record_values(result):
+    """Every value of every epoch record, flow order included."""
+    return [
+        (
+            r.time,
+            r.total_delay,
+            r.average_delay,
+            list(r.flow_delays.items()),
+            r.max_utilization,
+        )
+        for r in result.records
+    ]
+
+
+class TestFluidDagReuse:
+    """The fluid plane rebuilds each destination's routing DAG from the
+    previous epoch's; its records must equal, float for float, those of
+    a plane that builds every DAG afresh."""
+
+    @pytest.mark.parametrize("case", ["mp-oracle", "sp", "mp-outage", "bursty"])
+    def test_records_equal_fresh_builds(self, case, monkeypatch):
+        scenario, config = _reuse_case(case)
+        rebuilt = []
+
+        def from_previous(phi, destination, previous=None):
+            rebuilt.append(previous is not None)
+            return RoutingDAG(phi, destination, previous)
+
+        def fresh(phi, destination, previous=None):
+            return RoutingDAG(phi, destination)
+
+        monkeypatch.setattr("repro.sim.control.RoutingDAG", from_previous)
+        reused = run(scenario, config)
+        monkeypatch.setattr("repro.sim.control.RoutingDAG", fresh)
+        reference = run(scenario, config)
+
+        assert sum(rebuilt) > len(rebuilt) // 2
+        assert _record_values(reused) == _record_values(reference)
+
+    def test_bursty_destinations_come_and_go(self):
+        """The bursty case covers destinations that leave the traffic
+        and return to it between epochs."""
+        scenario, config = _reuse_case("bursty")
+        active = [
+            set(scenario.traffic_at(2.0 * i).destinations())
+            for i in range(int(config.duration / config.ts))
+        ]
+        assert any(
+            dest not in now and dest in later
+            for i, now in enumerate(active)
+            for later in active[i + 1 :]
+            for dest in later
+        )
+
+    def test_finish_drops_the_dags(self, diamond_scenario):
+        plane = FluidPlane(diamond_scenario, QuasiStaticConfig())
+        run(
+            diamond_scenario,
+            QuasiStaticConfig(tl=4, ts=2, duration=8.0, warmup=2.0),
+            plane=plane,
+        )
+        assert plane._dags == {}
 
 
 class TestCrossValidation:
