@@ -45,6 +45,16 @@ DISTANCE_EPSILON = 1e-15
 #: Routing parameters below this are a drained successor's fp residue.
 PHI_EPSILON = 1e-15
 
+INFINITY = float("inf")
+
+
+def _check_distances(distance_via: Mapping[NodeId, float]) -> None:
+    """Reject a NaN, negative or infinite marginal distance, naming the
+    successor: IH's shares and AH's step are meaningless past one."""
+    for k, d in distance_via.items():
+        if not 0.0 <= d < INFINITY:
+            raise AllocationError(f"invalid marginal distance via {k!r}: {d!r}")
+
 
 def ih(distance_via: Mapping[NodeId, float]) -> dict[NodeId, float]:
     """Initial load assignment over a fresh successor set (Fig. 6).
@@ -58,9 +68,7 @@ def ih(distance_via: Mapping[NodeId, float]) -> dict[NodeId, float]:
     """
     if not distance_via:
         raise AllocationError("IH needs a non-empty successor set")
-    for k, d in distance_via.items():
-        if d < 0 or d != d:  # negative or NaN
-            raise AllocationError(f"invalid marginal distance via {k!r}: {d!r}")
+    _check_distances(distance_via)
     if len(distance_via) == 1:
         (only,) = distance_via
         return {only: 1.0}
@@ -120,6 +128,7 @@ def ah(
         raise AllocationError("AH needs a non-empty successor set")
     if not 0.0 < damping <= 1.0:
         raise AllocationError(f"damping must be in (0, 1]: {damping!r}")
+    _check_distances(distance_via)
     if len(phi) == 1:
         (only,) = phi
         return {only: 1.0}
@@ -222,20 +231,25 @@ class AllocationTable:
 
         Returns:
             The stored parameters (read-only).
+
+        Raises:
+            AllocationError: naming the router and the destination, for
+                an invalid distance or a new entry that breaks
+                Property 1.
         """
         successors = frozenset(distance_via)
         if not successors:
             self._phi.pop(destination, None)
             self._successors.pop(destination, None)
             return {}
-        if self._successors.get(destination) != successors:
-            phi = ih(distance_via)
-        else:
-            old = self._phi[destination]
-            phi = ah(old, distance_via, damping=self.damping)
-            if phi == old and list(phi) == list(old):
-                return old
         try:
+            if self._successors.get(destination) != successors:
+                phi = ih(distance_via)
+            else:
+                old = self._phi[destination]
+                phi = ah(old, distance_via, damping=self.damping)
+                if phi == old and list(phi) == list(old):
+                    return old
             validate_property1(phi, successors)
         except AllocationError as exc:
             raise AllocationError(
@@ -244,14 +258,6 @@ class AllocationTable:
         self._phi[destination] = phi
         self._successors[destination] = successors
         return phi
-
-    def fractions(self, destination: NodeId) -> Mapping[NodeId, float]:
-        """Current parameters toward ``destination`` (empty if none);
-        the stored entry, read-only."""
-        return self._phi.get(destination, {})
-
-    def destinations(self) -> list[NodeId]:
-        return list(self._phi)
 
     def as_phi(self) -> dict[NodeId, Mapping[NodeId, float]]:
         """This router's slice of the global phi mapping: a new map of

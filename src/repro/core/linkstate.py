@@ -125,10 +125,6 @@ class LSUMessage:
         default=None, compare=False, repr=False
     )
 
-    @property
-    def is_pure_ack(self) -> bool:
-        return self.ack and not self.entries
-
     def __str__(self) -> str:
         body = ",".join(str(e) for e in self.entries) or "empty"
         flag = "+ack" if self.ack else ""

@@ -124,12 +124,6 @@ class FleetPlan:
             if cell.index % self.shards == shard_index
         )
 
-    def with_shards(self, shards: int) -> "FleetPlan":
-        """The same plan distributed over a different worker count."""
-        return FleetPlan(
-            kind=self.kind, cells=self.cells, shards=shards, meta=self.meta
-        )
-
     def as_dict(self) -> dict:
         return {
             "kind": self.kind,

@@ -100,9 +100,6 @@ class FluidQueues:
             for link_id in self.model.functions
         }
 
-    def total_backlog(self) -> float:
-        return sum(self.backlog.values())
-
     def drop_link(self, link_id: LinkId) -> None:
         """A link failed: its queued backlog is lost with it."""
         lost = self.backlog.get(link_id, 0.0)

@@ -79,16 +79,11 @@ class FlowRecord:
 
     delivered: int = 0
     delay_sum: float = 0.0
-    hop_sum: int = 0
     max_delay: float = 0.0
 
     @property
     def mean_delay(self) -> float:
         return self.delay_sum / self.delivered if self.delivered else 0.0
-
-    @property
-    def mean_hops(self) -> float:
-        return self.hop_sum / self.delivered if self.delivered else 0.0
 
 
 @dataclass
@@ -119,7 +114,6 @@ class FlowMonitor:
         delay = now - packet.created_at
         record.delivered += 1
         record.delay_sum += delay
-        record.hop_sum += packet.hops
         if delay > record.max_delay:
             record.max_delay = delay
         if self.delay_hist is not None:

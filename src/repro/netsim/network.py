@@ -6,14 +6,15 @@ link, wires delivery paths, and owns the measurement plumbing: per-link
 cost estimators fed from the link monitors, and the flow monitor
 recording end-to-end delays.
 
-It is routing-agnostic: any :class:`~repro.netsim.node.RoutingProvider`
-works, so the same network runs MP, SP, OPT-derived parameters, or a
-fixed phi.
+It is routing-agnostic: :meth:`PacketNetwork.route` installs any phi
+mapping — a policy's ``phi()`` once per epoch, or a fixed one — so the
+same network runs MP, SP, OPT-derived parameters, or a fixed phi.
 """
 
 from __future__ import annotations
 
 import random
+from collections.abc import Mapping
 
 from repro import obs
 from repro.core.costs import MM1CostEstimator, OnlineCostEstimator
@@ -24,7 +25,7 @@ from repro.graph.topology import LinkId, NodeId, Topology
 from repro.netsim.engine import Engine
 from repro.netsim.link import SimLink
 from repro.netsim.monitor import FlowMonitor
-from repro.netsim.node import RoutingProvider, SimNode
+from repro.netsim.node import SimNode
 from repro.netsim.packet import Packet
 from repro.netsim.traffic import PoissonSource, ScheduledSource
 
@@ -36,7 +37,6 @@ class PacketNetwork:
 
     Args:
         topo: the network.
-        routing: routing-parameter provider consulted per packet.
         seed: master seed; per-component RNGs derive from it.
         estimator: link-cost estimator kind ("mm1" uses true capacities,
             "online" is the capacity-free estimator).
@@ -48,7 +48,6 @@ class PacketNetwork:
     def __init__(
         self,
         topo: Topology,
-        routing: RoutingProvider,
         *,
         seed: int = 0,
         estimator: str = "mm1",
@@ -59,7 +58,6 @@ class PacketNetwork:
                 f"unknown estimator {estimator!r}; pick from {ESTIMATOR_KINDS}"
             )
         self.topo = topo
-        self.routing = routing
         self.engine = Engine()
         self.flow_monitor = FlowMonitor()
         if obs.current() is not None:
@@ -72,7 +70,6 @@ class PacketNetwork:
         for node in topo.nodes:
             self.nodes[node] = SimNode(
                 node,
-                routing,
                 self.flow_monitor,
                 random.Random(master.getrandbits(64)),
                 topo.num_nodes,
@@ -116,6 +113,19 @@ class PacketNetwork:
             receive(packet, engine.now)
 
         return deliver
+
+    def route(
+        self, phi: Mapping[NodeId, Mapping[NodeId, Mapping[NodeId, float]]]
+    ) -> None:
+        """Forward by ``phi`` (``phi[node][dest][nbr]``) until the next call.
+
+        Each router keeps its own row, not a copy, so the entries must
+        stay unedited while it forwards by them — the read-only promise
+        of :meth:`repro.policy.RoutingPolicy.phi`.  A router ``phi``
+        omits has no routes.
+        """
+        for node_id, node in self.nodes.items():
+            node.routes = phi.get(node_id, {})
 
     def inject(self, packet: Packet) -> None:
         """Inject a packet at its source router."""

@@ -1,43 +1,26 @@
 """Simulated routers: per-destination weighted packet splitting.
 
 A :class:`SimNode` forwards each packet to a neighbor drawn according to
-the current routing parameters :math:`\\phi^i_{jk}` — the packet-level
-realization of Eq. (15)'s fractional allocation.  The routing parameters
-come from a *provider* (anything with ``fractions(node, dest)``, e.g.
-any :class:`repro.policy.RoutingPolicy`), so the data plane follows
-allocation changes immediately without rebuilding anything.
+the routing parameters :math:`\\phi^i_{jk}` — the packet-level
+realization of Eq. (15)'s fractional allocation.  Each node holds its
+own row of a policy's ``phi()`` in :attr:`SimNode.routes`, installed by
+:meth:`~repro.netsim.network.PacketNetwork.route`: the parameters change
+only between epochs, so every hop of an epoch reads the same read-only
+entries.
 """
 
 from __future__ import annotations
 
 import random
 from collections.abc import Mapping
-from typing import Protocol
 
 from repro.exceptions import SimulationError
 from repro.graph.topology import NodeId
 from repro.netsim.monitor import FlowMonitor, check_hop_limit, hop_limit
 from repro.netsim.packet import Packet
 
-
-class RoutingProvider(Protocol):
-    """Anything that can answer "how do I split traffic at this router?"."""
-
-    def fractions(self, node: NodeId, destination: NodeId) -> Mapping[NodeId, float]:
-        """Routing parameters of ``node`` toward ``destination``."""
-        ...
-
-
-class StaticRouting:
-    """A fixed phi mapping as a routing provider (tests, examples)."""
-
-    def __init__(
-        self, phi: Mapping[NodeId, Mapping[NodeId, Mapping[NodeId, float]]]
-    ) -> None:
-        self._phi = phi
-
-    def fractions(self, node: NodeId, destination: NodeId) -> Mapping[NodeId, float]:
-        return self._phi.get(node, {}).get(destination, {})
+#: The split of a destination the node has no route to.
+_NO_ROUTE: Mapping[NodeId, float] = {}
 
 
 class SimNode:
@@ -46,13 +29,13 @@ class SimNode:
     def __init__(
         self,
         node_id: NodeId,
-        routing: RoutingProvider,
         flow_monitor: FlowMonitor,
         rng: random.Random,
         num_nodes: int,
     ) -> None:
         self.node_id = node_id
-        self.routing = routing
+        #: routes[dest][nbr]: this router's split fractions (read-only).
+        self.routes: Mapping[NodeId, Mapping[NodeId, float]] = {}
         self.flow_monitor = flow_monitor
         self.rng = rng
         self.num_nodes = num_nodes
@@ -76,8 +59,7 @@ class SimNode:
         packet.hops += 1
         if packet.hops > self.max_hops:  # raises, naming the loop
             check_hop_limit(packet, self.num_nodes, self.node_id)
-        fractions = self.routing.fractions(self.node_id, packet.destination)
-        choice = self._choose(fractions)
+        choice = self._choose(self.routes.get(packet.destination, _NO_ROUTE))
         if choice is None:
             self.flow_monitor.note_no_route()
             return

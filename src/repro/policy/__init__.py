@@ -4,8 +4,8 @@ A :class:`RoutingPolicy` owns the successor sets and split fractions for
 every (node, destination) pair and exposes a uniform lifecycle to the
 two-timescale controller: ``initialize`` at boot, ``on_costs`` at every
 ``Tl``, ``on_short_costs`` at every ``Ts``, ``on_link_event`` when the
-scenario fails or restores a link, and ``routing()``/``fractions()`` on
-the read side.  Policies register under a short name (``repro policies``
+scenario fails or restores a link, and ``routing()``/``phi()`` on the
+read side.  Policies register under a short name (``repro policies``
 lists them); the controller, the figure harness, and the CLI resolve
 policies through :func:`create_policy` instead of scattering mode
 strings.

@@ -30,7 +30,6 @@ comparison harness quantifies it.
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Mapping
 
 from repro import obs
 from repro.exceptions import RoutingError
@@ -248,11 +247,6 @@ class BackpressureLRPolicy(RoutingPolicy):
                 for node in self.topo.nodes
             }
         return tables
-
-    def fractions(
-        self, node: NodeId, destination: NodeId
-    ) -> Mapping[NodeId, float]:
-        return self._fractions.get(node, {}).get(destination, {})
 
     def phi(self) -> dict[NodeId, dict[NodeId, dict[NodeId, float]]]:
         return self._fractions

@@ -13,10 +13,11 @@ two-timescale controller drives:
   policies that maintain routes incrementally (``handles_link_events``);
   the controller otherwise replays filtered long-term costs through
   :meth:`on_costs`;
-- :meth:`routing` / :meth:`fractions` / :meth:`phi` — the read side:
-  successor sets per destination and the split fractions both data
-  planes forward with (:meth:`fractions` makes every policy a
-  :class:`~repro.netsim.node.RoutingProvider`).
+- :meth:`routing` / :meth:`phi` — the read side: successor sets per
+  destination, and the split fractions both data planes forward with.
+  The fractions change only inside the lifecycle calls, which the
+  controller makes between epochs, so each plane reads :meth:`phi` once
+  per epoch and forwards by that snapshot.
 
 The ``loop_free`` capability flag gates the Theorem-3 audit: policies
 that claim it must keep every destination's successor graph acyclic at
@@ -32,10 +33,9 @@ Policies register themselves by name in :mod:`repro.policy.registry`;
 from __future__ import annotations
 
 import abc
-from collections.abc import Mapping
 
 from repro.graph.shortest_paths import CostMap
-from repro.graph.topology import NodeId, Topology
+from repro.graph.topology import NodeId
 from repro.graph.validation import assert_loop_free
 
 #: successor sets per destination: ``routing()[dest][node]`` = the
@@ -121,37 +121,17 @@ class RoutingPolicy(abc.ABC):
         """Successor sets per destination (the auditable view)."""
 
     @abc.abstractmethod
-    def fractions(
-        self, node: NodeId, destination: NodeId
-    ) -> Mapping[NodeId, float]:
-        """Split fractions of ``node`` toward ``destination``.
-
-        Nonempty mappings sum to 1; an empty mapping means the
-        destination is unreachable from ``node`` under this policy.
-        The mapping is read-only: a policy replaces an entry to change
-        it and never edits one it has handed out, so a reader may keep
-        it and trust that the same object still holds the same items in
-        the same order (the fluid plane rebuilds its routing DAGs on
-        that, and the packet plane reads it on every hop).
-        """
-
     def phi(self) -> dict[NodeId, dict[NodeId, dict[NodeId, float]]]:
-        """The global split mapping for the fluid evaluator.
+        """The split fractions of every router: ``phi()[node][dest]``.
 
-        Its entries are read-only under the same contract as
-        :meth:`fractions`.  Default: assembled from copies of
-        :meth:`fractions`; engines that already hold the nested
-        structure override this and hand out their entries.
+        A nonempty entry sums to 1; a missing or empty entry means the
+        destination is unreachable from ``node`` under this policy.
+        Entries are read-only: a policy replaces an entry to change it
+        and never edits one it has handed out, so a reader may keep it
+        and trust that the same object still holds the same items in
+        the same order (the fluid plane rebuilds its routing DAGs on
+        that, and the packet plane forwards by one snapshot per epoch).
         """
-        topo: Topology = self.topo
-        return {
-            node: {
-                dest: dict(self.fractions(node, dest))
-                for dest in self.destinations
-                if dest != node
-            }
-            for node in topo.nodes
-        }
 
     def protocol_stats(self) -> dict[str, int]:
         """Control-message counters (empty for oracle-style policies)."""

@@ -24,8 +24,6 @@ filtered graph follows a strictly decreasing potential, hence
 
 from __future__ import annotations
 
-from collections.abc import Mapping
-
 from repro import obs
 from repro.exceptions import ConfigError
 from repro.graph.shortest_paths import (
@@ -114,11 +112,6 @@ class ECMPKPolicy(RoutingPolicy):
             dest: {node: list(succ) for node, succ in by_node.items()}
             for dest, by_node in self._successors.items()
         }
-
-    def fractions(
-        self, node: NodeId, destination: NodeId
-    ) -> Mapping[NodeId, float]:
-        return self._fractions.get(node, {}).get(destination, {})
 
     def phi(self) -> dict[NodeId, dict[NodeId, dict[NodeId, float]]]:
         return self._fractions

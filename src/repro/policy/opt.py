@@ -16,8 +16,6 @@ and passes the Theorem-3 audit.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
-
 from repro.fluid.delay import DelayModel
 from repro.gallager.opt import GallagerResult, optimize
 from repro.graph.shortest_paths import CostMap
@@ -75,11 +73,6 @@ class OptPolicy(RoutingPolicy):
                 if node != dest
             }
         return tables
-
-    def fractions(
-        self, node: NodeId, destination: NodeId
-    ) -> Mapping[NodeId, float]:
-        return self._phi.get(node, {}).get(destination, {})
 
     def phi(self) -> dict[NodeId, dict[NodeId, dict[NodeId, float]]]:
         return self._phi

@@ -211,11 +211,6 @@ class MPFamilyPolicy(RoutingPolicy):
             for dest in self.destinations
         }
 
-    def fractions(
-        self, node: NodeId, destination: NodeId
-    ) -> Mapping[NodeId, float]:
-        return self.allocations[node].fractions(destination)
-
     def phi(self) -> dict[NodeId, dict[NodeId, dict[NodeId, float]]]:
         # The tables' stored entries, not copies: an entry AH left alone
         # stays the same object from epoch to epoch.

@@ -304,11 +304,11 @@ class FluidPlane:
 class PacketPlane:
     """The discrete-event packet simulator as a data plane.
 
-    Built lazily in :meth:`bind` (the network needs the routing
-    provider); each :meth:`advance` runs the engine one epoch and
-    reports *that window's* delivered-packet delays, so warmup
-    exclusion and bursty per-epoch flow activity work exactly as on the
-    fluid plane.
+    The network is built in :meth:`bind`, one per run.  Each
+    :meth:`advance` installs one phi snapshot from the policy, runs the
+    engine one epoch by it, and reports *that window's*
+    delivered-packet delays, so warmup exclusion and bursty per-epoch
+    flow activity work exactly as on the fluid plane.
     """
 
     name = "packet"
@@ -319,6 +319,7 @@ class PacketPlane:
         self.scenario = scenario
         self.config = config
         self.network: PacketNetwork | None = None
+        self.routing: RoutingPolicy | None = None
         self._tick = 0
         # Per-flow (delivered, delay_sum) totals at the window start.
         self._flow_marks: dict[str, tuple[int, float]] = {}
@@ -326,9 +327,9 @@ class PacketPlane:
 
     def bind(self, routing: RoutingPolicy) -> None:
         config = self.config
+        self.routing = routing
         self.network = PacketNetwork(
             self.scenario.topo,
-            routing,
             seed=config.seed,
             estimator=config.estimator,
             queue_capacity=config.queue_capacity,
@@ -354,6 +355,9 @@ class PacketPlane:
     def advance(self, time, dt, traffic):
         ob = obs.current()
         network = self.network
+        # The controller touches the policy only between epochs, so one
+        # snapshot is what every hop of this epoch would read.
+        network.route(self.routing.phi())
         network.run(until=time + dt)
         self._tick += 1
         record = self._window_record(time, dt)

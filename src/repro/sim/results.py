@@ -74,14 +74,5 @@ class RunResult:
         steady = self._steady()
         return sum(r.average_delay for r in steady) / len(steady)
 
-    def mean_total_delay(self) -> float:
-        """Time-averaged :math:`D_T`."""
-        steady = self._steady()
-        return sum(r.total_delay for r in steady) / len(steady)
-
     def peak_utilization(self) -> float:
         return max(r.max_utilization for r in self._steady())
-
-    def delay_series(self) -> list[tuple[float, float]]:
-        """(time, network average delay) — for oscillation inspection."""
-        return [(r.time, r.average_delay) for r in self.records]

@@ -53,10 +53,6 @@ class Scenario:
         the paper's setting; see :func:`with_failures`)."""
         return frozenset()
 
-    @property
-    def flow_labels(self) -> list[str]:
-        return [flow.label() for flow in self.traffic.flows]
-
 
 def cairn_scenario(
     load: float = 1.0,

@@ -332,19 +332,21 @@ def _audit_policy(policy, topo: Topology, up: set, destinations) -> None:
 
     ``audit_loop_free`` checks the Theorem-3 obligation of ``loop_free``
     policies; the fraction audit checks Property 1's contract for all of
-    them — fractions are a distribution over *live* physical neighbors
-    (an empty mapping declares the destination unreachable).
+    them, on one ``phi()`` snapshot — fractions are a distribution over
+    *live* physical neighbors (an empty or missing entry declares the
+    destination unreachable).
     """
     policy.audit_loop_free()
     neighbors: dict = {node: set() for node in topo.nodes}
     for a, b in up:
         neighbors[a].add(b)
         neighbors[b].add(a)
+    phi = policy.phi()
     for dest in destinations:
         for node in topo.nodes:
             if node == dest:
                 continue
-            fractions = policy.fractions(node, dest)
+            fractions = phi.get(node, {}).get(dest)
             if not fractions:
                 continue
             dead = sorted(set(fractions) - neighbors[node], key=repr)
@@ -353,13 +355,14 @@ def _audit_policy(policy, topo: Topology, up: set, destinations) -> None:
                     f"policy {policy.name!r} splits {node!r}->{dest!r} "
                     f"over non-neighbors (or downed links): {dead!r}"
                 )
-            worst = min(fractions.values())
-            if worst < -1e-9:
-                raise AllocationError(
-                    f"policy {policy.name!r} has a negative fraction "
-                    f"{worst!r} at {node!r}->{dest!r}"
-                )
-            total = sum(fractions.values())
+            total = 0.0
+            for nbr, fraction in fractions.items():
+                if not fraction >= -1e-9:  # negative or NaN
+                    raise AllocationError(
+                        f"policy {policy.name!r} has fraction {fraction!r} "
+                        f"toward {nbr!r} at {node!r}->{dest!r}"
+                    )
+                total += fraction
             if abs(total - 1.0) > 1e-6:
                 raise AllocationError(
                     f"policy {policy.name!r} fractions at {node!r}->"

@@ -1,6 +1,7 @@
 """IH and AH flow-allocation heuristics (Figs. 6-7) and Property 1."""
 
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -44,6 +45,12 @@ class TestIH:
             ih({"a": -1.0})
         with pytest.raises(AllocationError):
             ih({"a": float("nan")})
+        # An infinite distance used to give the other successors NaN.
+        for bad in (-1.0, math.nan, math.inf):
+            with pytest.raises(
+                AllocationError, match=re.escape(f"via 'b': {bad!r}")
+            ):
+                ih({"a": 1.0, "b": bad})
 
     @settings(max_examples=200, deadline=None)
     @given(d=distances)
@@ -104,6 +111,26 @@ class TestAH:
     def test_bad_damping_rejected(self):
         with pytest.raises(AllocationError):
             ah({"a": 0.5, "b": 0.5}, {"a": 1.0, "b": 2.0}, damping=0.0)
+
+    @pytest.mark.parametrize(
+        "distance_via, bad",
+        [
+            # Was a bare ValueError from min() of an empty tie list.
+            pytest.param({"a": math.nan, "b": 3.0}, "a", id="nan-first"),
+            # Was read as a fixed point: the entry came back unchanged.
+            pytest.param({"a": 1.0, "b": math.nan}, "b", id="nan-later"),
+            # Was a 0 * inf step that made every fraction NaN.
+            pytest.param({"a": 1.0, "b": math.inf}, "b", id="inf"),
+            # Was accepted, although IH rejects it.
+            pytest.param({"a": 1.0, "b": -2.0}, "b", id="negative"),
+        ],
+    )
+    def test_invalid_distance_rejected(self, distance_via, bad):
+        with pytest.raises(
+            AllocationError,
+            match=re.escape(f"via {bad!r}: {distance_via[bad]!r}"),
+        ):
+            ah({"a": 0.5, "b": 0.5}, distance_via)
 
     @settings(max_examples=200, deadline=None)
     @given(d=distances, data=st.data())
@@ -172,8 +199,7 @@ class TestAllocationTable:
         table = AllocationTable("r")
         table.update("j", {"a": 1.0})
         assert table.update("j", {}) == {}
-        assert table.fractions("j") == {}
-        assert table.destinations() == []
+        assert table.as_phi() == {}
 
     def test_as_phi_shape(self):
         table = AllocationTable("r")
@@ -188,7 +214,6 @@ class TestAllocationTable:
         table = AllocationTable("r")
         first = table.update("j", {"a": 1.0, "b": 1.0})
         assert table.update("j", {"a": 1.0, "b": 1.0}) is first
-        assert table.fractions("j") is first
         assert table.as_phi()["j"] is first
 
     def test_reordered_result_is_a_new_entry(self):
@@ -204,14 +229,31 @@ class TestAllocationTable:
         assert list(second.items()) == [("b", 0.5), ("a", 0.5)]
         assert table.update("j", {"a": 1.0, "b": 2.0}) is second
 
-    def test_property1_failure_names_router_and_destination(self):
-        """An infinite marginal distance makes AH's step 0 * inf: the
-        NaN it leaves must fail Property 1, naming where it is."""
+    def test_property1_failure_names_router_and_destination(
+        self, monkeypatch
+    ):
+        """A new entry that breaks Property 1 fails, naming where it is.
+        AH itself now rejects the infinite distance that once made such
+        an entry, so a stub stands in for it."""
+        table = AllocationTable("r")
+        table.update("j", {"a": 1.0, "b": 3.0})
+        monkeypatch.setattr(
+            "repro.core.allocation.ah",
+            lambda phi, distance_via, damping: {"a": 1.0, "b": math.nan},
+        )
+        with pytest.raises(
+            AllocationError,
+            match=r"router 'r' toward 'j': phi\['b'\] = nan is not a number",
+        ):
+            table.update("j", {"a": 1.0, "b": 2.0})
+
+    def test_bad_distance_names_router_and_destination(self):
         table = AllocationTable("r")
         table.update("j", {"a": 1.0, "b": 3.0})
         with pytest.raises(
             AllocationError,
-            match=r"router 'r' toward 'j': phi\['b'\] = nan is not a number",
+            match=r"router 'r' toward 'j': invalid marginal distance "
+            r"via 'b': inf",
         ):
             table.update("j", {"a": 1.0, "b": math.inf})
 

@@ -25,12 +25,6 @@ class TestLSUMessage:
         m2 = LSUMessage("a")
         assert m2.seq > m1.seq
 
-    def test_pure_ack(self):
-        assert LSUMessage("a", (), ack=True).is_pure_ack
-        entry = LinkEntry(EntryOp.ADD, "a", "b", 1.0)
-        assert not LSUMessage("a", (entry,), ack=True).is_pure_ack
-        assert not LSUMessage("a", ()).is_pure_ack
-
 
 class TestTopologyTable:
     def test_set_and_cost(self):

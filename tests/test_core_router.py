@@ -61,11 +61,11 @@ class TestRouteComputation:
     def test_allocation_shifts_toward_cheap_link(self, routing, diamond):
         costs = diamond.uniform_costs(1.0)
         routing.on_costs(costs)
-        before = routing.fractions("s", "t")
+        before = routing.phi()["s"].get("t", {})
         # make the link to a locally cheap and adjust
         costs[("s", "a")] = 0.1
         routing.on_short_costs(costs)
-        after = routing.fractions("s", "t")
+        after = routing.phi()["s"].get("t", {})
         assert after["a"] > before["a"]
 
     def test_update_counts(self, routing, diamond):
@@ -119,6 +119,6 @@ class TestDataPlaneIntegration:
         routing.on_costs(diamond.uniform_costs(1.0))
         all_succ = routing.routing()["t"]
         for node in diamond.nodes:
-            fractions = routing.fractions(node, "t")
+            fractions = routing.phi()[node].get("t", {})
             used = {k for k, f in fractions.items() if f > 0}
             assert used <= set(all_succ.get(node, []))

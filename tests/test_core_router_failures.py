@@ -58,14 +58,14 @@ class TestFailure:
         assert set(live.routing()["t"]["s"]) == {"a", "b"}
 
     def test_allocation_reseeded_on_failure(self, live):
-        before = live.fractions("s", "t")
+        before = live.phi()["s"].get("t", {})
         assert len(before) == 2
         live.on_link_event("down", "s", "a")
-        after = live.fractions("s", "t")
+        after = live.phi()["s"].get("t", {})
         assert after == {"b": 1.0}
 
     def test_partition_clears_routes(self, live):
         live.on_link_event("down", "s", "a")
         live.on_link_event("down", "s", "b")  # s is now cut off
         assert live.routing()["t"].get("s", []) == []
-        assert live.fractions("s", "t") == {}
+        assert live.phi()["s"].get("t", {}) == {}

@@ -83,9 +83,9 @@ class TestPlan:
 
     def test_with_shards_keeps_cells(self):
         plan = fuzz_plan(6, shards=1)
-        wide = plan.with_shards(3)
-        assert wide.cells == plan.cells
-        assert wide.shards == 3
+        wide = FleetPlan(kind=plan.kind, cells=plan.cells, shards=3)
+        owned = [cell for shard in range(3) for cell in wide.shard(shard)]
+        assert sorted(owned, key=lambda cell: cell.index) == list(plan.cells)
 
     def test_fuzz_plan_interleaves_policies(self):
         """Seed-major order: a truncated campaign still covers the zoo,

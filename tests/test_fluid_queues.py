@@ -90,4 +90,4 @@ class TestDelays:
     def test_total_backlog(self):
         q = FluidQueues(_model(), queue_limit=1000.0)
         q.step({("a", "b"): 1300.0}, dt=1.0)
-        assert q.total_backlog() == pytest.approx(300.0)
+        assert q.backlog == {("a", "b"): pytest.approx(300.0)}

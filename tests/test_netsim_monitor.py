@@ -91,13 +91,11 @@ class TestFlowMonitor:
     def test_delivery_statistics(self):
         monitor = FlowMonitor()
         p = Packet("f", "a", "b", created_at=1.0)
-        p.hops = 3
         monitor.note_injected("f")
         monitor.note_delivered(p, now=1.5)
         rec = monitor.flows["f"]
         assert rec.delivered == 1
         assert rec.mean_delay == pytest.approx(0.5)
-        assert rec.mean_hops == 3
         assert rec.max_delay == pytest.approx(0.5)
 
     def test_in_flight_accounting(self):

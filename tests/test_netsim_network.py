@@ -5,7 +5,6 @@ import pytest
 from repro.exceptions import SimulationError, TopologyError
 from repro.fluid.flows import Flow, TrafficMatrix
 from repro.netsim.network import PacketNetwork
-from repro.netsim.node import StaticRouting
 from repro.netsim.packet import Packet
 
 
@@ -15,7 +14,9 @@ def diamond_network(diamond, split=0.5, **kwargs):
         "a": {"t": {"t": 1.0}},
         "b": {"t": {"t": 1.0}},
     }
-    return PacketNetwork(diamond, StaticRouting(phi), **kwargs)
+    net = PacketNetwork(diamond, **kwargs)
+    net.route(phi)
+    return net
 
 
 class TestConstruction:
@@ -27,6 +28,14 @@ class TestConstruction:
     def test_unknown_estimator_rejected(self, diamond):
         with pytest.raises(SimulationError):
             diamond_network(diamond, estimator="psychic")
+
+    def test_route_gives_each_router_its_own_row(self, diamond):
+        phi = {"s": {"t": {"a": 1.0}}, "a": {"t": {"t": 1.0}}}
+        net = PacketNetwork(diamond)
+        net.route(phi)
+        assert net.nodes["s"].routes is phi["s"]
+        assert net.nodes["a"].routes is phi["a"]
+        assert net.nodes["b"].routes == {}
 
 
 class TestEndToEnd:

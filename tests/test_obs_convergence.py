@@ -211,20 +211,38 @@ class TestFailureLinkChoice:
         assert pick_failure_link(cairn()) == pick_failure_link(cairn())
 
 
+def _messages(result) -> tuple[int, int, int]:
+    return (
+        result.cold_messages,
+        result.fail_messages,
+        result.restore_messages,
+    )
+
+
 class TestFailoverExperiment:
+    """Seed-0 message counts per window (cold start, failure, restore),
+    the numbers EXPERIMENTS.md quotes; observing must not move them."""
+
     def test_net1_counts_and_audit(self):
         with obs.observe(audit=True):
             result = failover_experiment(net1(), "NET1", seed=0)
-        assert result.cold_messages > 0
-        assert result.fail_messages > 0
-        assert result.restore_messages > 0
+        assert _messages(result) == (259, 96, 72)
         assert result.audit["verdict"] == "pass"
         assert result.audit["violations"] == 0
 
     def test_runs_without_observation(self):
         result = failover_experiment(net1(), "NET1", seed=0)
-        assert result.cold_messages > 0
+        assert _messages(result) == (259, 96, 72)
         assert result.audit == {}
+
+    def test_cairn_counts_with_and_without_observation(self):
+        with obs.observe(audit=True):
+            audited = failover_experiment(cairn(), "CAIRN", seed=0)
+        plain = failover_experiment(cairn(), "CAIRN", seed=0)
+        assert _messages(audited) == _messages(plain) == (844, 254, 118)
+        assert audited.audit["verdict"] == "pass"
+        assert audited.audit["violations"] == 0
+        assert plain.audit == {}
 
     def test_table_lists_topologies(self):
         with obs.observe(audit=True, audit_sample=50):

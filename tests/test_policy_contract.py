@@ -3,9 +3,10 @@
 The registry is only useful if a name can be swapped for another without
 re-reading the implementation, so the whole zoo is parametrized through
 one set of obligations: validated lookup, deterministic runs under a
-fixed seed, well-formed successor sets and split fractions, and — for
-policies that claim ``loop_free`` — a clean Theorem-3 audit across a
-CAIRN link-failure/restore window.
+fixed seed, well-formed successor sets and split fractions, routes for
+every packet on the packet plane, entries that both planes may keep
+across epochs, and — for policies that claim ``loop_free`` — a clean
+Theorem-3 audit across a CAIRN link-failure/restore window.
 """
 
 from __future__ import annotations
@@ -18,11 +19,11 @@ from repro.graph.validation import assert_loop_free
 from repro.policy import available_policies, create_policy, policy_class
 from repro.sim.control import (
     FluidPlane,
+    PacketPlane,
     PacketRunConfig,
     QuasiStaticConfig,
     RunConfig,
     TwoTimescaleController,
-    run,
 )
 from repro.sim.scenario import cairn_scenario, with_failures
 
@@ -46,35 +47,60 @@ def _config(name: str, **overrides) -> QuasiStaticConfig:
     return QuasiStaticConfig(**base)
 
 
+def _packet_config(name: str, **overrides) -> PacketRunConfig:
+    base = dict(
+        tl=10.0,
+        ts=2.0,
+        duration=4.0,
+        seed=0,
+        policy=name,
+        policy_params=dict(POLICY_PARAMS.get(name, {})),
+    )
+    base.update(overrides)
+    return PacketRunConfig(**base)
+
+
 def _run(scenario, config, plane=None):
     controller = TwoTimescaleController(scenario, config, plane=plane)
     result = controller.run()
     return controller.policy, result
 
 
-class _HandOutRecorder(FluidPlane):
-    """A fluid plane that, before each epoch, reads every entry the
-    policy hands out through ``phi()`` and ``fractions()`` and notes its
-    items in order."""
+def _note(handed_out: list, rows) -> None:
+    """Append every entry of ``rows`` with its items, in order."""
+    handed_out += [
+        (entry, list(entry.items())) for row in rows for entry in row.values()
+    ]
+
+
+class _FluidHandOuts(FluidPlane):
+    """A fluid plane that notes, before each epoch, every entry the
+    policy's ``phi()`` hands out."""
 
     def __init__(self, scenario, config):
         super().__init__(scenario, config)
         self.handed_out: list[tuple[object, list]] = []
 
     def advance(self, time, dt, traffic):
-        policy = self.routing
-        entries = [
-            entry
-            for by_dest in policy.phi().values()
-            for entry in by_dest.values()
-        ]
-        entries += [
-            policy.fractions(node, dest)
-            for node in policy.topo.nodes
-            for dest in policy.destinations
-        ]
-        self.handed_out += [(entry, list(entry.items())) for entry in entries]
+        _note(self.handed_out, self.routing.phi().values())
         return super().advance(time, dt, traffic)
+
+
+class _PacketHandOuts(PacketPlane):
+    """A packet plane that notes, after each epoch, every entry its
+    routers forwarded by during it."""
+
+    def __init__(self, scenario, config):
+        super().__init__(scenario, config)
+        self.handed_out: list[tuple[object, list]] = []
+
+    def advance(self, time, dt, traffic):
+        epoch = super().advance(time, dt, traffic)
+        _note(
+            self.handed_out,
+            (node.routes for node in self.network.nodes.values()),
+        )
+        return epoch
 
 
 # ----------------------------------------------------------------------
@@ -187,15 +213,6 @@ class TestConfigValidation:
         assert config.policy == (policy or "mp-oracle")
         assert config.label == label
 
-    def test_ecmp_runs_on_the_packet_plane(self, cairn):
-        result = run(
-            cairn,
-            PacketRunConfig(tl=10.0, ts=2.0, duration=4.0, policy="ecmp"),
-        )
-        assert result.plane == "packet"
-        assert result.label == "ECMP-TL-10-TS-2(pkt)"
-        assert result.mean_flow_delays()
-
 
 # ----------------------------------------------------------------------
 # the run contract, parametrized over the whole zoo
@@ -219,6 +236,7 @@ class TestPolicyContract:
         policy, result = _run(cairn, _config(name))
         topo = cairn.topo
         tables = policy.routing()
+        phi = policy.phi()
         assert tables, f"{name} produced no routing tables"
         for dest, by_node in tables.items():
             for node, successors in by_node.items():
@@ -227,7 +245,7 @@ class TestPolicyContract:
                     f"{name}: {node}->{dest} successors {successors} "
                     f"not all neighbors"
                 )
-                fractions = policy.fractions(node, dest)
+                fractions = phi[node].get(dest, {})
                 assert set(fractions) <= neighbors
                 if fractions:
                     assert all(f >= 0.0 for f in fractions.values())
@@ -250,20 +268,41 @@ class TestPolicyContract:
         policy.audit_loop_free()
         assert policy.audit_checks > checks_before
 
+    def test_runs_on_the_packet_plane(self, name, cairn):
+        """A few sim-seconds of packets: every hop finds a route."""
+        config = _packet_config(name)
+        controller = TwoTimescaleController(cairn, config)
+        result = controller.run()
+        monitor = controller.plane.network.flow_monitor
+        assert result.plane == "packet"
+        assert result.label == config.label
+        assert result.mean_flow_delays()
+        assert monitor.total_delivered() > 0
+        assert monitor.no_route_drops == 0
+
     def test_handed_out_entries_are_never_edited(self, name, cairn):
-        """Every entry ``phi()`` and ``fractions()`` hand out, across a
-        link down/up window, ends the run holding the items it held, in
-        the same order: the fluid plane rebuilds its routing DAGs from
-        the previous epoch's on that promise."""
+        """Every entry either plane reads from ``phi()``, across a link
+        down/up window, ends the run holding the items it held, in the
+        same order: the fluid plane rebuilds its routing DAGs from the
+        previous epoch's on that promise, and the packet plane's routers
+        forward by one snapshot for a whole epoch."""
         a, b = pick_failure_link(cairn.topo)
-        scenario = with_failures(cairn, {(a, b): [(10.0, 20.0)]})
-        config = _config(name)
-        plane = _HandOutRecorder(scenario, config)
-        _run(scenario, config, plane)
-        assert plane.handed_out
-        edited = [
-            (items, list(entry.items()))
-            for entry, items in plane.handed_out
-            if list(entry.items()) != items
-        ]
-        assert not edited, f"{name} edited {len(edited)} entries: {edited[:3]}"
+        planes = (
+            (_FluidHandOuts, _config(name), (10.0, 20.0)),
+            (_PacketHandOuts, _packet_config(name, tl=4.0, duration=8.0),
+             (2.0, 6.0)),
+        )
+        for plane_cls, config, window in planes:
+            scenario = with_failures(cairn, {(a, b): [window]})
+            plane = plane_cls(scenario, config)
+            _run(scenario, config, plane)
+            assert plane.handed_out
+            edited = [
+                (items, list(entry.items()))
+                for entry, items in plane.handed_out
+                if list(entry.items()) != items
+            ]
+            assert not edited, (
+                f"{name} edited {len(edited)} entries on the {plane.name} "
+                f"plane: {edited[:3]}"
+            )

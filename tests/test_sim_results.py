@@ -49,11 +49,15 @@ class TestRunResult:
         result.records.append(record(0.0, {}, avg=1.0, total=10.0, util=0.3))
         result.records.append(record(1.0, {}, avg=3.0, total=30.0, util=0.9))
         assert result.mean_average_delay() == 2.0
-        assert result.mean_total_delay() == 20.0
         assert result.peak_utilization() == 0.9
 
     def test_delay_series_includes_warmup(self):
+        """Warmup epochs stay in the records; only the means skip them."""
         result = RunResult("MP", "sc", warmup=10.0)
         result.records.append(record(0.0, {}, avg=1.0))
         result.records.append(record(20.0, {}, avg=2.0))
-        assert result.delay_series() == [(0.0, 1.0), (20.0, 2.0)]
+        assert [(r.time, r.average_delay) for r in result.records] == [
+            (0.0, 1.0),
+            (20.0, 2.0),
+        ]
+        assert result.mean_average_delay() == 2.0

@@ -48,7 +48,9 @@ class TestPaperScenarios:
 
     def test_flow_labels(self):
         sc = net1_scenario()
-        assert sc.flow_labels == [f"f{i}" for i in range(10)]
+        assert [flow.label() for flow in sc.traffic.flows] == [
+            f"f{i}" for i in range(10)
+        ]
 
 
 class TestBurstyScenario:

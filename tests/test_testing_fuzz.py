@@ -241,9 +241,16 @@ class TestPolicyCases:
             def audit_loop_free(self):
                 pass
 
-            def fractions(self, node, dest):
+            def phi(self):
                 # Every node claims a successor that is not a neighbor.
-                return {dest: 1.0} if dest not in topo.neighbors(node) else {}
+                return {
+                    node: {
+                        dest: {dest: 1.0}
+                        for dest in nodes
+                        if dest not in topo.neighbors(node)
+                    }
+                    for node in nodes
+                }
 
         with pytest.raises(AllocationError):
             _audit_policy(Bogus(), topo, up, nodes)
@@ -261,12 +268,51 @@ class TestPolicyCases:
             def audit_loop_free(self):
                 pass
 
-            def fractions(self, node, dest):
-                neighbors = topo.neighbors(node)
-                return {neighbors[0]: 0.5}
+            def phi(self):
+                return {
+                    node: {
+                        dest: {topo.neighbors(node)[0]: 0.5}
+                        for dest in topo.nodes
+                    }
+                    for node in topo.nodes
+                }
 
         with pytest.raises(AllocationError):
             _audit_policy(Half(), topo, up, topo.nodes)
+
+    def test_audit_rejects_nan_fractions(self):
+        """NaN passes both a ``< 0`` and a ``!= 1`` test; the audit must
+        still name the policy, the router, the destination and the
+        neighbor."""
+        topo = build_topology({"kind": "named", "name": "cairn"})
+        up = {
+            tuple(sorted(ln.link_id, key=repr)) for ln in topo.links()
+        }
+        first = topo.nodes[0]
+        dest = next(node for node in topo.nodes if node != first)
+        nbr = topo.neighbors(first)[0]
+
+        class NaNs:
+            name = "nans"
+            loop_free = False
+
+            def audit_loop_free(self):
+                pass
+
+            def phi(self):
+                return {
+                    node: {
+                        d: {n: float("nan") for n in topo.neighbors(node)}
+                        for d in topo.nodes
+                    }
+                    for node in topo.nodes
+                }
+
+        with pytest.raises(AllocationError) as exc:
+            _audit_policy(NaNs(), topo, up, [dest])
+        message = str(exc.value)
+        for part in ("'nans'", "nan", repr(first), repr(dest), repr(nbr)):
+            assert part in message
 
 
 class TestVerdictsAndMinimization:
