@@ -1,6 +1,6 @@
 """MICRO — hot-path kernels: shared-heap SPF, incremental protocol core, OPT,
-the fluid epoch loop, the packet event loop, the per-delivery Theorem-3
-check.
+the fluid epoch loop, the packet event loop, the packet hop path, the
+per-delivery Theorem-3 check.
 
 Not a paper figure; pins the optimized kernels against their scalar /
 naive counterparts so a regression in either speed or exactness shows
@@ -16,6 +16,7 @@ import heapq
 import itertools
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import pytest
 
@@ -30,6 +31,8 @@ from repro.gallager.opt import optimize
 from repro.graph.generators import waxman
 from repro.graph.shortest_paths import SharedSPF
 from repro.netsim.engine import Engine
+from repro.netsim.monitor import LinkMonitor, check_hop_limit, hop_limit
+from repro.netsim.queueing import FIFOQueue
 from repro.sim.control import (
     PacketRunConfig,
     QuasiStaticConfig,
@@ -377,6 +380,208 @@ def test_packet_event_loop(benchmark, record_figure, monkeypatch):
         f"{network.engine.processed} events): dataclass heap "
         f"{reference_s:.2f} s, tuple heap {engine_s:.2f} s "
         f"({reference_s / engine_s:.1f}x)",
+    )
+
+
+# ----------------------------------------------------------------------
+# The packet hop path
+# ----------------------------------------------------------------------
+class LinearScanNode:
+    """Reference router that re-reads its phi entry on every hop.
+
+    Each forward filters the entry for successors with a positive
+    fraction and a link, then scans their running sum for the pick:
+    receive, forward and the weighted choice are three calls, and the
+    network's delivery callback adds a fourth.  It takes
+    :class:`~repro.netsim.node.SimNode`'s constructor and ``install``,
+    so the network builds it unchanged.
+    """
+
+    def __init__(self, node_id, engine, flow_monitor, rng, num_nodes):
+        self.node_id = node_id
+        self.engine = engine
+        self.routes = {}
+        self.flow_monitor = flow_monitor
+        self.rng = rng
+        self.num_nodes = num_nodes
+        self.max_hops = hop_limit(num_nodes)
+        self.out_links = {}
+
+    def bind_links(self, out_links):
+        self.out_links = dict(out_links)
+
+    def install(self, row):
+        self.routes = row
+
+    def receive(self, packet):
+        # The delivery closure the network used to bind per link.
+        self._receive(packet, self.engine.now)
+
+    def _receive(self, packet, now):
+        if packet.destination == self.node_id:
+            self.flow_monitor.note_delivered(packet, now)
+            return
+        self.forward(packet)
+
+    def forward(self, packet):
+        packet.hops += 1
+        if packet.hops > self.max_hops:
+            check_hop_limit(packet, self.num_nodes, self.node_id)
+        choice = self._choose(self.routes.get(packet.destination, {}))
+        if choice is None:
+            self.flow_monitor.note_no_route()
+            return
+        self.out_links[choice].send(packet)
+
+    def _choose(self, fractions):
+        total = 0.0
+        usable = []
+        for nbr, fraction in fractions.items():
+            if fraction > 0.0 and nbr in self.out_links:
+                usable.append((nbr, fraction))
+                total += fraction
+        if not usable:
+            return None
+        if len(usable) == 1:
+            return usable[0][0]
+        pick = self.rng.random() * total
+        acc = 0.0
+        for nbr, fraction in usable:
+            acc += fraction
+            if pick <= acc:
+                return nbr
+        return usable[-1][0]
+
+
+class PartialLink:
+    """Reference link that binds a fresh ``partial`` per transmission.
+
+    The packet in service and its arrival time travel in the completion
+    callback, and starting a service is a call of its own; otherwise it
+    is :class:`~repro.netsim.link.SimLink`, draw for draw.
+    """
+
+    def __init__(
+        self, engine, link, deliver, rng, *, queue_capacity=None, on_drop=None
+    ):
+        self.engine = engine
+        self.link = link
+        self.deliver = deliver
+        self.queue = FIFOQueue(queue_capacity)
+        self.on_drop = on_drop
+        self.monitor = LinkMonitor(link.prop_delay)
+        self.busy = False
+        self.up = True
+        self.busy_time = 0.0
+        self._service_started = 0.0
+        self._prop_delay = link.prop_delay
+        self._service_time = partial(rng.expovariate, link.capacity)
+
+    def send(self, packet):
+        if not self.up:
+            self.queue.dropped += 1
+            self._note_drop()
+            return
+        now = self.engine.now
+        if self.busy:
+            if not self.queue.push(packet, now):
+                self._note_drop()
+        else:
+            self._begin_service(packet, now)
+
+    def _note_drop(self):
+        if self.on_drop is not None:
+            self.on_drop()
+
+    def _begin_service(self, packet, arrived):
+        self.busy = True
+        self._service_started = self.engine.now
+        self.engine.schedule(
+            self._service_time(), partial(self._finish_service, packet, arrived)
+        )
+
+    def _finish_service(self, packet, arrived):
+        now = self.engine.now
+        self.busy_time += now - self._service_started
+        self.monitor.record(
+            self._service_started - arrived,
+            now - self._service_started,
+            propagated=self.up,
+        )
+        if self.up:
+            self.engine.schedule(self._prop_delay, partial(self.deliver, packet))
+        else:
+            self._note_drop()
+        if self.queue:
+            next_packet, enqueue_time = self.queue.pop()
+            self._begin_service(next_packet, enqueue_time)
+        else:
+            self.busy = False
+
+    def fail(self):
+        self.up = False
+        while self.queue:
+            self.queue.pop()
+            self.queue.dropped += 1
+            self._note_drop()
+
+    def restore(self):
+        self.up = True
+
+    def utilization(self, elapsed):
+        if elapsed <= 0:
+            return 0.0
+        busy = self.busy_time
+        if self.busy:
+            busy += self.engine.now - self._service_started
+        return busy / elapsed
+
+
+def test_packet_hop_path(benchmark, record_figure, monkeypatch):
+    """CAIRN at load 1.2 under ``mp-oracle``: a hop by the compiled
+    forwarding table and one in-service slot, against a hop that
+    re-reads phi and binds a partial per transmission.
+
+    Both runs draw the same random numbers and fire the same events in
+    the same order, so every flow record, link total, queue high-water
+    mark, the event count and every epoch record must be equal before
+    the speed ratio is reported.
+    """
+    scenario = cairn_scenario(load=1.2)
+    config = PacketRunConfig(
+        policy="mp-oracle", tl=10.0, ts=2.0, duration=5.0, warmup=1.0, seed=0
+    )
+
+    def simulate():
+        controller = TwoTimescaleController(scenario, config)
+        result = controller.run()
+        return result, controller.plane.network
+
+    result, network = run_once(benchmark, simulate)
+
+    with monkeypatch.context() as patch:
+        patch.setattr("repro.netsim.network.SimNode", LinearScanNode)
+        patch.setattr("repro.netsim.network.SimLink", PartialLink)
+        t0 = time.perf_counter()
+        reference, reference_net = simulate()
+        reference_s = time.perf_counter() - t0
+
+    assert {type(node) for node in reference_net.nodes.values()} == {
+        LinearScanNode
+    }
+    assert {type(link) for link in reference_net.links.values()} == {
+        PartialLink
+    }
+    assert _packet_outputs(network) == _packet_outputs(reference_net)
+    assert result.records == reference.records
+    hop_s = benchmark.stats.stats.mean
+    record_figure(
+        "micro_packet_hop",
+        f"Packet CAIRN at load 1.2 (mp-oracle, {config.duration:g} sim-s, "
+        f"{network.engine.processed} events): per-hop phi scan and a "
+        f"partial per transmission {reference_s:.2f} s, compiled "
+        f"forwarding table and one in-service slot {hop_s:.2f} s "
+        f"({reference_s / hop_s:.2f}x)",
     )
 
 

@@ -73,6 +73,11 @@ def ih(distance_via: Mapping[NodeId, float]) -> dict[NodeId, float]:
         (only,) = distance_via
         return {only: 1.0}
     total = sum(distance_via.values())
+    if not total < INFINITY:
+        raise AllocationError(
+            "marginal distances via "
+            f"{', '.join(map(repr, distance_via))} sum to {total!r}"
+        )
     n = len(distance_via)
     if total <= 0.0:
         # All distances zero: nothing distinguishes the successors.

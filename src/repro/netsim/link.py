@@ -4,6 +4,11 @@ A :class:`SimLink` is one *direction* of a physical link.  Service times
 are exponential with mean :math:`1/C`, so a Poisson-fed link is an M/M/1
 queue — matching the delay law the paper's cost function assumes
 (Eq. 24).
+
+A link transmits one packet at a time: the packet in service and its
+arrival time sit in one slot, and one pre-bound completion method is
+scheduled per transmission, so a packet costs two events on each hop —
+its service completion and its delivery to the next router.
 """
 
 from __future__ import annotations
@@ -52,13 +57,18 @@ class SimLink:
         self.queue = FIFOQueue(queue_capacity)
         self.on_drop = on_drop
         self.monitor = LinkMonitor(link.prop_delay)
-        self.busy = False
         self.up = True
         self.busy_time = 0.0
+        #: The packet being transmitted (None when idle), when it
+        #: reached this link, and when its transmission began.
+        self._in_service: Packet | None = None
+        self._arrived = 0.0
         self._service_started = 0.0
         # A link's attributes never change: read them once, not per packet.
         self._prop_delay = link.prop_delay
         self._service_time = partial(rng.expovariate, link.capacity)
+        # Bound once, scheduled for every transmission.
+        self._finish = self._finish_service
 
     # ------------------------------------------------------------------
     def send(self, packet: Packet) -> None:
@@ -68,42 +78,40 @@ class SimLink:
             self._note_drop()
             return
         now = self.engine.now
-        if self.busy:
+        if self._in_service is not None:
             if not self.queue.push(packet, now):
                 self._note_drop()
-        else:
-            self._begin_service(packet, now)
+            return
+        self._in_service = packet
+        self._arrived = self._service_started = now
+        self.engine.schedule(self._service_time(), self._finish)
 
     def _note_drop(self) -> None:
         if self.on_drop is not None:
             self.on_drop()
 
-    def _begin_service(self, packet: Packet, arrived: float) -> None:
-        self.busy = True
-        self._service_started = self.engine.now
-        self.engine.schedule(
-            self._service_time(), partial(self._finish_service, packet, arrived)
-        )
-
-    def _finish_service(self, packet: Packet, arrived: float) -> None:
-        now = self.engine.now
-        self.busy_time += now - self._service_started
+    def _finish_service(self) -> None:
+        """The packet in service is transmitted: propagate it, or drop
+        it if the link went down meanwhile, and serve the next one."""
+        engine = self.engine
+        now = engine.now
+        started = self._service_started
+        self.busy_time += now - started
         # Queueing wait ends when service begins; the split feeds the
         # end-to-end delay decomposition in the run reports.
-        self.monitor.record(
-            self._service_started - arrived,
-            now - self._service_started,
-            propagated=self.up,
-        )
+        self.monitor.record(started - self._arrived, now - started, self.up)
         if self.up:
-            self.engine.schedule(self._prop_delay, partial(self.deliver, packet))
+            engine.schedule(
+                self._prop_delay, partial(self.deliver, self._in_service)
+            )
         else:
             self._note_drop()  # lost with the link mid-transmission
         if self.queue:
-            next_packet, enqueue_time = self.queue.pop()
-            self._begin_service(next_packet, enqueue_time)
+            self._in_service, self._arrived = self.queue.pop()
+            self._service_started = now
+            engine.schedule(self._service_time(), self._finish)
         else:
-            self.busy = False
+            self._in_service = None
 
     # ------------------------------------------------------------------
     def fail(self) -> None:
@@ -122,6 +130,6 @@ class SimLink:
         if elapsed <= 0:
             return 0.0
         busy = self.busy_time
-        if self.busy:
+        if self._in_service is not None:
             busy += self.engine.now - self._service_started
         return busy / elapsed

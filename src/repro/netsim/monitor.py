@@ -40,7 +40,7 @@ class LinkMonitor:
         self.total_prop_s = 0.0
 
     def record(
-        self, wait_s: float, service_s: float, *, propagated: bool = True
+        self, wait_s: float, service_s: float, propagated: bool = True
     ) -> None:
         self._packets += 1
         self._delay_sum += wait_s + service_s
@@ -110,7 +110,9 @@ class FlowMonitor:
         self.queue_drops += 1
 
     def note_delivered(self, packet: Packet, now: float) -> None:
-        record = self.flows.setdefault(packet.flow, FlowRecord())
+        record = self.flows.get(packet.flow)
+        if record is None:
+            record = self.flows[packet.flow] = FlowRecord()
         delay = now - packet.created_at
         record.delivered += 1
         record.delay_sum += delay

@@ -2,13 +2,16 @@
 
 :class:`PacketNetwork` builds one :class:`~repro.netsim.node.SimNode`
 per router and one :class:`~repro.netsim.link.SimLink` per directed
-link, wires delivery paths, and owns the measurement plumbing: per-link
-cost estimators fed from the link monitors, and the flow monitor
-recording end-to-end delays.
+link, and wires each link to deliver straight into its receiving
+router's :meth:`~repro.netsim.node.SimNode.receive`.  It owns the
+measurement plumbing: per-link cost estimators fed from the link
+monitors, and the flow monitor recording end-to-end delays.
 
 It is routing-agnostic: :meth:`PacketNetwork.route` installs any phi
 mapping — a policy's ``phi()`` once per epoch, or a fixed one — so the
-same network runs MP, SP, OPT-derived parameters, or a fixed phi.
+same network runs MP, SP, OPT-derived parameters, or a fixed phi.  Each
+router compiles its row into a forwarding table when it is installed,
+so no hop re-reads the fractions.
 """
 
 from __future__ import annotations
@@ -70,6 +73,7 @@ class PacketNetwork:
         for node in topo.nodes:
             self.nodes[node] = SimNode(
                 node,
+                self.engine,
                 self.flow_monitor,
                 random.Random(master.getrandbits(64)),
                 topo.num_nodes,
@@ -81,7 +85,7 @@ class PacketNetwork:
             self.links[ln.link_id] = SimLink(
                 self.engine,
                 ln,
-                self._deliver_to(self.nodes[ln.tail]),
+                self.nodes[ln.tail].receive,
                 random.Random(master.getrandbits(64)),
                 queue_capacity=queue_capacity,
                 on_drop=self.flow_monitor.note_queue_drop,
@@ -105,27 +109,24 @@ class PacketNetwork:
     # ------------------------------------------------------------------
     # data plane
     # ------------------------------------------------------------------
-    def _deliver_to(self, node: SimNode):
-        engine = self.engine
-        receive = node.receive
-
-        def deliver(packet: Packet) -> None:
-            receive(packet, engine.now)
-
-        return deliver
-
     def route(
         self, phi: Mapping[NodeId, Mapping[NodeId, Mapping[NodeId, float]]]
     ) -> None:
         """Forward by ``phi`` (``phi[node][dest][nbr]``) until the next call.
 
-        Each router keeps its own row, not a copy, so the entries must
+        Each router keeps its own row, not a copy, and compiles the
+        entries that are not the objects it already holds into its
+        forwarding table (:meth:`SimNode.install`), so the entries must
         stay unedited while it forwards by them — the read-only promise
         of :meth:`repro.policy.RoutingPolicy.phi`.  A router ``phi``
         omits has no routes.
+
+        Raises:
+            AllocationError: an entry holds a NaN, infinite or negative
+                fraction.
         """
         for node_id, node in self.nodes.items():
-            node.routes = phi.get(node_id, {})
+            node.install(phi.get(node_id, {}))
 
     def inject(self, packet: Packet) -> None:
         """Inject a packet at its source router."""
@@ -134,7 +135,7 @@ class PacketNetwork:
         except KeyError:
             raise TopologyError(f"unknown source {packet.source!r}")
         self.flow_monitor.note_injected(packet.flow)
-        node.receive(packet, self.engine.now)
+        node.receive(packet)
 
     # ------------------------------------------------------------------
     # workload attachment

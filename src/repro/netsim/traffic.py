@@ -43,6 +43,7 @@ class _SourceBase:
         self.engine = engine
         self.inject = inject
         self.flow = flow
+        self.label = flow.label()
         self.start = start
         self.stop = stop
         self.emitted = 0
@@ -52,7 +53,7 @@ class _SourceBase:
 
     def _emit(self) -> None:
         packet = Packet(
-            self.flow.label(),
+            self.label,
             self.flow.source,
             self.flow.destination,
             self.engine.now,

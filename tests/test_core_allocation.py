@@ -51,6 +51,14 @@ class TestIH:
                 AllocationError, match=re.escape(f"via 'b': {bad!r}")
             ):
                 ih({"a": 1.0, "b": bad})
+        # Finite distances whose sum overflows used to give every
+        # successor 1 / (n - 1), a split summing past one.
+        for distances, via in (
+            ({"a": 1e308, "b": 1e308}, "via 'a', 'b' sum to inf"),
+            ({"a": 1e308, "b": 1e308, "c": 1e308}, "via 'a', 'b', 'c' sum"),
+        ):
+            with pytest.raises(AllocationError, match=re.escape(via)):
+                ih(distances)
 
     @settings(max_examples=200, deadline=None)
     @given(d=distances)
