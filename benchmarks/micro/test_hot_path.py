@@ -22,7 +22,7 @@ import pytest
 
 from benchmarks.conftest import run_once
 from repro.core.driver import ProtocolDriver
-from repro.core.mpda import MPDARouter
+from repro.core.mpda import MPDARouter, check_safety
 from repro.fleet.plan import fuzz_plan
 from repro.fleet.worker import execute_cell
 from repro.fluid.delay import DelayModel
@@ -40,7 +40,6 @@ from repro.sim.control import (
     run,
 )
 from repro.sim.scenario import cairn_scenario, net1_scenario
-from repro.testing import safety_reference
 from repro.testing.opt_reference import naive_optimize
 from repro.testing.oracle import OracleMPDA
 
@@ -588,17 +587,24 @@ def test_packet_hop_path(benchmark, record_figure, monkeypatch):
 # ----------------------------------------------------------------------
 # The per-delivery Theorem-3 check
 # ----------------------------------------------------------------------
-def test_safety_check(benchmark, record_figure, monkeypatch):
-    """The ``mp`` cells of a fixed fuzz plan: production check vs the
-    naive reference.
+class _FullCheckAfterEachDelivery:
+    """Stands in for ProtocolDriver's incremental check: the full
+    :func:`repro.core.mpda.check_safety` after every delivery."""
 
-    Every delivery of every cell runs the Theorem-3 check, once with
-    :func:`repro.core.mpda.check_safety`, which reads the routers in
-    place and peels each successor graph, and once with
-    :func:`repro.testing.safety_reference.check_safety`, which copies the
-    state into maps and searches depth-first.  Both runs must give the
-    same verdict records (status and every metric) before the speed
-    ratio is reported.
+    def __call__(self, routers, *, full=False):
+        check_safety(routers)
+
+
+def test_safety_check(benchmark, record_figure, monkeypatch):
+    """The ``mp`` cells of a fixed fuzz plan: the incremental check vs
+    the full check after every delivery.
+
+    Every delivery of every cell runs the Theorem-3 check, once through
+    :class:`repro.core.mpda.IncrementalSafetyCheck`, which re-verifies
+    only the conditions that read a router whose version moved, and once
+    with the full :func:`repro.core.mpda.check_safety` over every router
+    and destination.  Both runs must give the same verdict records
+    (status and every metric) before the speed ratio is reported.
     """
     cells = fuzz_plan(30, seed=0, policies=("mp",)).cells
 
@@ -609,13 +615,14 @@ def test_safety_check(benchmark, record_figure, monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(
-            "repro.core.driver.check_safety", safety_reference.check_safety
+            "repro.core.driver.IncrementalSafetyCheck",
+            _FullCheckAfterEachDelivery,
         )
         t0 = time.perf_counter()
-        reference = campaign()
-        reference_s = time.perf_counter() - t0
+        full = campaign()
+        full_s = time.perf_counter() - t0
 
-    assert records == reference
+    assert records == full
     assert {record["status"] for record in records} == {"pass"}
     check_s = benchmark.stats.stats.mean
     deliveries = sum(
@@ -625,6 +632,7 @@ def test_safety_check(benchmark, record_figure, monkeypatch):
         "micro_safety_check",
         f"{len(cells)} reliable mp fuzz cells ({deliveries} deliveries, "
         f"a Theorem-3 check after each): the campaign takes "
-        f"{reference_s:.2f} s with the reference check, {check_s:.2f} s "
-        f"with check_safety ({reference_s / check_s:.1f}x)",
+        f"{full_s:.2f} s with the full check_safety after every delivery, "
+        f"{check_s:.2f} s with the incremental check "
+        f"({full_s / check_s:.2f}x)",
     )

@@ -12,7 +12,9 @@ Components (Section 4 of the paper):
   (Figs. 1-3);
 - :mod:`repro.core.mpda` — the Multipath PDA (Fig. 4) with one-hop
   ACTIVE/PASSIVE synchronization enforcing the LFI conditions, and
-  :func:`~repro.core.mpda.check_safety`, their checker (Theorem 3);
+  :func:`~repro.core.mpda.check_safety`, their checker (Theorem 3),
+  which :class:`~repro.core.mpda.IncrementalSafetyCheck` runs after
+  every event at the cost of what moved;
 - :mod:`repro.core.driver` — a deterministic message-passing driver for
   running a network of protocol routers to quiescence;
 - :mod:`repro.core.transport` — the pluggable channel model under the

@@ -17,9 +17,12 @@ FaultyChannel` subjects the protocol to loss / duplication / reordering
 assumption over the faulty wire (see :mod:`repro.core.transport`).
 
 The driver can machine-check Theorem 3 (instantaneous loop freedom) after
-*every single delivery* via :func:`repro.core.mpda.check_safety`; the
-check reads the routers in place, so it costs a pass over their dicts per
-destination and copies nothing but the successor map it peels.
+*every single delivery* (``check_invariants``).  Each check goes through
+an :class:`~repro.core.mpda.IncrementalSafetyCheck`, which re-verifies
+only the conditions that read a router whose ``route_version`` moved and
+runs the full :func:`repro.core.mpda.check_safety` on anything suspect;
+each :meth:`ProtocolDriver.run` ends with a full check, which also
+catches state edited behind the protocol's back.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from time import perf_counter
 
 from repro import obs
 from repro.core.linkstate import INFINITY
-from repro.core.mpda import MPDARouter, check_safety
+from repro.core.mpda import IncrementalSafetyCheck, MPDARouter
 from repro.core.pda import PDARouter
 from repro.core.transport import PerfectChannel, Transport
 from repro.exceptions import ConvergenceError, RoutingError, TopologyError
@@ -81,7 +84,8 @@ class ProtocolDriver:
         router_factory: constructor for each router (default MPDA).
         seed: seed for the delivery interleaving.
         check_invariants: when True (and the routers are MPDA), verify the
-            LFI safety property after every event.
+            LFI safety property after every event, and in full at the
+            end of every :meth:`run`.
         transport: the channel model control messages travel through;
             defaults to a fresh :class:`PerfectChannel` (the paper's
             delivery assumption, the historical behavior).
@@ -121,6 +125,7 @@ class ProtocolDriver:
         }
         self._rng = random.Random(seed)
         self.check_invariants = check_invariants
+        self._safety = IncrementalSafetyCheck()
         self.delivered = 0
         self._started = False
         #: node -> (perf_counter at ACTIVE entry, deliveries at entry);
@@ -267,6 +272,8 @@ class ProtocolDriver:
                         f"protocol did not quiesce within {max_messages} "
                         "messages"
                     )
+        if self.check_invariants and self._mpda_routers:
+            self._safety(self._mpda_routers, full=True)
         if ob is not None:
             self.harvest_metrics(ob.metrics)
             self._note_quiescent(ob, done, perf_counter() - started)
@@ -592,10 +599,8 @@ class ProtocolDriver:
         router.outbox.clear()
 
     def _maybe_check(self) -> None:
-        if not self.check_invariants:
-            return
-        if self._mpda_routers:
-            check_safety(self._mpda_routers)
+        if self.check_invariants and self._mpda_routers:
+            self._safety(self._mpda_routers)
 
     def _require_started(self) -> None:
         if not self._started:

@@ -20,13 +20,16 @@ at every instant* (Theorem 3):
   \\{k : D^i_{jk} < FD^i_j\\}` (Eq. 17) after *every* event.
 
 :func:`check_safety` verifies the LFI conditions across a whole network
-of live routers, including in-flight states; the simulation drivers call
-it after every event to machine-check Theorem 3.  It is the only
-Theorem-3 checker in ``repro.core``: it reads each router's dicts in
-place, one pass per destination, and decides acyclicity with the peeling
-pass of :func:`repro.graph.validation.find_successor_cycle`.  The
-test-only :mod:`repro.testing.safety_reference` keeps the naive
-map-building form it is differentially tested against.
+of live routers, including in-flight states.  It is the only Theorem-3
+checker in ``repro.core``: it reads each router's dicts in place, one
+pass per destination, and decides acyclicity with the peeling pass of
+:func:`repro.graph.validation.find_successor_cycle`.  ProtocolDriver and the
+invariant auditor run it after every event through
+:class:`IncrementalSafetyCheck`, which re-verifies only the conditions
+that read a router whose state moved and hands every suspect state to
+:func:`check_safety`.  The test-only :mod:`repro.testing.safety_reference`
+keeps the naive map-building form both are differentially tested
+against.
 """
 
 from __future__ import annotations
@@ -353,7 +356,12 @@ def check_safety(
     :func:`~repro.graph.validation.find_successor_cycle` peels.  A
     successor must be an up neighbor; one whose row lacks *j* reports
     an infinite distance.  The first violation found is raised, so the
-    order above decides which one a broken state reports.
+    order above decides which one a broken state reports.  Wherever a
+    set would decide that order, ``repr`` order does instead:
+    destinations, a router's failing successors and the cycle search's
+    branches.  Set iteration order follows the hash seed for string
+    ids, so this keeps the message a broken state gets the same in
+    every process.
 
     Raises:
         LFIViolation / LoopError: if the invariant is broken.
@@ -362,8 +370,9 @@ def check_safety(
         destinations: set[NodeId] = set()
         for router in routers.values():
             destinations.update(router.successor_sets)
+        order = sorted(destinations, key=repr)
     else:
-        destinations = {destination}
+        order = (destination,)
     states = []
     # Eq. (16) inputs: per router, the rows that its up neighbors (those
     # in ``routers`` that hold it as a neighbor too) keep for it.
@@ -384,7 +393,7 @@ def check_safety(
         if held:
             held_rows.append((i, feasible, held))
 
-    for j in destinations:
+    for j in order:
         graph = {}
         for i, successor_sets, feasible, rows, links in states:
             succ = successor_sets.get(j)
@@ -396,18 +405,14 @@ def check_safety(
             fd = feasible.get(j, INFINITY)
             for k in succ:
                 if k not in links:
-                    raise LFIViolation(
-                        f"router {i!r}: successor {k!r} has no reported "
-                        f"distance to {j!r}"
-                    )
+                    break
                 row = rows.get(k)
                 dist_kj = INFINITY if row is None else row.get(j, INFINITY)
                 if not dist_kj < fd:
-                    raise LFIViolation(
-                        f"router {i!r}: successor {k!r} has "
-                        f"D_jk = {dist_kj!r} >= FD = {fd!r} "
-                        f"(Eq. 17 violated for destination {j!r})"
-                    )
+                    break
+            else:
+                continue
+            raise _eq17_violation(i, j, fd, succ, rows, links)
         cycle = find_successor_cycle(graph)
         if cycle is not None:
             raise LFIViolation(
@@ -427,3 +432,212 @@ def check_safety(
                         f"router {i!r}: FD to {j!r} is {fd!r} but neighbor "
                         f"{k!r} holds distance {dist!r} (Eq. 16 violated)"
                     )
+
+
+def _eq17_violation(i, j, fd, succ, rows, links) -> LFIViolation:
+    """The Eq. (17) violation router ``i`` reports for ``j``: its first
+    failing successor in ``repr`` order."""
+    for k in sorted(succ, key=repr):
+        if k not in links:
+            return LFIViolation(
+                f"router {i!r}: successor {k!r} has no reported "
+                f"distance to {j!r}"
+            )
+        row = rows.get(k)
+        dist_kj = INFINITY if row is None else row.get(j, INFINITY)
+        if not dist_kj < fd:
+            return LFIViolation(
+                f"router {i!r}: successor {k!r} has "
+                f"D_jk = {dist_kj!r} >= FD = {fd!r} "
+                f"(Eq. 17 violated for destination {j!r})"
+            )
+
+
+class IncrementalSafetyCheck:
+    """:func:`check_safety` after each event, at the cost of what moved.
+
+    Per router it remembers the ``route_version`` and the successor-set
+    map it last saw pass.  A call finds the routers whose version moved
+    since then (several, when calls skip events) and re-verifies only
+    the conditions that read one of them:
+
+    - Eq. (17) at the router, for every destination it routes to;
+    - Eq. (16) in both directions across each of its mutual up links;
+    - for each destination whose successor set gained members, a search
+      from those members through the routers' successor sets back to
+      the router: a cycle the last state did not have uses an edge that
+      a set gained, so it passes through that set's router;
+    - ``check_safety(routers, j)`` for a destination ``j`` that has just
+      entered the checked set (no router routed to it before, so none of
+      its Eq. (16) conditions were checked).
+
+    This is complete because the remembered state passed the full check:
+    each Eq. (16) or (17) condition reads at most two routers, so one
+    that reads no moved router still holds.  Nothing here reads MPDA's
+    own records of what moved; the contract is only that an event which
+    may change a router's LFI inputs bumps its ``route_version``, and
+    that a router replaces a successor set rather than editing it.
+
+    The incremental pass only sorts a state into clean or suspect.  A
+    suspect state, the first call, a changed router population, the call
+    after a violation and a call with ``full=True`` run the full
+    :func:`check_safety`, and its exception is raised: every verdict and
+    message is the full check's.  Pass ``full=True`` where state may
+    have changed without a version tick.
+    """
+
+    __slots__ = ("_seen", "_refs")
+
+    def __init__(self) -> None:
+        #: node -> [router, route_version, successor-set map] as last
+        #: seen passing; None until a full check passes.
+        self._seen: dict[NodeId, list] | None = None
+        #: The checked destination set, as counts of the remembered
+        #: maps that hold each destination.
+        self._refs: dict[NodeId, int] = {}
+
+    def __call__(
+        self, routers: Mapping[NodeId, MPDARouter], *, full: bool = False
+    ) -> None:
+        """Verify Theorem 3 on ``routers``; raises what
+        :func:`check_safety` raises."""
+        seen = self._seen
+        if full or seen is None or len(seen) != len(routers):
+            self._full(routers)
+            return
+        changed = []
+        for i, router in routers.items():
+            entry = seen.get(i)
+            if entry is None or entry[0] is not router:
+                self._full(routers)
+                return
+            if entry[1] != router.route_version:
+                changed.append((i, router, entry))
+        if changed and not self._clean(routers, changed):
+            self._full(routers)
+
+    def _full(self, routers: Mapping[NodeId, MPDARouter]) -> None:
+        self._seen = None
+        check_safety(routers)
+        seen = {}
+        refs: dict[NodeId, int] = {}
+        for i, router in routers.items():
+            sets = dict(router.successor_sets)
+            seen[i] = [router, router.route_version, sets]
+            for j in sets:
+                refs[j] = refs.get(j, 0) + 1
+        self._seen = seen
+        self._refs = refs
+
+    def _clean(self, routers, changed) -> bool:
+        """Whether every condition that reads a moved router holds; the
+        memory then describes the current state."""
+        refs = self._refs
+        fresh = []
+        grown = []
+        for i, router, entry in changed:
+            sets = router.successor_sets
+            old = entry[2]
+            entry[1] = router.route_version
+            entry[2] = dict(sets)
+            added = 0
+            for j, succ in sets.items():
+                before = old.get(j)
+                if before is succ:
+                    continue
+                if before is None:
+                    added += 1
+                    count = refs.get(j, 0)
+                    refs[j] = count + 1
+                    if not count:
+                        fresh.append(j)
+                    gained = succ
+                else:
+                    gained = succ - before
+                if gained:
+                    grown.append((i, j, gained))
+            if len(sets) - added != len(old):
+                for j in old.keys() - sets.keys():
+                    count = refs[j] - 1
+                    if count:
+                        refs[j] = count
+                    else:
+                        del refs[j]
+        for i, router, _ in changed:
+            if not _router_holds(routers, i, router, refs):
+                return False
+        for i, j, gained in grown:
+            if _on_cycle(routers, i, j, gained):
+                return False
+        for j in fresh:
+            try:
+                check_safety(routers, j)
+            except (LFIViolation, LoopError):
+                return False
+        return True
+
+
+def _router_holds(routers, i, router, checked) -> bool:
+    """Eq. (17) at router ``i`` and Eq. (16) across its mutual up links,
+    for the destinations in ``checked``."""
+    feasible = router.feasible_distance
+    links = router.link_costs
+    rows = router.nbr_distances
+    for j, succ in router.successor_sets.items():
+        if j == i:
+            continue
+        fd = feasible.get(j, INFINITY)
+        for k in succ:
+            if k not in links:
+                return False
+            row = rows.get(k)
+            if row is None or not row.get(j, INFINITY) < fd:
+                return False
+    for k in links:
+        peer = routers.get(k)
+        if peer is None or i not in peer.link_costs:
+            continue
+        held = peer.nbr_distances.get(i)
+        if held is not None and not _eq16_holds(i, feasible, held, checked):
+            return False
+        row = rows.get(k)
+        if row is not None and not _eq16_holds(
+            k, peer.feasible_distance, row, checked
+        ):
+            return False
+    return True
+
+
+def _eq16_holds(i, feasible, held, checked) -> bool:
+    """Eq. (16) for router ``i`` against one neighbor's ``held`` row."""
+    for j, fd in feasible.items():
+        dist = held.get(j)
+        if (
+            dist is not None
+            and fd > dist + 1e-12
+            and j != i
+            and j in checked
+            and fd != INFINITY
+        ):
+            return False
+    return True
+
+
+def _on_cycle(routers, i, j, gained) -> bool:
+    """Whether router ``i`` reaches itself through the successor sets
+    toward ``j`` from one of the successors it ``gained``."""
+    stack = list(gained)
+    visited = set()
+    while stack:
+        k = stack.pop()
+        if k == i:
+            return True
+        if k in visited:
+            continue
+        visited.add(k)
+        peer = routers.get(k)
+        if peer is not None:
+            nxt = peer.successor_sets.get(j)
+            if nxt:
+                stack.extend(nxt)
+    return False

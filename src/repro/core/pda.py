@@ -40,7 +40,6 @@ driver (:mod:`repro.core.driver` or the packet simulator) delivers them.
 from __future__ import annotations
 
 import heapq
-import itertools
 from collections.abc import Iterable, Mapping
 
 from repro.core.linkstate import (
@@ -54,12 +53,6 @@ from repro.core.linkstate import (
 from repro.exceptions import RoutingError
 from repro.graph.shortest_paths import dijkstra, rank_nodes
 from repro.graph.topology import NodeId
-
-#: Process-wide router identities.  ``id()`` would be ambiguous here:
-#: sequential experiments create and drop whole router populations, and
-#: a recycled address must not alias a stale entry in an auditor's
-#: incremental cache.
-_uid_counter = itertools.count(1)
 
 #: Shared empty adjacency for nodes without links (never mutated).
 _NO_LINKS: Mapping = {}
@@ -259,11 +252,10 @@ class PDARouter:
 
     def __init__(self, node_id: NodeId) -> None:
         self.node_id = node_id
-        #: Stable identity for observers' caches (see module comment).
-        self._uid = next(_uid_counter)
-        #: Bumped after every processed event; observers (the invariant
-        #: auditor) use it to tell which routers may have changed state
-        #: since they last looked.
+        #: Bumped after every processed event; the incremental Theorem-3
+        #: check (:class:`repro.core.mpda.IncrementalSafetyCheck`) uses it
+        #: to tell which routers may have changed state since it last
+        #: looked.
         self.route_version = 0
         self.main_table = FrozenTree.empty(node_id)
         #: The main table's predecessor map: each tree node's head.

@@ -74,7 +74,13 @@ def find_successor_cycle(successors: SuccessorSets) -> list[NodeId] | None:
 
 
 def _dfs_cycle(successors: SuccessorSets) -> list[NodeId] | None:
-    """Name a cycle by depth-first search (roots in key order)."""
+    """Name a cycle by depth-first search.
+
+    Roots go in key order, and each node's successors are stacked in
+    ``repr`` order and taken from the top, so the cycle named does not
+    depend on set iteration order (which, for string ids, follows the
+    hash seed).
+    """
     WHITE, GRAY, BLACK = 0, 1, 2
     color: dict[NodeId, int] = {node: WHITE for node in successors}
 
@@ -84,7 +90,7 @@ def _dfs_cycle(successors: SuccessorSets) -> list[NodeId] | None:
         # Iterative DFS with an explicit stack so deep topologies cannot
         # overflow Python's recursion limit.
         stack: list[tuple[NodeId, list[NodeId]]] = [
-            (root, list(successors.get(root, ())))
+            (root, sorted(successors.get(root, ()), key=repr))
         ]
         color[root] = GRAY
         path = [root]
@@ -99,7 +105,9 @@ def _dfs_cycle(successors: SuccessorSets) -> list[NodeId] | None:
                     return cycle
                 if state == WHITE:
                     color[nxt] = GRAY
-                    stack.append((nxt, list(successors.get(nxt, ()))))
+                    stack.append(
+                        (nxt, sorted(successors.get(nxt, ()), key=repr))
+                    )
                     path.append(nxt)
                     advanced = True
                     break

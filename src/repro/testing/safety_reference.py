@@ -9,10 +9,11 @@ before the Eq. (16) cross-check runs.  The cycle search is this
 module's own depth-first search, so the reference shares no checking
 code with the check it checks.
 
-The successor map holds each router's set itself, not a copy: a copy of
-a set with five or more members can iterate in another order (its hash
-table has another size), and both checks must name the same first
-violation when a router has several.
+Wherever several violations compete, both checks name the first in
+``repr`` order: destinations, a router's successors, and the branches of
+the cycle search (stacked in ``repr`` order, taken from the top).  Set
+iteration order is no rule at all: for string ids it follows the hash
+seed, and a copy of a set can iterate in another order than the set.
 
 Production reads the routers' dicts in place in one pass per
 destination, and decides acyclicity by peeling
@@ -57,7 +58,7 @@ def check_safety(
         for router in routers.values():
             destinations.update(router.successor_sets)
 
-    for j in destinations:
+    for j in sorted(destinations, key=repr):
         feasible = {
             i: router.feasible_distance.get(j, INFINITY)
             for i, router in routers.items()
@@ -116,7 +117,7 @@ def check_lfi(
     for router, fd in feasible_distance.items():
         known = reported.get(router, {})
         succ = successors.get(router, set())
-        for nbr in succ:
+        for nbr in sorted(succ, key=repr):
             if nbr not in known:
                 raise LFIViolation(
                     f"router {router!r}: successor {nbr!r} has no reported "
@@ -141,15 +142,16 @@ def check_lfi(
 def dfs_cycle(successors: Mapping[NodeId, list[NodeId]]) -> list[NodeId] | None:
     """A directed cycle (first node repeated at the end), or None.
 
-    Depth-first from each key in order, successors taken from the end of
-    each list; a successor that is not a key has no out-edges.
+    Depth-first from each key in order, each node's successors stacked
+    in ``repr`` order and taken from the top; a successor that is not a
+    key has no out-edges.
     """
     WHITE, GRAY, BLACK = 0, 1, 2
     color: dict[NodeId, int] = {node: WHITE for node in successors}
     for root in successors:
         if color[root] != WHITE:
             continue
-        stack = [(root, list(successors[root]))]
+        stack = [(root, sorted(successors[root], key=repr))]
         color[root] = GRAY
         path = [root]
         while stack:
@@ -161,7 +163,7 @@ def dfs_cycle(successors: Mapping[NodeId, list[NodeId]]) -> list[NodeId] | None:
                     return path[path.index(nxt):] + [nxt]
                 if state == WHITE:
                     color[nxt] = GRAY
-                    stack.append((nxt, list(successors[nxt])))
+                    stack.append((nxt, sorted(successors[nxt], key=repr)))
                     path.append(nxt)
                     break
             else:

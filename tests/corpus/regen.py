@@ -18,7 +18,12 @@ selection is deterministic:
 - a 40-seed **raw-channel** ``mp`` campaign (the reliable-delivery
   assumption of the paper deliberately violated), whose failures are
   minimized by the fleet and committed as expected-failure entries, one
-  per distinct (failure type, topology kind).
+  per distinct (failure type, topology kind);
+- the raw-channel CAIRN case :data:`LOOP_SEED`, minimized the same way:
+  its failure is a real Theorem-3 violation (an Eq. 16 ``LoopError``),
+  so its replay reaches ``check_safety``'s raise path, which the
+  campaign's ``ConvergenceError`` entries never do.  Its node ids are
+  strings, and its message is the same under every hash seed.
 
 Every corpus document embeds the full case plus the expected outcome:
 
@@ -52,6 +57,8 @@ RAW_SEEDS = 40
 RAW_SEED_BASE = 100
 #: At most this many expected-failure entries (distinct failure modes).
 MAX_VIOLATIONS = 6
+#: The raw-channel case kept for its Theorem-3 violation.
+LOOP_SEED = 676
 
 
 def _depth(row: dict) -> tuple:
@@ -185,6 +192,26 @@ def build_corpus() -> list[str]:
                 break
         if not seen_modes:
             raise SystemExit("raw campaign produced no failures to commit")
+
+        loop = fuzz_plan(
+            1, seed=LOOP_SEED, policies=("mp",), reliable=False, minimize=True
+        )
+        loop_report = run_fleet(
+            loop, out_dir=os.path.join(tmp, "loop"), inline=True
+        )
+        failures = loop_report["summary"]["failures"]
+        if not failures or failures[0]["failure"]["type"] != "LoopError":
+            raise SystemExit(
+                f"raw case {LOOP_SEED} no longer fails with a LoopError"
+            )
+        docs.append(
+            _violation_doc(
+                failures[0]["artifact"],
+                "raw channel (reliable-delivery assumption removed): "
+                "minimized Eq. 16 LoopError on CAIRN, a real Theorem-3 "
+                "violation named by check_safety",
+            )
+        )
 
     for stale in glob.glob(os.path.join(HERE, "*.json")):
         os.remove(stale)

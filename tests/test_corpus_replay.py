@@ -60,6 +60,16 @@ class TestCorpusShape:
                 return
         pytest.fail("no CAIRN tis<->udel ecmp-k entry in the corpus")
 
+    def test_a_theorem3_violation_is_pinned(self):
+        """One entry fails the Theorem-3 check itself, so replaying the
+        corpus reaches the check's raise path and its message."""
+        types = {
+            _load(p)["failure"]["type"]
+            for p in CORPUS
+            if _load(p)["expect"] == "violation"
+        }
+        assert "LoopError" in types
+
     def test_violations_are_minimized_raw_channel_cases(self):
         for path in CORPUS:
             doc = _load(path)
