@@ -311,10 +311,13 @@ class FaultyChannel(Transport):
             self.sent += 1
 
     def busy_links(self) -> list[LinkId]:
+        # Most attached links hold no frame: skip them before the
+        # readiness scan.
+        now = self.now
         return [
             link
             for link, queue in self._queues.items()
-            if any(frame.ready_at <= self.now for frame in queue)
+            if queue and any(frame.ready_at <= now for frame in queue)
         ]
 
     def pop(self, link: LinkId) -> list[object]:

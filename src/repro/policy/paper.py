@@ -27,6 +27,12 @@ The two operations of the discipline are the same for all five:
   operation: run **AH** everywhere, using the routing distances combined
   with freshly measured *local* link costs (a strictly local
   computation, as the paper requires).
+
+AH moves traffic only among two or more successors, and Property 1 pins
+a lone successor at 1, so between route updates a single-successor
+entry is a fixed point: ``Ts`` skips those entries while their links'
+costs keep them valid, and the tables end exactly as the full loop
+would leave them (see :class:`MPFamilyPolicy`).
 """
 
 from __future__ import annotations
@@ -43,12 +49,20 @@ from repro.core.spf import ecmp_successors, restrict_successors
 from repro.core.transport import FaultyChannel, ReliableTransport
 from repro.exceptions import ConfigError
 from repro.graph.shortest_paths import CostMap, SharedSPF
-from repro.graph.topology import NodeId
+from repro.graph.topology import LinkId, NodeId
 from repro.graph.validation import assert_loop_free
 from repro.policy.base import RoutingPolicy, RoutingTables
 from repro.policy.registry import register
 
 INFINITY = float("inf")
+
+#: The Ts plan: the least and greatest distance of the held entries on
+#: each out-link, then every other entry as (table, destination,
+#: successor list, distances), in the loop's order.
+_Plan = tuple[
+    dict[LinkId, tuple[float, float]],
+    list[tuple[AllocationTable, NodeId, list[NodeId], Mapping[NodeId, float]]],
+]
 
 
 def _via(
@@ -69,12 +83,40 @@ def _via(
     return via
 
 
+def _unit_via(
+    node: NodeId,
+    successors: list[NodeId],
+    distances: Mapping[NodeId, float],
+    costs: CostMap,
+) -> dict[NodeId, float]:
+    """1.0 through each successor ``k`` of ``node`` with a usable link:
+    constant distances make IH an even split and AH a fixed point."""
+    return {k: 1.0 for k in successors if costs.get((node, k)) is not None}
+
+
 class MPFamilyPolicy(RoutingPolicy):
     """IH / AH allocation over loop-free successor sets.
 
     ``successor_limit`` keeps only that many best successors per set
     (``policy_params={"successor_limit": 2}`` is the successor-count
     ablation); None keeps every loop-free successor.
+
+    ``Ts`` runs from a plan of the state the full loop (:meth:`_allocate`)
+    left, built at the first ``Ts`` after it.  An entry is *held* when
+    its successor list is one ``k`` with :math:`0 \\le D^k_j < \\infty`
+    and its table stores ``{k: 1.0}``: with any cost of ``(i, k)`` that
+    keeps :math:`D^k_j + l_{ik}` in :math:`[0, \\infty)`, IH/AH would
+    return the stored entry.  Held entries are grouped by out-link with
+    the least and greatest of their distances, so one test per link,
+    ``lo + cost >= 0.0 and hi + cost < inf``, covers them all (float
+    addition is monotone; a NaN cost fails it).  When every held link
+    passes, only the other, *listed* entries run IH/AH, in the loop's
+    order; otherwise the full loop runs.  Held entries never raise, so
+    the tables, every entry object kept or replaced, and any
+    :class:`~repro.exceptions.AllocationError` are the loop's.  Every
+    route update (:meth:`_install`) and every full loop drop the plan,
+    since each may change what it was built from.  ``Tl`` keeps the full
+    loop: it follows a route update, which drops the plan anyway.
     """
 
     loop_free = True
@@ -93,6 +135,9 @@ class MPFamilyPolicy(RoutingPolicy):
         #: routing distances IH/AH combine with local costs.
         self._distances: dict[NodeId, Mapping[NodeId, float]] = {}
         self._successors: RoutingTables = {}
+        #: The Ts plan (see the class docstring); None until the first
+        #: Ts after a route update or a full loop.
+        self._plan: _Plan | None = None
 
     # -- lifecycle ------------------------------------------------------
     def initialize(self, scenario, config) -> None:
@@ -123,11 +168,13 @@ class MPFamilyPolicy(RoutingPolicy):
         self._allocate(long_costs)
 
     def on_short_costs(self, short_costs: CostMap) -> None:
-        """Run the allocation heuristics with fresh local link costs."""
+        """Run the allocation heuristics with fresh local link costs:
+        AH on every entry the plan lists, or the full loop when a held
+        link's cost fails its test."""
         self.allocation_updates += 1
         ob = obs.current()
         with obs.phase(ob, "routing.adjust_allocation"):
-            self._allocate(short_costs)
+            self._adjust(short_costs)
         if ob is not None:
             ob.metrics.counter("routing.allocation_updates").inc()
 
@@ -156,30 +203,76 @@ class MPFamilyPolicy(RoutingPolicy):
                 )
                 for node, succ in successors.items()
             }
+        self._plan = None
         self._distances[dest] = distances
         self._successors[dest] = successors
         assert_loop_free(successors, dest)
 
+    #: Marginal distance through each successor: the routing distances
+    #: (long-term) plus the locally measured adjacent-link costs
+    #: (short-term).
+    _distance_via = staticmethod(_via)
+
     def _allocate(self, local_costs: CostMap) -> None:
+        """The full loop: IH/AH on every (router, destination) entry."""
+        self._plan = None
+        distance_via = self._distance_via
         for node in self.topo.nodes:
             table = self.allocations[node]
             for dest in self.destinations:
                 if node == dest:
                     continue
-                table.update(dest, self._distance_via(node, dest, local_costs))
+                table.update(
+                    dest,
+                    distance_via(
+                        node,
+                        self._successors.get(dest, {}).get(node, []),
+                        self._distances.get(dest, {}),
+                        local_costs,
+                    ),
+                )
 
-    def _distance_via(
-        self, node: NodeId, dest: NodeId, local_costs: CostMap
-    ) -> dict[NodeId, float]:
-        """Marginal distance through each current successor of ``node``:
-        the routing distances (long-term) plus the locally measured
-        adjacent-link costs (short-term)."""
-        return _via(
-            node,
-            self._successors.get(dest, {}).get(node, []),
-            self._distances.get(dest, {}),
-            local_costs,
-        )
+    def _adjust(self, local_costs: CostMap) -> None:
+        """The Ts allocation: the plan's listed entries while every held
+        link passes its test, else the full loop."""
+        plan = self._plan
+        if plan is None:
+            plan = self._plan = self._make_plan()
+        held, listed = plan
+        for link, (lo, hi) in held.items():
+            cost = local_costs.get(link)
+            if cost is None or not (lo + cost >= 0.0 and hi + cost < INFINITY):
+                self._allocate(local_costs)
+                return
+        distance_via = self._distance_via
+        for table, dest, successors, distances in listed:
+            table.update(
+                dest,
+                distance_via(table.router, successors, distances, local_costs),
+            )
+
+    def _make_plan(self) -> _Plan:
+        """Hold each single-successor entry AH cannot move, grouped by
+        out-link with its distance bounds; list every other entry."""
+        held: dict[LinkId, tuple[float, float]] = {}
+        listed = []
+        for node in self.topo.nodes:
+            table = self.allocations[node]
+            stored = table.as_phi()
+            for dest in self.destinations:
+                if node == dest:
+                    continue
+                successors = self._successors.get(dest, {}).get(node, [])
+                distances = self._distances.get(dest, {})
+                if len(successors) == 1:
+                    (k,) = successors
+                    d = distances.get(k, INFINITY)
+                    if 0.0 <= d < INFINITY and stored.get(dest) == {k: 1.0}:
+                        lo, hi = held.get((node, k), (d, d))
+                        held[(node, k)] = (min(lo, d), max(hi, d))
+                        continue
+                listed.append((table, dest, successors, distances))
+        return held, listed
 
     def _record_churn(self, ob, before: RoutingTables) -> None:
         """Count route-flap churn: (node, dest) pairs whose set changed."""
@@ -382,13 +475,7 @@ class ECMPHopPolicy(ECMPPolicy):
     def _route(self, long_costs: CostMap) -> None:
         super()._route(dict.fromkeys(long_costs, 1.0))
 
-    def _distance_via(
-        self, node: NodeId, dest: NodeId, local_costs: CostMap
-    ) -> dict[NodeId, float]:
-        # OSPF never looks at measured delays: constant distances make
-        # IH an even split and AH a fixed point.
-        return {
-            k: 1.0
-            for k in self._successors.get(dest, {}).get(node, [])
-            if local_costs.get((node, k)) is not None
-        }
+    # OSPF never looks at measured delays.  Its held entries take the
+    # same cost test as any other policy's: a cost that fails it runs
+    # the full loop, which still reads only the link's presence.
+    _distance_via = staticmethod(_unit_via)

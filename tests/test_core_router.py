@@ -6,14 +6,22 @@ these tests drive the oracle (``mp-oracle``, ``sp``) and live-protocol
 """
 
 import inspect
+import math
+import random
+import sys
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.exceptions import ConfigError
 from repro.fluid.evaluator import evaluate
 from repro.fluid.flows import Flow, TrafficMatrix
+from repro.graph.generators import random_connected
 from repro.graph.validation import is_loop_free
 from repro.policy import create_policy, policy_class
+from repro.sim.control import RunConfig
+from repro.sim.scenario import Scenario
 
 
 @pytest.fixture
@@ -122,3 +130,145 @@ class TestDataPlaneIntegration:
             fractions = routing.phi()[node].get("t", {})
             used = {k for k, f in fractions.items() if f > 0}
             assert used <= set(all_succ.get(node, []))
+
+
+# ----------------------------------------------------------------------
+# The Ts plan against the full loop
+# ----------------------------------------------------------------------
+#: (policy, params) pairs the differential property draws from.
+PLAN_POLICIES = [
+    ("mp-oracle", {}),
+    ("sp", {}),
+    ("ecmp", {}),
+    ("ecmp-hop", {}),
+    ("mp-oracle", {"successor_limit": 2}),
+    ("mp", {}),
+]
+
+#: Costs a measurement may report that IH/AH must reject or that make
+#: ``D + l`` overflow.
+ODD_COSTS = [math.nan, -1.0, -1e-3, math.inf, -math.inf, sys.float_info.max]
+
+
+def _positive(rng):
+    return rng.choice([rng.uniform(1e-4, 2.0), rng.uniform(1e-4, 1e-2)])
+
+
+def _ts_costs(rng, links):
+    """Mostly positive; half the time a few links go missing or carry an
+    odd cost."""
+    costs = {link: _positive(rng) for link in links}
+    if rng.random() < 0.5:
+        for link in rng.sample(links, rng.randint(1, 3)):
+            if rng.random() < 0.3:
+                del costs[link]
+            else:
+                costs[link] = rng.choice(ODD_COSTS)
+    return costs
+
+
+def _tl_costs(rng, links, *, odd):
+    """Positive costs; with ``odd``, a link may go missing, cost nearly
+    the largest float (so that routing distances reach ~1e308), or
+    carry a cost the route computation rejects."""
+    costs = {link: _positive(rng) for link in links}
+    if odd and rng.random() < 0.5:
+        for link in rng.sample(links, rng.randint(1, 2)):
+            roll = rng.random()
+            if roll < 0.4:
+                del costs[link]
+            elif roll < 0.8:
+                costs[link] = rng.uniform(1e307, 1e308)
+            else:
+                costs[link] = rng.choice(ODD_COSTS)
+    return costs
+
+
+def _call(method, *args):
+    """The exception ``method(*args)`` raised, as (type, message)."""
+    try:
+        method(*args)
+    except Exception as error:  # noqa: BLE001 - compared, not handled
+        return type(error), str(error)
+    return None
+
+
+def _entries(policy):
+    """Every stored entry, keyed and ordered as ``phi()`` hands them out."""
+    return [
+        (node, dest, entry)
+        for node, per_dest in policy.phi().items()
+        for dest, entry in per_dest.items()
+    ]
+
+
+def _items(entries):
+    """Entries as item lists: equal only in values *and* key order."""
+    return [(node, dest, list(entry.items())) for node, dest, entry in entries]
+
+
+def _kept(before, after):
+    """For each entry after a call, whether it is the object stored
+    under the same key before it."""
+    old = {(node, dest): entry for node, dest, entry in before}
+    return [entry is old.get((node, dest)) for node, dest, entry in after]
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(4, 8),
+    case=st.sampled_from(PLAN_POLICIES),
+)
+def test_ts_plan_matches_the_full_loop(seed, n, case):
+    """Every Ts through the plan gives what the full loop gives: the same
+    entries in the same key order, the same entry objects kept, and the
+    same exception when one raises."""
+    rng = random.Random(seed)
+    name, params = case
+    chords = rng.randint(1, min(n, (n - 1) * (n - 2) // 2))
+    topo = random_connected(n, extra_links=chords, seed=seed)
+    nodes = sorted(topo.nodes)
+    destinations = rng.sample(nodes, rng.randint(1, 3))
+    traffic = TrafficMatrix(
+        Flow(next(v for v in nodes if v != dest), dest, 1.0)
+        for dest in destinations
+    )
+    scenario = Scenario(topo.name, topo, traffic)
+    config = RunConfig(damping=rng.choice([0.5, 1.0]))
+    planned = create_policy(name, **params)
+    looped = create_policy(name, **params)
+    for policy in (planned, looped):
+        policy.initialize(scenario, config)
+    looped._adjust = looped._allocate
+
+    links = sorted(topo.idle_marginal_costs())
+    duplex = sorted({tuple(sorted(link)) for link in links})
+    down: set = set()
+    steps = [("on_costs", (_tl_costs(rng, links, odd=False),))]
+    for _ in range(24):
+        roll = rng.random()
+        if roll < 0.7:
+            steps.append(("on_short_costs", (_ts_costs(rng, links),)))
+        elif name == "mp" and roll < 0.85:
+            a, b = rng.choice(duplex)
+            if (a, b) in down:
+                down.discard((a, b))
+                event = ("up", a, b, _positive(rng), _positive(rng))
+            else:
+                down.add((a, b))
+                event = ("down", a, b)
+            steps.append(("on_link_event", event))
+        else:
+            up = [link for link in links if tuple(sorted(link)) not in down]
+            steps.append(("on_costs", (_tl_costs(rng, up, odd=name != "mp"),)))
+
+    for method, args in steps:
+        before = [_entries(policy) for policy in (planned, looped)]
+        raised = [
+            _call(getattr(policy, method), *args)
+            for policy in (planned, looped)
+        ]
+        assert raised[0] == raised[1], method
+        after = [_entries(policy) for policy in (planned, looped)]
+        assert _items(after[0]) == _items(after[1]), method
+        assert _kept(before[0], after[0]) == _kept(before[1], after[1]), method

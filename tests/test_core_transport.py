@@ -161,6 +161,22 @@ class TestFaultyChannelBounds:
                 assert ticks <= delay
             assert channel.pop(("a", "b")) == [i]
 
+    def test_busy_links_pass_over_empty_and_held_queues(self):
+        """A link with an empty queue and one holding only frames not yet
+        ready, attached before a ready one, are not busy; the held link
+        joins, in attach order, once its frame is ready."""
+        empty, held, ready = ("a", "b"), ("b", "a"), ("a", "c")
+        channel = FaultyChannel(seed=4, delay=50)
+        channel.attach([empty, held, ready, ("c", "a")])
+        channel.send(ready, "r")
+        while not channel.busy_links():
+            channel.tick()
+        channel.send(held, "h")
+        assert channel.busy_links() == [ready]
+        while channel.busy_links() == [ready]:
+            channel.tick()
+        assert channel.busy_links() == [held, ready]
+
 
 class TestReliableTransport:
     def test_parameter_validation(self):

@@ -17,11 +17,13 @@ import pytest
 
 from repro import obs
 from repro.bench.convergence import pick_failure_link
+from repro.core.allocation import AllocationTable
 from repro.exceptions import SimulationError
 from repro.fluid.evaluator import RoutingDAG
 from repro.fluid.flows import Flow, TrafficMatrix
 from repro.netsim.engine import Engine
 from repro.netsim.traffic import ScheduledSource
+from repro.policy.paper import MPFamilyPolicy
 from repro.sim.control import (
     FluidPlane,
     PacketPlane,
@@ -255,7 +257,8 @@ class TestPacketFailureReroute:
 
 
 def _reuse_case(case: str):
-    """A scenario and fluid config for the DAG-reuse equality test."""
+    """A scenario and fluid config for the DAG-reuse and Ts-plan
+    equality tests."""
     config = dict(tl=10.0, ts=2.0, duration=60.0, warmup=10.0, damping=0.5)
     if case == "bursty":
         scenario = bursty_scenario(
@@ -332,6 +335,34 @@ class TestFluidDagReuse:
             plane=plane,
         )
         assert plane._dags == {}
+
+
+class TestTsPlan:
+    """The MP family runs each Ts from a plan that skips the held
+    single-successor entries; its records must equal, float for float,
+    those of a run that sends every Ts through the full loop."""
+
+    @pytest.mark.parametrize("case", ["mp-oracle", "sp", "mp-outage", "bursty"])
+    def test_records_equal_the_full_loop(self, case, monkeypatch):
+        scenario, config = _reuse_case(case)
+        updates = []
+        update = AllocationTable.update
+
+        def counted(table, destination, distance_via):
+            updates[-1] += 1
+            return update(table, destination, distance_via)
+
+        monkeypatch.setattr(AllocationTable, "update", counted)
+        updates.append(0)
+        planned = run(scenario, config)
+        monkeypatch.setattr(
+            MPFamilyPolicy, "_adjust", MPFamilyPolicy._allocate
+        )
+        updates.append(0)
+        reference = run(scenario, config)
+
+        assert updates[0] < updates[1]
+        assert _record_values(planned) == _record_values(reference)
 
 
 class TestCrossValidation:
