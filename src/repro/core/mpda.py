@@ -82,12 +82,10 @@ class MPDARouter(PDARouter):
         self._succ_stale = False
         self.transitions = 0  # PASSIVE -> ACTIVE count, a protocol metric
         self.acks_received = 0  # consumed ACKs, one per LSU round-trip
-        #: Destinations whose LFI inputs (a neighbor row or FD entry)
-        #: changed since the successor sets were last recomputed.
+        #: Destinations whose LFI inputs (a neighbor row, the adjacent
+        #: link it comes through, or an FD entry) changed since the
+        #: successor sets were last recomputed.
         self._dirty_dests: set[NodeId] = set()
-        #: When True the next recomputation rebuilds every destination
-        #: (initial state, or the adjacent-link set itself changed).
-        self._dirty_all = True
         #: The destinations whose FD is below D (``D = inf`` outside the
         #: universe, so this includes every FD entry a node left behind
         #: when it quit the universe).  Elsewhere FD equals D, or both
@@ -99,14 +97,12 @@ class MPDARouter(PDARouter):
         self._succ_intern: dict[frozenset, frozenset] = {}
 
     def _note_rows_changed(self, destinations) -> None:
-        if not self._dirty_all:
-            self._dirty_dests.update(destinations)
-
-    def _links_changed(self) -> None:
-        # The successor rule quantifies over the adjacent-link set, so
-        # membership changes can move any destination's set.
-        self._dirty_all = True
-        super()._links_changed()
+        # One add per row: ``set.update`` sizes the table for the union
+        # of two large sets, and a greeting's rows are the whole tree, so
+        # it doubles the dirty sets a cold start leaves unread.
+        add = self._dirty_dests.add
+        for j in destinations:
+            add(j)
 
     def _outstanding(self) -> bool:
         """True while any sent LSU still awaits its acknowledgment."""
@@ -257,22 +253,14 @@ class MPDARouter(PDARouter):
         routing through it (see module docstring).
 
         The rule for destination *j* reads only *j*'s feasible distance,
-        *j*'s row of each neighbor table, and the adjacent-link set; NTU
-        and the FD updates record which of those moved, so only the
-        dirty destinations are recomputed.  The initial pass and
-        link-set changes mark every known destination dirty.
+        *j*'s row of each neighbor table, and the adjacent-link set; NTU,
+        the link events (every row through the neighbor whose link came
+        up or failed) and the FD updates record which of those moved, so
+        only the dirty destinations are recomputed.
         """
-        if self._dirty_all:
-            self._dirty_all = False
-            self._successor_sets = {}
-            self._succ_intern = {}
-            dirty = set(self.feasible_distance)
-            for dists in self.nbr_distances.values():
-                dirty.update(dists)
-        else:
-            dirty = self._dirty_dests
-            if not dirty:
-                return
+        dirty = self._dirty_dests
+        if not dirty:
+            return
         self._dirty_dests = set()
         me = self.node_id
         feasible = self.feasible_distance

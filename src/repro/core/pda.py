@@ -64,9 +64,8 @@ def repair_tree(
     dist: dict[NodeId, float],
     adj: Mapping[NodeId, Mapping[NodeId, float]],
     adj_in: Mapping[NodeId, Mapping[NodeId, float]],
-    root: NodeId,
     rank: Mapping[NodeId, int],
-    moved: Iterable[tuple[NodeId, NodeId]] | None,
+    moved: Iterable[tuple[NodeId, NodeId]],
 ) -> tuple[list[LinkEntry], dict[NodeId, NodeId | None]]:
     """MTU steps 6-8: bring a shortest-path tree up to date after edits.
 
@@ -76,12 +75,14 @@ def repair_tree(
     ``children[pred[n]][n]``.  The tree and ``dist`` must hold exactly
     what :func:`~repro.graph.shortest_paths.dijkstra` gave for the
     previous candidate graph, with ``dist`` covering the current node
-    universe (nodes new to it at infinity).  ``adj`` (head -> {tail:
-    cost}) and ``adj_in`` (tail -> {head: cost}) describe the current
-    candidate graph, ``rank`` is :func:`rank_nodes` order over (at
-    least) the universe, and ``moved`` lists every link (head, tail)
-    added, removed or re-costed since — or is None to settle everything
-    from ``root``.
+    universe (nodes new to it at infinity).  The empty tree with the
+    root at 0.0 and every other node at infinity is Dijkstra's result
+    for the empty graph, so a first run starts there with every link
+    in ``moved``.  ``adj`` (head -> {tail: cost}) and ``adj_in`` (tail
+    -> {head: cost}) describe the current candidate graph, ``rank`` is
+    :func:`rank_nodes` order over (at least) the universe, and
+    ``moved`` lists every link (head, tail) added, removed or
+    re-costed since.
 
     The subtrees below removed or costlier tree links are dropped, and
     those nodes plus the tails of cheaper or new links are re-settled by
@@ -103,68 +104,61 @@ def repair_tree(
     repaired: dict = {}
     heap: list = []
     push = heapq.heappush
-    if moved is None:
-        for node in pred:
-            repaired[node] = None
-            dist[node] = INFINITY
-        dist[root] = 0.0
-        heap.append((0.0, rank[root], root))
-    else:
-        seeds = []
-        stack = []
-        for head, tail in moved:
-            cost = adj.get(head, _NO_LINKS).get(tail)
-            if pred.get(tail) == head:
-                old = children[head][tail]
-                if cost is None or cost > old:
-                    stack.append(tail)
-                elif cost < old:
-                    seeds.append((head, tail, cost))
-            elif cost is not None:
+    seeds = []
+    stack = []
+    for head, tail in moved:
+        cost = adj.get(head, _NO_LINKS).get(tail)
+        if pred.get(tail) == head:
+            old = children[head][tail]
+            if cost is None or cost > old:
+                stack.append(tail)
+            elif cost < old:
                 seeds.append((head, tail, cost))
-        # Drop the subtrees below removed or costlier tree links.
-        while stack:
-            node = stack.pop()
-            if node in repaired:
-                continue
-            repaired[node] = None
-            dist[node] = INFINITY
-            stack.extend(children.get(node, ()))
-        # Re-label each dropped node from its in-links (in-links from
-        # dropped nodes still at infinity add nothing; those nodes relax
-        # their out-links when they settle).
-        for node in list(repaired):
-            best = INFINITY
-            best_head = None
-            for head, cost in adj_in.get(node, _NO_LINKS).items():
-                alt = dist[head] + cost
-                if alt < best or (
-                    alt == best
-                    and best_head is not None
-                    and rank[head] < rank[best_head]
-                ):
-                    best, best_head = alt, head
-            if best_head is not None:
-                dist[node] = best
-                repaired[node] = best_head
-                push(heap, (best, rank[node], node))
-        # New or cheaper links may lower their tail.  A cheaper tree
-        # link whose float sum does not move keeps its tail's
-        # predecessor (``<=``), but the tail is still marked repaired:
-        # its tree link changed cost.
-        for head, tail, cost in seeds:
+        elif cost is not None:
+            seeds.append((head, tail, cost))
+    # Drop the subtrees below removed or costlier tree links.
+    while stack:
+        node = stack.pop()
+        if node in repaired:
+            continue
+        repaired[node] = None
+        dist[node] = INFINITY
+        stack.extend(children.get(node, ()))
+    # Re-label each dropped node from its in-links (in-links from
+    # dropped nodes still at infinity add nothing; those nodes relax
+    # their out-links when they settle).
+    for node in list(repaired):
+        best = INFINITY
+        best_head = None
+        for head, cost in adj_in.get(node, _NO_LINKS).items():
             alt = dist[head] + cost
-            cur = dist[tail]
-            if alt < cur:
-                dist[tail] = alt
+            if alt < best or (
+                alt == best
+                and best_head is not None
+                and rank[head] < rank[best_head]
+            ):
+                best, best_head = alt, head
+        if best_head is not None:
+            dist[node] = best
+            repaired[node] = best_head
+            push(heap, (best, rank[node], node))
+    # New or cheaper links may lower their tail.  A cheaper tree link
+    # whose float sum does not move keeps its tail's predecessor
+    # (``<=``), but the tail is still marked repaired: its tree link
+    # changed cost.
+    for head, tail, cost in seeds:
+        alt = dist[head] + cost
+        cur = dist[tail]
+        if alt < cur:
+            dist[tail] = alt
+            repaired[tail] = head
+            push(heap, (alt, rank[tail], tail))
+        elif alt == cur < INFINITY:
+            prev = repaired.get(tail)
+            if prev is None:
+                prev = pred[tail]
+            if rank[head] <= rank[prev]:
                 repaired[tail] = head
-                push(heap, (alt, rank[tail], tail))
-            elif alt == cur < INFINITY:
-                prev = repaired.get(tail)
-                if prev is None:
-                    prev = pred[tail]
-                if rank[head] <= rank[prev]:
-                    repaired[tail] = head
     # Label-setting from the seeds: every label is the cost of a real
     # path, and every push raises the heap minimum by a positive cost,
     # so each node settles once, at its final distance.
@@ -230,9 +224,11 @@ class PDARouter:
     whose inputs moved and report the candidate links that changed, and
     :func:`repair_tree` re-settles only the nodes those links affect;
     the LSU diff, ``distances`` and the next snapshot are built from the
-    repaired nodes alone.  An adjacent-link event, or an LSU replayed
-    onto an out-of-sync neighbor table, rebuilds steps 3-5 and settles
-    the tree from the root.
+    repaired nodes alone.  Every event takes this one path, the first
+    included: an LSU, adopted or replayed, marks the rows and link
+    groups it changed in the sender's table, and an adjacent-link event
+    marks every row through that neighbor (its merged value moved) and
+    the router's own group of adjacent links (step 5).
     :mod:`repro.testing.oracle` checks every such shortcut against a
     naive router that recomputes everything per event.
     """
@@ -245,7 +241,6 @@ class PDARouter:
         "_ntu_adopt": "protocol.ntu.adopt",
         "_ntu_replay": "protocol.ntu.replay",
         "_mtu_refresh": "protocol.mtu.refresh",
-        "_mtu_rebuild": "protocol.mtu.rebuild",
         "_repair": "protocol.mtu.repair",
         "_snapshot": "protocol.mtu.snapshot",
     }
@@ -288,11 +283,11 @@ class PDARouter:
         #: MTU steps 3-5 state carried across runs: per-destination
         #: preferred neighbor and its merged value, and the candidate
         #: graph as out-adjacency (head -> {tail: cost}, each group the
-        #: winning neighbor table's own, by reference) and in-adjacency
-        #: (tail -> {head: cost}).  Valid while ``_mtu_full`` is False;
-        #: ``_best_dirty`` lists destinations whose neighbor rows moved
-        #: and ``_group_dirty`` the heads whose link group must be
-        #: re-sourced.
+        #: winning neighbor table's own, by reference, and this router's
+        #: own group its adjacent links) and in-adjacency (tail -> {head:
+        #: cost}).  ``_best_dirty`` lists destinations whose neighbor
+        #: rows moved and ``_group_dirty`` the heads whose link group
+        #: must be re-sourced.
         self._best_val: dict[NodeId, float] = {}
         self._best_nbr: dict[NodeId, NodeId] = {}
         self._adj: dict[NodeId, Mapping[NodeId, float]] = {}
@@ -303,7 +298,6 @@ class PDARouter:
         #: once several senders contributed (None disables the
         #: challenger short-cut in ``_mtu_refresh``).
         self._dirty_sender: NodeId | None = None
-        self._mtu_full = True
 
     # ------------------------------------------------------------------
     # events
@@ -315,9 +309,11 @@ class PDARouter:
             self._know((neighbor,))
         self.link_costs[neighbor] = cost
         self.neighbor_tables.setdefault(neighbor, TopologyTable())
-        self.nbr_distances.setdefault(neighbor, {neighbor: 0.0})
+        rows = self.nbr_distances.setdefault(neighbor, {neighbor: 0.0})
         self._tables_dirty = True
-        self._links_changed()
+        self._note_mtu_dirty(neighbor, rows, ())
+        self._note_rows_changed(rows)
+        self._group_dirty.add(self.node_id)
         self._greet(neighbor)
         self._after_ntu(lsu_sender=None)
 
@@ -346,9 +342,9 @@ class PDARouter:
             )
         self.link_costs[neighbor] = cost
         self._tables_dirty = True
-        #: Every merged value through this neighbor shifted; rebuild
-        #: the preferred-neighbor state from scratch next MTU.
-        self._mtu_full = True
+        # Every merged value through this neighbor shifted.
+        self._note_mtu_dirty(neighbor, self.nbr_distances[neighbor], ())
+        self._group_dirty.add(self.node_id)
         self._after_ntu(lsu_sender=None)
 
     def link_down(self, neighbor: NodeId) -> None:
@@ -360,10 +356,12 @@ class PDARouter:
             self._forget(
                 [node for node in table.nodes_map_view() if node != neighbor]
             )
-        self.nbr_distances.pop(neighbor, None)
+        rows = self.nbr_distances.pop(neighbor, _NO_LINKS)
         self._nbr_versions.pop(neighbor, None)
         self._tables_dirty = True
-        self._links_changed()
+        self._note_mtu_dirty(neighbor, rows, ())
+        self._note_rows_changed(rows)
+        self._group_dirty.add(self.node_id)
         self._after_ntu(lsu_sender=None)
 
     def receive(self, message: LSUMessage) -> None:
@@ -467,21 +465,20 @@ class PDARouter:
         old = self.nbr_distances[sender]
         new = dijkstra(table.links_view(), sender)[0]
         self.nbr_distances[sender] = new
-        self._note_rows_changed(
-            j for j in old.keys() | new.keys() if old.get(j) != new.get(j)
-        )
-        # Rebuild the carried MTU state from scratch rather than track
-        # which of its groups the replay touched.
-        self._mtu_full = True
+        rows = [j for j in old.keys() | new.keys() if old.get(j) != new.get(j)]
+        self._note_mtu_dirty(sender, rows, message.entries)
+        self._note_rows_changed(rows)
 
     def _note_mtu_dirty(self, sender: NodeId, rows, entries) -> None:
-        """Record what an applied LSU invalidates in the carried MTU state.
+        """Record what an event invalidates in the carried MTU state.
 
-        ``rows`` (destinations whose distance through ``sender`` moved)
-        re-open the preferred-neighbor choice; entry heads whose current
-        preferred neighbor *is* the sender now have a new link group in
-        the sender's table, so the group is re-sourced even when the
-        choice itself stands.
+        ``rows`` (destinations whose distance through ``sender`` moved:
+        an LSU's changed rows, or every row of a neighbor whose adjacent
+        link came up, failed or changed cost) re-open the
+        preferred-neighbor choice; entry heads whose current preferred
+        neighbor *is* the sender now have a new link group in the
+        sender's table, so the group is re-sourced even when the choice
+        itself stands.
         """
         if not self._best_dirty:
             self._dirty_sender = sender
@@ -496,14 +493,8 @@ class PDARouter:
                 group_dirty.add(head)
 
     def _note_rows_changed(self, destinations) -> None:
-        """Hook: destinations whose neighbor-table rows changed (MPDA)."""
-
-    def _links_changed(self) -> None:
-        """The adjacent-link *set* changed: every destination's
-        preferred-neighbor choice may move, so the carried MTU state is
-        rebuilt from scratch (MPDA's override also dirties the LFI
-        successor sets)."""
-        self._mtu_full = True
+        """Hook: destinations whose neighbor-table rows, or the adjacent
+        link those rows come through, changed (MPDA)."""
 
     def _after_ntu(self, lsu_sender: NodeId | None) -> None:
         """The tail of procedure PDA: MTU, then flood any differences."""
@@ -534,17 +525,20 @@ class PDARouter:
         # ``distances`` covers exactly the known-node universe: nodes
         # new to it start at infinity, and nodes that left it (no table
         # mentions them, so no candidate link reaches them) are dropped
-        # after the repair.
+        # after the repair.  The router itself joins at its first MTU,
+        # at 0.0: the empty tree is Dijkstra's result for the empty
+        # candidate graph, and the first repair starts from it.
         dist = self.distances
         gone = []
         if self._known_moved:
             known = self._known
             rank = self._rank
+            me = self.node_id
             stale = False
             for node in self._known_moved:
                 if node in known:
                     if node not in dist:
-                        dist[node] = INFINITY
+                        dist[node] = INFINITY if node != me else 0.0
                         stale = stale or node not in rank
                 elif node in dist:
                     gone.append(node)
@@ -553,11 +547,7 @@ class PDARouter:
                 self._rank = rank_nodes(known)
         rank = self._rank
 
-        if self._mtu_full:
-            self._mtu_rebuild(up, rank)
-            moved = None
-        else:
-            moved = self._mtu_refresh(up, rank)
+        moved = self._mtu_refresh(up, rank)
         entries, repaired = self._repair(moved, rank)
         for node in gone:
             del dist[node]
@@ -574,7 +564,6 @@ class PDARouter:
             self.distances,
             self._adj,
             self._adj_in,
-            self.node_id,
             rank,
             moved,
         )
@@ -645,57 +634,6 @@ class PDARouter:
             n_links=n_links,
         )
 
-    def _mtu_rebuild(self, up, rank) -> None:
-        """MTU steps 3-5 from scratch; prime the incremental state.
-
-        Steps 3-4: preferred neighbor per head node, take its links.
-        Iterating each up neighbor's distance rows (instead of probing
-        every neighbor for every universe node) gives the same
-        (min value, then lowest-address neighbor) winner per node.
-        """
-        best_val: dict[NodeId, float] = {}
-        best_nbr: dict[NodeId, NodeId] = {}
-        link_costs = self.link_costs
-        for k in up:
-            lc = link_costs[k]
-            rows = self.nbr_distances.get(k)
-            if not rows:
-                continue
-            rank_k = rank[k]
-            for j, dist_kj in rows.items():
-                val = dist_kj + lc
-                cur = best_val.get(j)
-                if cur is None:
-                    best_val[j] = val
-                    best_nbr[j] = k
-                elif val < cur or (val == cur and rank_k < rank[best_nbr[j]]):
-                    best_val[j] = val
-                    best_nbr[j] = k
-
-        adj: dict[NodeId, Mapping[NodeId, float]] = {}
-        adj_in: dict[NodeId, dict[NodeId, float]] = {}
-        me = self.node_id
-        tables = self.neighbor_tables
-        for j, k in best_nbr.items():
-            if j == me or best_val[j] == INFINITY:
-                continue
-            group = adj[j] = tables[k].groups.get(j, _NO_LINKS)
-            for tail, cost in group.items():
-                adj_in.setdefault(tail, {})[j] = cost
-
-        # Step 5: adjacent links override anything neighbors reported.
-        adj[me] = {k: link_costs[k] for k in up}
-        for k in up:
-            adj_in.setdefault(k, {})[me] = link_costs[k]
-
-        self._best_val = best_val
-        self._best_nbr = best_nbr
-        self._adj = adj
-        self._adj_in = adj_in
-        self._best_dirty.clear()
-        self._group_dirty.clear()
-        self._mtu_full = False
-
     def _mtu_refresh(self, up, rank) -> list[tuple[NodeId, NodeId]]:
         """MTU steps 3-5, touching only destinations whose inputs moved.
 
@@ -706,7 +644,9 @@ class PDARouter:
         inputs and untouched rows cannot have changed their entry.
         ``_group_dirty`` holds nodes whose link group may differ even
         with an unchanged winner (the winning neighbor re-announced
-        links leaving that head); their groups are re-sourced.
+        links leaving that head); their groups are re-sourced.  The
+        router's own group is step 5's: its adjacent links at their
+        measured costs, which override anything neighbors reported.
 
         Returns the candidate links (head, tail) that were added,
         removed or re-costed — what :func:`repair_tree` starts from.
@@ -775,15 +715,17 @@ class PDARouter:
         me = self.node_id
         moved: list[tuple[NodeId, NodeId]] = []
         for j in group_dirty:
-            if j == me:
-                continue
             old_group = adj.pop(j, _NO_LINKS)
             group = _NO_LINKS
-            k = best_nbr.get(j)
-            if k is not None and best_val[j] != INFINITY:
-                view = tables[k].groups.get(j)
-                if view:
-                    group = adj[j] = view
+            if j == me:
+                if up:
+                    group = adj[me] = {k: link_costs[k] for k in up}
+            else:
+                k = best_nbr.get(j)
+                if k is not None and best_val[j] != INFINITY:
+                    view = tables[k].groups.get(j)
+                    if view:
+                        group = adj[j] = view
             if group is old_group:
                 continue
             for tail in old_group:

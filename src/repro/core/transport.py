@@ -398,6 +398,12 @@ class Segment:
     payload: object = None
 
 
+#: Multiplicative backoff applied to a link's retransmit timeout per
+#: consecutive timeout, and the ceiling it backs off to, in ticks.
+BACKOFF = 2.0
+MAX_TIMEOUT = 64
+
+
 @dataclass
 class _SendState:
     next_seq: int = 0
@@ -424,9 +430,9 @@ class ReliableTransport(Transport):
 
     Args:
         inner: the raw channel the segments travel over.
-        timeout: initial retransmit timeout, in channel ticks.
-        backoff: multiplicative backoff applied per consecutive timeout.
-        max_timeout: backoff ceiling.
+        timeout: initial retransmit timeout, in channel ticks; each
+            consecutive timeout multiplies it by :data:`BACKOFF`, up to
+            :data:`MAX_TIMEOUT`.
         max_retries: consecutive timeouts without ACK progress on one
             link before giving up with a :class:`ConvergenceError` — a
             permanently partitioned link would otherwise retransmit
@@ -438,18 +444,12 @@ class ReliableTransport(Transport):
         inner: Transport | None = None,
         *,
         timeout: int = 8,
-        backoff: float = 2.0,
-        max_timeout: int = 64,
         max_retries: int = 30,
     ) -> None:
         if timeout < 1:
             raise ValueError(f"timeout must be >= 1, got {timeout!r}")
-        if backoff < 1.0:
-            raise ValueError(f"backoff must be >= 1, got {backoff!r}")
         self.inner = inner if inner is not None else FaultyChannel()
         self.timeout = timeout
-        self.backoff = backoff
-        self.max_timeout = max_timeout
         self.max_retries = max_retries
         self._send_state: dict[LinkId, _SendState] = {}
         self._recv_state: dict[LinkId, _RecvState] = {}
@@ -604,9 +604,7 @@ class ReliableTransport(Transport):
                 link, Segment("data", seq, ack, state.unacked[seq])
             )
             self.retransmits += 1
-        state.timeout = min(
-            int(state.timeout * self.backoff) or 1, self.max_timeout
-        )
+        state.timeout = min(int(state.timeout * BACKOFF) or 1, MAX_TIMEOUT)
         state.timer = state.timeout
         ob = obs.current()
         if ob is not None and ob.tracer.enabled:

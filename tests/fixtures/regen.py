@@ -2,9 +2,9 @@
 
 Usage (from the repo root)::
 
-    PYTHONPATH=src python tests/fixtures/regen.py
+    PYTHONPATH=src python tests/fixtures/regen.py [OUT_DIR]
 
-Produces, next to this script:
+Produces, in ``OUT_DIR`` (default: next to this script):
 
 - ``converge.trace.jsonl`` / ``converge.metrics.json`` /
   ``converge.report.json`` — the audited single-link-failure
@@ -42,11 +42,18 @@ differ in exactly these:
   ``packet_net1.metrics.json``, of ``netsim.engine.events_per_second``;
   and every statistic but ``count`` of the ``lfi_audit.check_seconds``
   and per-router ``protocol.active_phase_seconds`` histograms.
+
+``tests/test_fixture_regen.py`` regenerates all eight files into a
+scratch directory and requires each to equal the committed file with
+exactly these fields dropped, so keep that test's masks in step with
+this list.
 """
 
 from __future__ import annotations
 
+import json
 import os
+import sys
 
 from repro import obs
 from repro.bench.convergence import converge_experiment
@@ -59,24 +66,27 @@ from repro.sim.scenario import net1_scenario
 HERE = os.path.dirname(os.path.abspath(__file__))
 
 
-def _path(name: str) -> str:
-    return os.path.join(HERE, name)
+def regen(out: str = HERE) -> None:
+    """Write all eight fixtures into the directory ``out``."""
+    regen_converge(out)
+    regen_causal_cairn(out)
+    regen_packet_net1(out)
 
 
-def regen_converge() -> None:
-    trace = _path("converge.trace.jsonl")
-    metrics = _path("converge.metrics.json")
+def regen_converge(out: str) -> None:
+    trace = os.path.join(out, "converge.trace.jsonl")
+    metrics = os.path.join(out, "converge.metrics.json")
     observation = obs.start(trace_path=trace, audit=True, audit_sample=1)
     try:
         converge_experiment(seed=0, topologies=("cairn", "net1"))
         write_metrics(metrics, observation)
     finally:
         obs.stop()
-    _report("converge")
+    _report(out, "converge")
 
 
-def regen_causal_cairn() -> None:
-    trace = _path("causal_cairn.trace.jsonl")
+def regen_causal_cairn(out: str) -> None:
+    trace = os.path.join(out, "causal_cairn.trace.jsonl")
     obs.start(trace_path=trace, audit=True, causal=True)
     try:
         converge_experiment(seed=0, topologies=("cairn",))
@@ -88,12 +98,12 @@ def regen_causal_cairn() -> None:
         None,
         source={"trace": "tests/fixtures/causal_cairn.trace.jsonl"},
     )
-    write_report(_path("causal_cairn.report.json"), report)
+    write_report(os.path.join(out, "causal_cairn.report.json"), report)
 
 
-def regen_packet_net1() -> None:
-    trace = _path("packet_net1.trace.jsonl")
-    metrics = _path("packet_net1.metrics.json")
+def regen_packet_net1(out: str) -> None:
+    trace = os.path.join(out, "packet_net1.trace.jsonl")
+    metrics = os.path.join(out, "packet_net1.metrics.json")
     observation = obs.start(trace_path=trace, audit=True, audit_sample=25)
     try:
         run(
@@ -103,14 +113,12 @@ def regen_packet_net1() -> None:
         write_metrics(metrics, observation)
     finally:
         obs.stop()
-    _report("packet_net1")
+    _report(out, "packet_net1")
 
 
-def _report(stem: str) -> None:
-    import json
-
-    events = read_trace(_path(f"{stem}.trace.jsonl"))
-    with open(_path(f"{stem}.metrics.json")) as fh:
+def _report(out: str, stem: str) -> None:
+    events = read_trace(os.path.join(out, f"{stem}.trace.jsonl"))
+    with open(os.path.join(out, f"{stem}.metrics.json")) as fh:
         metrics_doc = json.load(fh)
     report = build_report(
         events,
@@ -120,11 +128,11 @@ def _report(stem: str) -> None:
             "metrics": f"tests/fixtures/{stem}.metrics.json",
         },
     )
-    write_report(_path(f"{stem}.report.json"), report)
+    write_report(os.path.join(out, f"{stem}.report.json"), report)
 
 
 if __name__ == "__main__":
-    regen_converge()
-    regen_causal_cairn()
-    regen_packet_net1()
-    print("fixtures regenerated under", HERE)
+    out = sys.argv[1] if len(sys.argv) > 1 else HERE
+    os.makedirs(out, exist_ok=True)
+    regen(out)
+    print("fixtures regenerated under", out)

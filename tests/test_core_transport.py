@@ -182,8 +182,6 @@ class TestReliableTransport:
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             ReliableTransport(timeout=0)
-        with pytest.raises(ValueError):
-            ReliableTransport(backoff=0.5)
 
     def test_in_order_release_under_reordering(self):
         transport = ReliableTransport(

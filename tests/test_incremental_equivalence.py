@@ -62,8 +62,10 @@ def _assert_core_state(lockstep):
     and ``distances`` covers exactly that universe; the main table is
     the tree of the predecessor map and is what every up neighbor holds
     for this router (the snapshot it flooded last, or the greeting that
-    shares its links and distances); and each head's group in MTU's
-    candidate graph is the winning neighbor table's own group object.
+    shares its links and distances); each head's group in MTU's
+    candidate graph is the winning neighbor table's own group object,
+    the router's own group is its adjacent links, and the in-adjacency
+    holds exactly the candidate graph's links.
     """
     routers = lockstep.production.routers
     for node, router in routers.items():
@@ -86,6 +88,17 @@ def _assert_core_state(lockstep):
                 winner = router.neighbor_tables[router._best_nbr[head]]
                 held = winner.groups.get(head)
                 assert group is held if held else not group, (node, head)
+        assert router._adj.get(node, {}) == router.link_costs, node
+        candidate = {
+            (head, tail): cost
+            for head, group in router._adj.items()
+            for tail, cost in group.items()
+        }
+        assert candidate == {
+            (head, tail): cost
+            for tail, incoming in router._adj_in.items()
+            for head, cost in incoming.items()
+        }, node
 
 
 @pytest.mark.parametrize(

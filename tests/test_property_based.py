@@ -198,9 +198,11 @@ def test_tree_repair_matches_dijkstra(initial, batches):
     tree = TopologyTable()
     nodes = universe()
     dist = dict.fromkeys(nodes, INFINITY)
-    # Step 0 settles the tree from the root; each batch then repairs it.
+    dist[root] = 0.0
+    # Step 0 repairs the empty tree with every link moved, as MTU's
+    # first run does; each batch then repairs the tree it left.
     for step, batch in enumerate([[]] + batches):
-        before = dict(links)
+        before = dict(links) if step else {}
         for op, arg in batch:
             existing = sorted(links)
             if op == "set":
@@ -232,9 +234,7 @@ def test_tree_repair_matches_dijkstra(initial, batches):
         children = {}
         for (h, t), c in prev_tree.items():
             children.setdefault(h, {})[t] = c
-        entries, repaired = repair_tree(
-            pred, children, dist, adj, adj_in, root, rank, moved if step else None
-        )
+        entries, repaired = repair_tree(pred, children, dist, adj, adj_in, rank, moved)
         for node in prev_nodes - nodes:
             del dist[node]
 
@@ -243,12 +243,11 @@ def test_tree_repair_matches_dijkstra(initial, batches):
         want_tree = {
             (h, t): links[(h, t)] for t, h in want_pred.items() if h is not None
         }
-        if step:
-            for node in nodes - repaired.keys():
-                assert dist[node] == prev_dist[node]
-                assert want_pred[node] == next(
-                    (h for (h, t) in prev_tree if t == node), None
-                )
+        for node in nodes - repaired.keys():
+            assert dist[node] == prev_dist[node]
+            assert want_pred[node] == next(
+                (h for (h, t) in prev_tree if t == node), None
+            )
         touched = [(entry.head, entry.tail) for entry in entries]
         assert len(set(touched)) == len(touched)
         for entry in entries:
